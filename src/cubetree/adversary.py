@@ -20,17 +20,17 @@ from .structure import (
     CubeElem,
     Elem,
     NatString,
+    StringKey,
     UElem,
     UniverseSchedule,
-    birth_stage,
     format_string,
     holds_P,
+    ladder_key,
     parse_string,
+    sorts,
 )
 
 Fact = tuple  # ("W", sigma, sort, x) | ("S", n, x) | ("E", i, x, y) | ("P", x, y)
-
-StringKey = tuple[NatString, int | None]
 
 
 class _Hole:
@@ -73,10 +73,18 @@ def format_fact(step: int, fact: Fact) -> str:
     return f"{step} P {x} {y}"
 
 
+# Whitespace-separated fields of a fact line, step and kind included.
+FACT_FIELDS = {"W": 5, "S": 4, "E": 5, "P": 4}
+
+
 def parse_fact_line(line: str) -> tuple[int, Fact]:
     parts = line.split()
+    kind = parts[1] if len(parts) > 1 else ""
+    if kind not in FACT_FIELDS:
+        raise ValueError(f"bad fact line: {line!r}")
+    if len(parts) != FACT_FIELDS[kind]:
+        raise ValueError(f"{kind} fact needs {FACT_FIELDS[kind]} fields, got {len(parts)}")
     step = int(parts[0])
-    kind = parts[1]
     if kind == "W":
         sort = None if parts[3] == "-" else int(parts[3])
         return step, ("W", parse_string(parts[2]), sort, int(parts[4]))
@@ -84,9 +92,7 @@ def parse_fact_line(line: str) -> tuple[int, Fact]:
         return step, ("S", int(parts[2]), int(parts[3]))
     if kind == "E":
         return step, ("E", int(parts[2]), int(parts[3]), int(parts[4]))
-    if kind == "P":
-        return step, ("P", int(parts[2]), int(parts[3]))
-    raise ValueError(f"bad fact line: {line!r}")
+    return step, ("P", int(parts[2]), int(parts[3]))
 
 
 @dataclass
@@ -168,8 +174,15 @@ def _instantiate(conjunct: Fact, x: int) -> Fact:
     return tuple(x if part is HOLE else part for part in conjunct)
 
 
-def stream_from_lines(lines) -> FactStream:
-    rows = [parse_fact_line(ln) for ln in lines if ln.strip() and not ln.startswith("#")]
+def stream_from_lines(lines, source: str = "fact lines") -> FactStream:
+    """Parse a fact file's lines; errors name the source and the line."""
+    rows = []
+    for k, line in enumerate(lines, 1):
+        if line.strip() and not line.startswith("#"):
+            try:
+                rows.append(parse_fact_line(line))
+            except ValueError as exc:
+                raise ValueError(f"{source}, line {k}: {exc}") from None
     rows.sort(key=lambda r: r[0])
     stream = FactStream()
     for step, fact in rows:
@@ -224,10 +237,6 @@ class Adversary:
 
     def copy_of(self, e: Elem) -> int | None:
         return self.to_copy.get(e)
-
-
-def _ladder_key(t: NatString) -> tuple:
-    return (birth_stage(t), len(t), t)
 
 
 class FaithfulGenerator:
@@ -328,22 +337,22 @@ class FaithfulGenerator:
         fresh-label sweep to strings that gained labels this stage; None
         sweeps everything (slow, used by tests)."""
         step = stage + self.delay
-        sorts = (None,) if self.variant == "cc" else (0, 1)
+        sort_values = sorts(self.variant)
         new_elems: list[Elem] = []
         if stage == 1 and self.variant == "dc":
             new_elems.extend(UElem(k) for k in (0, 1))
         universe = set(self.schedule.base_strings(stage))
         universe.update(s for s, b in chosen_birth.items() if b <= stage)
-        new_strings = sorted(universe - self._strings, key=_ladder_key)
+        new_strings = sorted(universe - self._strings, key=ladder_key)
         fsets = self.schedule.fsets(stage)
         new_fsets = [f for f in fsets if f not in self._fsets]
-        for sigma in sorted(self._strings, key=_ladder_key):
+        for sigma in sorted(self._strings, key=ladder_key):
             for f in new_fsets:
-                for sort in sorts:
+                for sort in sort_values:
                     new_elems.append(CubeElem(f, sigma, sort))
         for sigma in new_strings:
             for f in fsets:
-                for sort in sorts:
+                for sort in sort_values:
                     new_elems.append(CubeElem(f, sigma, sort))
         self._strings.update(new_strings)
         self._fsets = fsets
@@ -387,7 +396,7 @@ class FaithfulGenerator:
             if isinstance(e, CubeElem):
                 self._emit_labels(step, e, store, stage)
         keys = touched if touched is not None else set(self._by_string)
-        for key in sorted(keys, key=lambda k: (_ladder_key(k[0]), -1 if k[1] is None else k[1])):
+        for key in sorted(keys, key=lambda k: (ladder_key(k[0]), -1 if k[1] is None else k[1])):
             for e in self._by_string.get(key, []):
                 self._emit_labels(step, e, store, stage)
 

@@ -12,20 +12,28 @@ gadget pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
+from . import match
+from .adversary import HOLE
 from .engine import (
     Engine,
     Node,
-    ReqIdle,
     ReqM,
     ReqN,
     Requirement,
     RunResult,
     TPEntry,
-    format_addr,
 )
-from .adversary import HOLE
-from .structure import CubeElem, NatString, Snapshot, VariantMismatch, format_elem, format_string
+from .structure import (
+    CubeElem,
+    NatString,
+    Snapshot,
+    StringKey,
+    VariantMismatch,
+    format_elem,
+    format_string,
+)
 
 
 class ExtractionStalled(RuntimeError):
@@ -37,39 +45,19 @@ def validate_config(config) -> None:
         raise ValueError("cc runs need a nonempty input tree")
 
 
-def make_ordering(config) -> list[Requirement]:
-    """Priority list: the root requirement first, then tree nodes in
+def ordering_iter(config):
+    """Priority order: the root requirement first, then tree nodes in
     shortlex order dovetailed with the per-adversary requirements."""
     ns = [ReqN(pi) for pi in config.tree.sorted_nodes()]
     ms = [ReqM(i) for i in range(len(config.adversaries))]
-    out: list[Requirement] = ns[:1]
-    rest = ns[1:]
-    i = j = 0
-    take_m = True
-    while i < len(ms) or j < len(rest):
-        if take_m and i < len(ms):
-            out.append(ms[i])
-            i += 1
-        elif j < len(rest):
-            out.append(rest[j])
-            j += 1
-        else:
-            out.append(ms[i])
-            i += 1
-        take_m = not take_m
-    return out
+    yield ns[0]
+    for pair in zip_longest(ms, ns[1:]):
+        yield from filter(None, pair)
 
 
 def assign_type(engine: Engine, node: Node, s: int) -> Requirement:
-    ordering = getattr(engine, "_cc_ordering", None)
-    if ordering is None:
-        ordering = make_ordering(engine.cfg)
-        engine._cc_ordering = ordering
     on_path = {n.req for n in engine.path_nodes(node.addr)}
-    for req in ordering:
-        if req not in on_path:
-            return req
-    return ReqIdle()
+    return engine.first_fit(lambda req: req not in on_path)
 
 
 def act(engine: Engine, node: Node, s: int) -> str:
@@ -83,10 +71,7 @@ def act(engine: Engine, node: Node, s: int) -> str:
 
 def act_G(engine: Engine, s: int) -> None:
     """End of stage: base coverage of every unchosen string in the window."""
-    covered = getattr(engine, "_g_covered", None)
-    if covered is None:
-        covered = set()
-        engine._g_covered = covered
+    covered = engine.g_covered
     for sigma in engine.schedule.base_strings(s):
         if sigma in covered:
             continue
@@ -114,11 +99,7 @@ def act_N(engine: Engine, node: Node, s: int) -> str:
     return "o"
 
 
-def _children_in(pool: set[NatString], sigma: NatString) -> list[NatString]:
-    return sorted(t for t in pool if len(t) == len(sigma) + 1 and t[: len(sigma)] == sigma)
-
-
-def compute_B(engine: Engine, node: Node, t: int, fin_token: str) -> list[NatString]:
+def compute_B(engine: Engine, node: Node, t: int, fin_token: str) -> list[StringKey]:
     """Responsibility set: the stage-t universe minus strings chosen by an
     ancestor or by a strategy extending the current finite outcome."""
     out = []
@@ -128,79 +109,21 @@ def compute_B(engine: Engine, node: Node, t: int, fin_token: str) -> list[NatStr
             continue
         if engine.chosen_by_extension_of(sigma, None, below_fin):
             continue
-        out.append(sigma)
+        out.append((sigma, None))
     return out
 
 
+def _tree_images(engine: Engine, node: Node) -> list[StringKey]:
+    """Starting set: the strings chosen by tree strategies above the node."""
+    return sorted(
+        ((nd.state["sigma"], None) for nd in engine.path_nodes(node.addr)
+         if isinstance(nd.req, ReqN)),
+        key=lambda key: (len(key[0]), key[0]),
+    )
+
+
 def act_M(engine: Engine, node: Node, s: int) -> str:
-    st = node.state
-    if "C" not in st:
-        st["C"] = sorted(
-            (nd.state["sigma"] for nd in engine.path_nodes(node.addr)
-             if isinstance(nd.req, ReqN)),
-            key=lambda t: (len(t), t),
-        )
-        st["f"] = {}
-        st["k0"] = 0
-        st["k1"] = 0
-        st["t"] = 0
-        st["x_at_t"] = {}
-    stream = engine.adversaries[node.req.index].stream
-    t, k0, k1 = st["t"], st["k0"], st["k1"]
-    B = compute_B(engine, node, t, str(k0))
-    engine.emit("mstat", s, format_addr(node.addr), t, k0, k1, len(B))
-    for sigma in B:
-        if sigma not in st["f"]:
-            n = engine.store.n_sigma(sigma, None, t + 1)
-            x = stream.oldest_satisfying(
-                [("W", sigma, None, HOLE), ("S", n, HOLE)], s
-            )
-            if x is not None:
-                st["f"][sigma] = x
-                engine.emit("ftau", s, format_addr(node.addr), sigma, x)
-    pool = set(B)
-    for sigma in B:
-        bullet = _failing_bullet(engine, st, stream, pool, sigma, t, s)
-        if bullet:
-            engine.emit("mfail", s, format_addr(node.addr), sigma, bullet)
-            return str(k0)
-    below_inf = node.addr + ("ii",)
-    D = [sigma for sigma in B
-         if not engine.chosen_by_extension_of(sigma, None, below_inf)]
-    dpool = set(D)
-    xs: dict[NatString, int | None] = {}
-    stable = True
-    for sigma in st["C"]:
-        conjuncts = [("W", tuple(sigma), None, HOLE)]
-        for child in _children_in(dpool, sigma):
-            conjuncts.append(("P", HOLE, st["f"][child]))
-        x = stream.oldest_satisfying(conjuncts, s)
-        xs[sigma] = x
-        engine.emit("xtau", s, format_addr(node.addr), sigma, x)
-        prev = st["x_at_t"].get(sigma)
-        if x is None or prev is None or x != prev:
-            stable = False
-    token = f"i{k1}" if stable else "ii"
-    st["x_at_t"] = xs
-    st["t"] = s
-    st["k0"] = k0 + 1
-    if token == "ii":
-        st["k1"] = k1 + 1
-    return token
-
-
-def _failing_bullet(engine, st, stream, pool, sigma, t, s):
-    if sigma not in st["f"]:
-        return 1
-    n = engine.store.n_sigma(sigma, None, t + 1)
-    if not stream.holds_within(("S", n, st["f"][sigma]), s):
-        return 2
-    for child in _children_in(pool, sigma):
-        if child not in st["f"]:
-            return 3
-        if not stream.holds_within(("P", st["f"][sigma], st["f"][child]), s):
-            return 3
-    return None
+    return match.act_M(engine, node, s, _tree_images, compute_B)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +198,8 @@ def extract_isomorphism(
     stream = adv.stream
     horizon = result.horizon
     stalls: list[str] = []
-    f: dict[NatString, int] = dict(node.state["f"])
-    C = list(node.state["C"])
+    f: dict[NatString, int] = {sigma: x for (sigma, _), x in node.state["f"].items()}
+    C = [sigma for sigma, _ in node.state["C"]]
 
     # Closing sweep: strings enumerated by the copy that never entered the
     # responsibility set (late births) get the same search at full budget.
@@ -295,7 +218,7 @@ def extract_isomorphism(
     # Excluded strings, deepest first; the limit witness is the last recorded
     # stable value, the correction set J collects the broken links.
     for sigma in sorted(C, key=len, reverse=True):
-        x = node.state["x_at_t"].get(sigma)
+        x = node.state["x_at_t"].get((sigma, None))
         if x is None:
             stalls.append(f"no limit witness for chosen {format_string(sigma)}")
             continue

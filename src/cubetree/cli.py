@@ -44,24 +44,24 @@ def _tp_summary(entries) -> list[dict]:
     ]
 
 
-def write_artifacts(result: RunResult, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trace.log").write_text(
-        "\n".join(result.trace_lines()) + "\n", encoding="utf-8"
-    )
-    snap = result.snapshot()
-    (out_dir / "snapshot.log").write_text(
-        "\n".join(snap.dump_lines()) + "\n", encoding="utf-8"
-    )
+def artifact_texts(result: RunResult):
+    """(file name, text) of each artifact of a run, built one at a time."""
+    yield "trace.log", "\n".join(result.trace_lines()) + "\n"
+    yield "snapshot.log", "\n".join(result.snapshot().dump_lines()) + "\n"
     meta = {
         "version": VERSION,
         "config": json.loads(result.cfg.raw),
         "true_path": _tp_summary(_tp(result)),
         "witnesses": dict(sorted(result.zprime.items())),
     }
-    (out_dir / "meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    yield "meta.json", json.dumps(meta, sort_keys=True, indent=1) + "\n"
+
+
+def write_artifacts(result: RunResult, out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in artifact_texts(result):
+        (out_dir / name).write_text(text, encoding="utf-8")
+        del text  # free one file's text before the next one is built
 
 
 def cmd_run(args) -> int:
@@ -94,12 +94,7 @@ def run_suite(result: RunResult, suite: str) -> verify_mod.Report:
             except cc_mod.ExtractionStalled as exc:
                 report.add(f"extraction[{idx}]", False, str(exc))
                 continue
-            has_defects = any(
-                spec.kind == "faithful" and spec.defects
-                for j, spec in enumerate(result.cfg.adversaries)
-                if j == idx
-            )
-            if has_defects:
+            if result.cfg.adversaries[idx].defects:
                 continue
             sub = verify_mod.check_isomorphism(
                 extracted, result.snapshot(), adv, result.horizon
@@ -188,16 +183,10 @@ def cmd_replay(args) -> int:
     result = run_stages(config)
     base = Path(args.trace)
     ok = True
-    fresh_trace = "\n".join(result.trace_lines()) + "\n"
-    old_trace = (base / "trace.log").read_text(encoding="utf-8")
-    if fresh_trace != old_trace:
-        ok = False
-        print("trace.log differs")
-    fresh_snap = "\n".join(result.snapshot().dump_lines()) + "\n"
-    old_snap = (base / "snapshot.log").read_text(encoding="utf-8")
-    if fresh_snap != old_snap:
-        ok = False
-        print("snapshot.log differs")
+    for name, text in artifact_texts(result):
+        if (base / name).read_text(encoding="utf-8") != text:
+            ok = False
+            print(f"{name} differs")
     print("replay identical" if ok else "replay DIFFERS")
     return 0 if ok else 1
 

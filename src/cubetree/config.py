@@ -9,7 +9,7 @@ from the same file is byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .adversary import Defect, PermSpec
 from .structure import UniverseSchedule
@@ -53,10 +53,13 @@ class RunConfig:
     tp_window: int | None = None
     raw: str = "{}"
 
-    def with_horizon(self, horizon: int) -> "RunConfig":
-        data = json.loads(self.raw)
-        data["horizon"] = horizon
-        return replace(self, horizon=horizon, raw=canonical_json(data))
+
+def at_least_1(value, key: str) -> int:
+    """value as an int; a ConfigError naming the key when it is below 1."""
+    n = int(value)
+    if n < 1:
+        raise ConfigError(f"{key} must be at least 1, got {n}")
+    return n
 
 
 def canonical_json(data: dict) -> str:
@@ -70,7 +73,8 @@ def parse_permutation(data: dict | None) -> PermSpec:
     if kind == "identity":
         return PermSpec()
     if kind == "block_rotate":
-        return PermSpec("block_rotate", int(data["block"]), int(data["shift"]))
+        return PermSpec("block_rotate", at_least_1(data["block"], "permutation.block"),
+                        int(data["shift"]))
     raise ConfigError(f"unknown permutation kind {kind!r}")
 
 
@@ -120,9 +124,9 @@ def parse_universe(data: dict | None) -> UniverseSchedule:
         return UniverseSchedule()
     cap = data.get("cap", 4)
     return UniverseSchedule(
-        rate=int(data.get("rate", 1)),
+        rate=at_least_1(data.get("rate", 1), "universe.rate"),
         cap=None if cap is None else int(cap),
-        f_rate=int(data.get("f_rate", 1)),
+        f_rate=at_least_1(data.get("f_rate", 1), "universe.f_rate"),
         f_cap=int(data.get("f_cap", 2)),
     )
 
@@ -143,9 +147,7 @@ def config_from_dict(data: dict, base_dir=None) -> RunConfig:
     variant = data.get("variant")
     if variant not in ("cc", "dc"):
         raise ConfigError(f"variant must be 'cc' or 'dc', got {variant!r}")
-    horizon = int(data.get("horizon", 0))
-    if horizon < 1:
-        raise ConfigError("horizon must be at least 1")
+    horizon = at_least_1(data.get("horizon", 0), "horizon")
     adversaries = tuple(
         parse_adversary(d, i, base_dir) for i, d in enumerate(data.get("adversaries", []))
     )

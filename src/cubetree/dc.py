@@ -8,8 +8,8 @@ at its private witness; on success it freezes, enumerates the witness into
 the engine's halting-set simulation, steals those strings, and forces its
 1-outcome forever.  The priority tree is typed dynamically so that stolen
 positions are never re-assigned and every mother keeps accumulating
-daughters.  The copy-matching strategy is the pair version of the
-single-sorted one.
+daughters.  Copy matching runs the shared strategy of `match` over
+(sigma, sort) pairs.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from . import match
+from .config import at_least_1
 from .engine import (
     Engine,
     Node,
@@ -29,7 +31,6 @@ from .engine import (
     TPEntry,
     format_addr,
 )
-from .adversary import HOLE
 from .structure import CubeElem, NatString, Snapshot, UElem, VariantMismatch, format_string
 
 
@@ -95,21 +96,21 @@ class PhiPredicate:
 
 
 def phi_from_dict(data: dict) -> PhiPredicate:
-    def rule_of(d: dict) -> tuple:
+    def rule_of(d: dict, key: str) -> tuple:
         kind = d["kind"]
         if kind == "until":
             return ("until", int(d["s0"]))
         if kind == "periodic":
-            return ("periodic", int(d["period"]))
+            return ("periodic", at_least_1(d["period"], f"{key}.period"))
         if kind in ("never", "always"):
             return (kind,)
         raise ValueError(f"unknown phi rule kind {kind!r}")
 
     rules = tuple(
-        (int(n), rule_of(d)) for n, d in sorted(data.get("rules", {}).items(),
-                                                key=lambda kv: int(kv[0]))
+        (int(n), rule_of(d, f"phi.rules.{n}"))
+        for n, d in sorted(data.get("rules", {}).items(), key=lambda kv: int(kv[0]))
     )
-    default = rule_of(data["default"]) if "default" in data else ("never",)
+    default = rule_of(data["default"], "phi.default") if "default" in data else ("never",)
     return PhiPredicate(int(data["range"]), rules, default)
 
 
@@ -220,16 +221,6 @@ def ordering_iter(config):
         h += 1
 
 
-def _ordering_prefix(engine: Engine, k: int) -> list[Requirement]:
-    cache = getattr(engine, "_dc_ordering", None)
-    if cache is None:
-        cache = {"items": [], "iter": ordering_iter(engine.cfg)}
-        engine._dc_ordering = cache
-    while len(cache["items"]) < k:
-        cache["items"].append(next(cache["iter"]))
-    return cache["items"]
-
-
 def n_along(engine: Engine, addr, mother: Node) -> int:
     """Largest n of a daughter of the given mother strictly below addr (0 if
     none)."""
@@ -273,19 +264,17 @@ def blocking_report(engine: Engine, addr) -> dict:
 def assign_type(engine: Engine, node: Node, s: int) -> Requirement:
     on_path = {nd.req for nd in engine.path_nodes(node.addr)}
     report = blocking_report(engine, node.addr)
-    k = 1
-    while True:
-        for req in _ordering_prefix(engine, k):
-            if req in on_path:
-                continue
-            if isinstance(req, ReqDaughter) and req in report["blocked"]:
-                continue
-            if isinstance(req, ReqU):
-                if any(report["coverage"][maddr] <= ell
-                       for maddr, ell in report["u_clearance"].items()):
-                    continue
-            return req
-        k += 16
+    u_cleared = all(report["coverage"][maddr] > ell
+                    for maddr, ell in report["u_clearance"].items())
+
+    def allowed(req: Requirement) -> bool:
+        if req in on_path:
+            return False
+        if isinstance(req, ReqDaughter):
+            return req not in report["blocked"]
+        return u_cleared or not isinstance(req, ReqU)
+
+    return engine.first_fit(allowed)
 
 
 def act(engine: Engine, node: Node, s: int) -> str:
@@ -306,10 +295,7 @@ def act_G(engine: Engine, s: int) -> None:
     slice with the base label on both sorts."""
     engine.grow((), 0, s, chooser=None)
     engine.grow((), 1, s, chooser=None)
-    covered = getattr(engine, "_g_covered", None)
-    if covered is None:
-        covered = set()
-        engine._g_covered = covered
+    covered = engine.g_covered
     for sigma in engine.universe_strings(s):
         if sigma in covered:
             continue
@@ -464,15 +450,7 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Pair version of the copy-matching strategy.
-
-def _pair_children(pool, pair):
-    sigma, a = pair
-    return sorted(
-        p for p in pool
-        if p[1] == a and len(p[0]) == len(sigma) + 1 and p[0][: len(sigma)] == sigma
-    )
-
+# Copy matching: the variant's starting set and responsibility set.
 
 def _c_pairs(engine: Engine, node: Node) -> list[tuple[NatString, int]]:
     pairs: set[tuple[NatString, int]] = set()
@@ -506,73 +484,7 @@ def compute_B_pairs(engine: Engine, node: Node, t: int, fin_token: str):
 
 
 def act_M(engine: Engine, node: Node, s: int) -> str:
-    st = node.state
-    if "C" not in st:
-        st["C"] = _c_pairs(engine, node)
-        st["f"] = {}
-        st["k0"] = 0
-        st["k1"] = 0
-        st["t"] = 0
-        st["x_at_t"] = {}
-    stream = engine.adversaries[node.req.index].stream
-    t, k0, k1 = st["t"], st["k0"], st["k1"]
-    B = compute_B_pairs(engine, node, t, str(k0))
-    engine.emit("mstat", s, format_addr(node.addr), t, k0, k1, len(B))
-    for pair in B:
-        if pair not in st["f"]:
-            sigma, a = pair
-            n = engine.store.n_sigma(sigma, a, t + 1)
-            x = stream.oldest_satisfying(
-                [("W", sigma, a, HOLE), ("S", n, HOLE)], s
-            )
-            if x is not None:
-                st["f"][pair] = x
-                engine.emit("ftau", s, format_addr(node.addr), sigma, a, x)
-    pool = set(B)
-    for pair in B:
-        bullet = _failing_bullet_pair(engine, st, stream, pool, pair, t, s)
-        if bullet:
-            engine.emit("mfail", s, format_addr(node.addr), pair[0], pair[1], bullet)
-            return str(k0)
-    below_inf = node.addr + ("ii",)
-    D = [p for p in B
-         if not engine.chosen_by_extension_of(p[0], p[1], below_inf)]
-    dpool = set(D)
-    xs: dict[tuple, int | None] = {}
-    stable = True
-    for pair in st["C"]:
-        sigma, a = pair
-        conjuncts = [("W", sigma, a, HOLE)]
-        for child in _pair_children(dpool, pair):
-            conjuncts.append(("P", HOLE, st["f"][child]))
-        x = stream.oldest_satisfying(conjuncts, s)
-        xs[pair] = x
-        engine.emit("xtau", s, format_addr(node.addr), sigma, a, x)
-        prev = st["x_at_t"].get(pair)
-        if x is None or prev is None or x != prev:
-            stable = False
-    token = f"i{k1}" if stable else "ii"
-    st["x_at_t"] = xs
-    st["t"] = s
-    st["k0"] = k0 + 1
-    if token == "ii":
-        st["k1"] = k1 + 1
-    return token
-
-
-def _failing_bullet_pair(engine, st, stream, pool, pair, t, s):
-    if pair not in st["f"]:
-        return 1
-    sigma, a = pair
-    n = engine.store.n_sigma(sigma, a, t + 1)
-    if not stream.holds_within(("S", n, st["f"][pair]), s):
-        return 2
-    for child in _pair_children(pool, pair):
-        if child not in st["f"]:
-            return 3
-        if not stream.holds_within(("P", st["f"][pair], st["f"][child]), s):
-            return 3
-    return None
+    return match.act_M(engine, node, s, _c_pairs, compute_B_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +507,6 @@ def extract_paths(result: RunResult, tp_entries: list[TPEntry]) -> PathFamily:
     path (plus frozen steals), checked to be a chain under extension."""
     f: dict[int, NatString] = {}
     g: dict[int, NatString] = {}
-    tp_addrs = {e.addr: e for e in tp_entries}
     for entry in tp_entries:
         node = result.nodes[entry.addr]
         if not isinstance(node.req, ReqMother):

@@ -11,19 +11,23 @@ through the variant hooks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from .adversary import Adversary, FaithfulGenerator, stream_from_lines
+from .config import ConfigError
 from .structure import (
     LabelStore,
     NatString,
     Snapshot,
+    StringKey,
     UniverseSchedule,
     birth_stage,
     format_string,
+    ladder_key,
+    sorts,
 )
 
 Addr = tuple[str, ...]
-StringKey = tuple[NatString, int | None]
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +146,6 @@ class Node:
 # ---------------------------------------------------------------------------
 # Engine.
 
-class ConfigError(ValueError):
-    pass
-
-
 class Engine:
     def __init__(self, config) -> None:
         if config.horizon < 1:
@@ -173,6 +173,11 @@ class Engine:
             raise ConfigError(f"unknown variant {self.variant!r}")
         self.strat = strat
         strat.validate_config(config)
+        # Strategy state shared across nodes: the priority order drawn so
+        # far, and the strings the global strategy has covered.
+        self.ordering: list[Requirement] = []
+        self._ordering_rest = strat.ordering_iter(config)
+        self.g_covered: set[NatString] = set()
         self.adversaries: list[Adversary] = []
         self._generators: list[FaithfulGenerator | None] = []
         for spec in config.adversaries:
@@ -188,7 +193,7 @@ class Engine:
                 self._generators.append(gen)
                 self.adversaries.append(gen.result())
             elif spec.kind == "file":
-                stream = stream_from_lines(spec.lines)
+                stream = stream_from_lines(spec.lines, spec.path)
                 self._generators.append(None)
                 self.adversaries.append(Adversary(stream, label=spec.label))
             else:
@@ -253,7 +258,7 @@ class Engine:
         every chosen string past its birth stage."""
         base = set(self.schedule.base_strings(s))
         base.update(t for t, b in self.chosen_birth.items() if b <= s)
-        return sorted(base, key=lambda t: (birth_stage(t), len(t), t))
+        return sorted(base, key=ladder_key)
 
     def choosers(self, sigma: NatString, sort: int | None) -> list[tuple[Addr, int]]:
         return self.chosen.get((tuple(sigma), sort), [])
@@ -266,6 +271,18 @@ class Engine:
                               addr: Addr) -> bool:
         return any(len(a) < len(addr) and addr[: len(a)] == a
                    for a, _ in self.choosers(sigma, sort))
+
+    def first_fit(self, allowed) -> Requirement:
+        """The first requirement of the priority order that `allowed`
+        accepts; Idle once a finite order runs out."""
+        for k in count():
+            if k == len(self.ordering):
+                req = next(self._ordering_rest, None)
+                if req is None:
+                    return ReqIdle()
+                self.ordering.append(req)
+            if allowed(self.ordering[k]):
+                return self.ordering[k]
 
     def alloc_witness(self) -> int:
         x = self._witness_next
@@ -309,10 +326,8 @@ class Engine:
         return RunResult(self)
 
 
-def run_stages(config, horizon: int | None = None) -> "RunResult":
+def run_stages(config) -> "RunResult":
     """Run the configured construction to its horizon and return the result."""
-    if horizon is not None:
-        config = config.with_horizon(horizon)
     return Engine(config).run()
 
 
@@ -333,22 +348,15 @@ class RunResult:
         self.chosen_birth = engine.chosen_birth
         self.zprime = engine.zprime
         self.adversaries = engine.adversaries
+        self.universe_strings = engine.universe_strings
 
     def touched_by_stage(self) -> dict[int, set[StringKey]]:
         return self.engine.touched
 
-    def universe_strings(self, s: int) -> list[NatString]:
-        base = set(self.schedule.base_strings(s))
-        base.update(t for t, b in self.chosen_birth.items() if b <= s)
-        return sorted(base, key=lambda t: (birth_stage(t), len(t), t))
-
-    def sorts(self) -> tuple[int | None, ...]:
-        return (None,) if self.variant == "cc" else (0, 1)
-
     def snapshot(self, stage: int | None = None) -> Snapshot:
         stage = self.horizon if stage is None else stage
         strings = [(t, sort) for t in self.universe_strings(stage)
-                   for sort in self.sorts()]
+                   for sort in sorts(self.variant)]
         return Snapshot(
             self.variant,
             stage,
@@ -422,13 +430,6 @@ def true_path_approx(result: RunResult, threshold: int = 3,
             break
         addr = addr + (chosen,)
     return entries
-
-
-def tp_node(entries: list[TPEntry], predicate) -> TPEntry | None:
-    for entry in entries:
-        if predicate(entry):
-            return entry
-    return None
 
 
 # ---------------------------------------------------------------------------

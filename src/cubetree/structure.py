@@ -57,6 +57,11 @@ class UElem:
 Elem = CubeElem | UElem
 
 
+def sorts(variant: str) -> tuple[int | None, ...]:
+    """The sort values of a variant: None alone when single-sorted."""
+    return (None,) if variant == "cc" else (0, 1)
+
+
 def elem(fset, sigma, sort=None) -> CubeElem:
     return CubeElem(frozenset(fset), tuple(sigma), sort)
 
@@ -148,6 +153,11 @@ def birth_stage(sigma: NatString) -> int:
     return max(len(sigma) + 1, top)
 
 
+def ladder_key(sigma: NatString) -> tuple:
+    """Ladder order of strings: birth stage, then length, then lex."""
+    return (birth_stage(sigma), len(sigma), sigma)
+
+
 @dataclass(frozen=True)
 class UniverseSchedule:
     """Growth schedule for the breadth-covered slice of omega^{<omega}.
@@ -194,7 +204,7 @@ def strings_of_width(w: int) -> list[NatString]:
     out: list[NatString] = []
     for length in range(w):
         out.extend(product(range(w), repeat=length))
-    out.sort(key=lambda s: (birth_stage(s), len(s), s))
+    out.sort(key=ladder_key)
     return out
 
 
@@ -229,10 +239,8 @@ class LabelStore:
     _seq: int = 0
 
     def _check_sort(self, sort: int | None) -> None:
-        if self.variant == "cc" and sort is not None:
-            raise VariantMismatch("single-sorted store given a sort")
-        if self.variant == "dc" and sort not in (0, 1):
-            raise VariantMismatch("two-sorted store needs sort 0 or 1")
+        if sort not in sorts(self.variant):
+            raise VariantMismatch(f"{self.variant} store given sort {sort!r}")
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -258,12 +266,6 @@ class LabelStore:
 
     def grows(self, sigma: NatString, sort: int | None) -> list[GrowEvent]:
         return self._grows.get((tuple(sigma), sort), [])
-
-    def grow_count(self, sigma: NatString, sort: int | None, upto: int | None = None) -> int:
-        events = self.grows(sigma, sort)
-        if upto is None:
-            return len(events)
-        return sum(1 for ev in events if ev.stage <= upto)
 
     def label_stamp(self, n: int, e: CubeElem, before: int | None = None) -> int | None:
         """Stage stamping S_n(e), or None; `before` restricts to stamps < before."""
@@ -348,9 +350,6 @@ class Snapshot:
     store: LabelStore
     strings: tuple[tuple[NatString, int | None], ...]  # window, (sigma, sort)
     fsets: tuple[frozenset[int], ...]
-
-    def sorts(self) -> tuple[int | None, ...]:
-        return (None,) if self.variant == "cc" else (0, 1)
 
     def elements(self) -> list[CubeElem]:
         return [CubeElem(f, sigma, sort)

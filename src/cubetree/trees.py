@@ -35,11 +35,6 @@ class Branch:
     def has_prefix(self, sigma: NatString) -> bool:
         return self.initial_segment(len(sigma)) == tuple(sigma)
 
-    def next_symbol(self, sigma: NatString) -> int:
-        if not self.has_prefix(sigma):
-            raise ValueError("string is not on the branch")
-        return self.value(len(sigma))
-
 
 @dataclass(frozen=True)
 class TestTree:
@@ -57,20 +52,8 @@ class TestTree:
         sigma = tuple(sigma)
         return sigma in self.nodes or any(b.has_prefix(sigma) for b in self.branches)
 
-    def contains_to_depth(self, sigma, depth: int) -> bool:
-        """Membership for strings of length <= depth (all decidable here)."""
-        return tuple(sigma) in self
-
     def depth(self) -> int:
         return max(len(s) for s in self.nodes)
-
-    def children(self, sigma: NatString) -> list[NatString]:
-        sigma = tuple(sigma)
-        kids = {s for s in self.nodes if len(s) == len(sigma) + 1 and s[: len(sigma)] == sigma}
-        for b in self.branches:
-            if b.has_prefix(sigma):
-                kids.add(sigma + (b.next_symbol(sigma),))
-        return sorted(kids)
 
     def sorted_nodes(self) -> list[NatString]:
         return sorted(self.nodes, key=lambda s: (len(s), s))

@@ -33,6 +33,7 @@ from .structure import (
     format_elem,
     format_string,
     holds_P,
+    sorts,
 )
 from .trees import Branch, TestTree
 
@@ -240,21 +241,21 @@ def ideal_tree_snapshot(
             child = sigma + (j,)
             if child not in tree:
                 border.add(child)
-    sorts = (None,) if variant == "cc" else (0, 1)
+    sort_values = sorts(variant)
     rows = []
     stamp = 1
     for sigma in sorted(strings, key=lambda t: (len(t), t)):
-        for sort in sorts:
+        for sort in sort_values:
             for n in range(label_count):
                 for fset in fsets:
                     rows.append((stamp, n, CubeElem(fset, sigma, sort)))
                 stamp += 1
     for sigma in sorted(border, key=lambda t: (len(t), t)):
-        for sort in sorts:
+        for sort in sort_values:
             rows.append((stamp, 0, CubeElem(frozenset(), sigma, sort)))
     window = [(sigma, sort)
               for sigma in sorted(strings | border, key=lambda t: (len(t), t))
-              for sort in sorts]
+              for sort in sort_values]
     return snapshot_from_declarations(variant, rows, window, fsets, stamp + 1)
 
 
@@ -468,9 +469,8 @@ def check_labeling(result: RunResult, tp_entries: list[TPEntry],
             if c1 <= c0:
                 grew = False
         report.add("labels-grow", grew, format_string(sigma))
-    sorts = (None,) if result.variant == "cc" else (0, 1)
     for sigma in result.universe_strings(s0):
-        for sort in sorts:
+        for sort in sorts(result.variant):
             if result.chosen.get((sigma, sort)) or store.grows(sigma, sort):
                 continue
             try:
@@ -523,13 +523,9 @@ def atomic_equivalent(snap: Snapshot, t1: tuple[Elem, ...], t2: tuple[Elem, ...]
                 c2 = next(iter(d2)) if d2 is not None and len(d2) == 1 else None
                 if c1 != c2:
                     return False
-            if holds_P(_as_elem(a), _as_elem(b)) != holds_P(_as_elem(t2[i]), _as_elem(t2[j])):
+            if holds_P(a, b) != holds_P(t2[i], t2[j]):
                 return False
     return True
-
-
-def _as_elem(e: Elem) -> Elem:
-    return e
 
 
 def bf_equiv(
@@ -576,11 +572,10 @@ def check_trace_invariants(result: RunResult) -> Report:
 
 
 def _check_n_sigma_definedness(result: RunResult, report: Report) -> None:
-    sorts = (None,) if result.variant == "cc" else (0, 1)
     bad = None
     for s in range(2, result.horizon + 1):
         for sigma in result.universe_strings(s - 1):
-            for sort in sorts:
+            for sort in sorts(result.variant):
                 try:
                     result.store.n_sigma(sigma, sort, s)
                 except UndefinedLabel:
@@ -692,8 +687,7 @@ def _recompute_B(result: RunResult, addr, stage: int, t: int, k0: int):
 def _check_b_sets(result: RunResult, report: Report) -> None:
     inf_stages: dict[tuple, set[int]] = {}
     for ev in result.trace:
-        if ev[0] == "outcome" and (ev[3] == "ii" or (ev[3].startswith("i") and ev[3] != "i")
-                                   or ev[3] == "i"):
+        if ev[0] == "outcome" and ev[3].startswith("i"):
             inf_stages.setdefault(parse_addr(ev[2]), set()).add(ev[1])
     bad_mono = None
     bad_eq = None

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cubetree.cli import main
 
 
@@ -57,6 +59,16 @@ def test_replay_detects_tampering(tmp_path):
     trace = out / "trace.log"
     trace.write_text(trace.read_text() + "tampered\n")
     assert main(["replay", "--config", str(cfg), "--trace", str(out)]) == 1
+
+
+def test_replay_compares_meta(tmp_path, capsys):
+    cfg = write_config(tmp_path, CC_CONFIG)
+    out = tmp_path / "out"
+    main(["run", "--config", str(cfg), "--out", str(out)])
+    meta = out / "meta.json"
+    meta.write_text(meta.read_text().replace('"version"', '"versions"'))
+    assert main(["replay", "--config", str(cfg), "--trace", str(out)]) == 1
+    assert "meta.json differs" in capsys.readouterr().out
 
 
 def test_verify_full_suite(tmp_path, capsys):
@@ -132,3 +144,33 @@ def test_verify_empty_suite_selection(tmp_path, capsys):
     cfg = write_config(tmp_path, CC_CONFIG)
     assert main(["verify", "--config", str(cfg), "--suite", "none"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def _block_rotate(block):
+    perm = {"kind": "block_rotate", "block": block, "shift": 1}
+    return [{"kind": "faithful", "label": "perm", "permutation": perm}]
+
+
+@pytest.mark.parametrize("data, key", [
+    (dict(CC_CONFIG, universe={"rate": 0}), "universe.rate"),
+    (dict(CC_CONFIG, universe={"rate": 1, "f_rate": 0}), "universe.f_rate"),
+    (dict(DC_CONFIG, phi={"range": 8, "default": {"kind": "periodic", "period": 0}}),
+     "phi.default.period"),
+    (dict(DC_CONFIG, phi={"range": 8, "rules": {"3": {"kind": "periodic", "period": 0}}}),
+     "phi.rules.3.period"),
+    (dict(CC_CONFIG, adversaries=_block_rotate(0)), "permutation.block"),
+])
+def test_values_below_one_exit_two(tmp_path, capsys, data, key):
+    cfg = write_config(tmp_path, data)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+
+
+def test_truncated_fact_line_exits_two(tmp_path, capsys):
+    (tmp_path / "copy.facts").write_text("1 W <> - 0\n3 W\n", encoding="utf-8")
+    file_cfg = dict(CC_CONFIG, adversaries=[{"kind": "file", "path": "copy.facts"}])
+    cfg = write_config(tmp_path, file_cfg)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "copy.facts, line 2" in err

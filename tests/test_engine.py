@@ -164,7 +164,7 @@ def test_cc_ordering_constraints():
     from cubetree.engine import ReqN
 
     config = cc_config(adversaries=[faithful(), faithful(label="b")])
-    ordering = cc.make_ordering(config)
+    ordering = list(cc.ordering_iter(config))
     assert isinstance(ordering[0], ReqN) and ordering[0].pi == ()
     pos = {req: k for k, req in enumerate(ordering)}
     for req in ordering:
