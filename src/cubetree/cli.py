@@ -4,7 +4,8 @@ Subcommands: run a construction and write its artifacts, verify claim
 suites over a rerun, extract post-run artifacts (image tree, path prefixes,
 isomorphism), replay a config and compare outputs byte for byte, and
 generate adversary files.  Exit codes: 0 success, 1 check failure, 2
-usage or configuration error.
+usage or configuration error, 3 internal error (a broken invariant of the
+construction, not a fault of the input).
 """
 
 from __future__ import annotations
@@ -18,11 +19,17 @@ from . import cc as cc_mod
 from . import dc as dc_mod
 from . import verify as verify_mod
 from .adversary import Defect, PermSpec, make_faithful_copy
-from .config import ConfigError, load_config
+from .config import ConfigError, at_least, load_config
+from .dc import GammaUnresolved, InconsistentPrefixes
 from .engine import RunResult, run_stages, true_path_approx
-from .structure import format_elem, format_string
+from .structure import UndefinedLabel, VariantMismatch, format_elem, format_string
+from .verify import InvariantBroken
 
 VERSION = "0.1.0"
+
+INTERNAL_ERRORS = (
+    GammaUnresolved, InconsistentPrefixes, InvariantBroken, UndefinedLabel, VariantMismatch,
+)
 
 
 def _tp(result: RunResult):
@@ -192,6 +199,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_gen_adversary(args) -> int:
+    delay = at_least(args.delay, 0, "--delay")
     config = load_config(args.config)
     result = run_stages(config)
     perm = PermSpec()
@@ -202,7 +210,7 @@ def cmd_gen_adversary(args) -> int:
         n, sig = args.omit_label.split("@", 1)
         defects = (Defect("omit_label", n=int(n),
                           sigma=tuple(int(p) for p in sig.split(",") if p)),)
-    adv = make_faithful_copy(result, permutation=perm, delay=args.delay,
+    adv = make_faithful_copy(result, permutation=perm, delay=delay,
                              defects=defects)
     Path(args.out).write_text(
         "\n".join(adv.stream.to_lines()) + "\n", encoding="utf-8"
@@ -259,6 +267,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except INTERNAL_ERRORS as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -54,64 +54,74 @@ class RunConfig:
     raw: str = "{}"
 
 
-def at_least_1(value, key: str) -> int:
-    """value as an int; a ConfigError naming the key when it is below 1."""
+def at_least(value, minimum: int, key: str) -> int:
+    """value as an int; a ConfigError naming the key when it is below minimum."""
     n = int(value)
-    if n < 1:
-        raise ConfigError(f"{key} must be at least 1, got {n}")
+    if n < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {n}")
     return n
+
+
+def required(data: dict, key: str, where: str):
+    """data[key]; a ConfigError naming where.key when the key is missing."""
+    if key not in data:
+        raise ConfigError(f"{where}.{key} is required")
+    return data[key]
 
 
 def canonical_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def parse_permutation(data: dict | None) -> PermSpec:
+def parse_permutation(data: dict | None, where: str) -> PermSpec:
     if not data:
         return PermSpec()
     kind = data.get("kind", "identity")
     if kind == "identity":
         return PermSpec()
     if kind == "block_rotate":
-        return PermSpec("block_rotate", at_least_1(data["block"], "permutation.block"),
-                        int(data["shift"]))
+        return PermSpec("block_rotate",
+                        at_least(required(data, "block", where), 1, f"{where}.block"),
+                        int(required(data, "shift", where)))
     raise ConfigError(f"unknown permutation kind {kind!r}")
 
 
-def parse_defect(data: dict) -> Defect:
-    kind = data["kind"]
+def parse_defect(data: dict, where: str) -> Defect:
+    kind = required(data, "kind", where)
     if kind == "omit_label":
         return Defect(
             "omit_label",
-            n=int(data["n"]),
-            sigma=tuple(data["sigma"]),
+            n=int(required(data, "n", where)),
+            sigma=tuple(required(data, "sigma", where)),
             sort=data.get("sort"),
         )
     if kind == "break_p":
         return Defect(
             "break_p",
-            sigma=tuple(data["sigma"]),
-            j=int(data["j"]),
+            sigma=tuple(required(data, "sigma", where)),
+            j=int(required(data, "j", where)),
             sort=data.get("sort"),
         )
     if kind == "freeze_after":
-        return Defect("freeze_after", step=int(data["step"]))
+        return Defect("freeze_after", step=int(required(data, "step", where)))
     raise ConfigError(f"unknown defect kind {kind!r}")
 
 
 def parse_adversary(data: dict, index: int, base_dir) -> AdvSpec:
     kind = data.get("kind", "faithful")
     label = data.get("label", f"adv{index}")
+    where = f"adversaries[{index}]"
     if kind == "faithful":
         return AdvSpec(
             kind="faithful",
             label=label,
-            permutation=parse_permutation(data.get("permutation")),
-            delay=int(data.get("delay", 1)),
-            defects=tuple(parse_defect(d) for d in data.get("defects", [])),
+            permutation=parse_permutation(data.get("permutation"), f"{where}.permutation"),
+            delay=at_least(data.get("delay", 1), 0, f"{where}.delay"),
+            defects=tuple(parse_defect(d, f"{where}.defects[{j}]")
+                          for j, d in enumerate(data.get("defects", []))),
         )
     if kind == "file":
-        path = data["path"]
+        path = required(data, "path", where)
         full = path if base_dir is None else str(base_dir / path)
         with open(full, "r", encoding="utf-8") as fh:
             lines = tuple(fh.read().splitlines())
@@ -124,9 +134,9 @@ def parse_universe(data: dict | None) -> UniverseSchedule:
         return UniverseSchedule()
     cap = data.get("cap", 4)
     return UniverseSchedule(
-        rate=at_least_1(data.get("rate", 1), "universe.rate"),
+        rate=at_least(data.get("rate", 1), 1, "universe.rate"),
         cap=None if cap is None else int(cap),
-        f_rate=at_least_1(data.get("f_rate", 1), "universe.f_rate"),
+        f_rate=at_least(data.get("f_rate", 1), 1, "universe.f_rate"),
         f_cap=int(data.get("f_cap", 2)),
     )
 
@@ -136,7 +146,9 @@ def parse_tree(data: dict | None) -> TestTree | None:
         return None
     nodes = [tuple(n) for n in data.get("nodes", [])]
     branches = [
-        (tuple(b["prefix"]), tuple(b["period"])) for b in data.get("branches", [])
+        (tuple(required(b, "prefix", f"tree.branches[{i}]")),
+         tuple(required(b, "period", f"tree.branches[{i}]")))
+        for i, b in enumerate(data.get("branches", []))
     ]
     return tree_from_lists(nodes, branches)
 
@@ -147,7 +159,7 @@ def config_from_dict(data: dict, base_dir=None) -> RunConfig:
     variant = data.get("variant")
     if variant not in ("cc", "dc"):
         raise ConfigError(f"variant must be 'cc' or 'dc', got {variant!r}")
-    horizon = at_least_1(data.get("horizon", 0), "horizon")
+    horizon = at_least(data.get("horizon", 0), 1, "horizon")
     adversaries = tuple(
         parse_adversary(d, i, base_dir) for i, d in enumerate(data.get("adversaries", []))
     )
@@ -155,11 +167,11 @@ def config_from_dict(data: dict, base_dir=None) -> RunConfig:
     phi = dc.phi_from_dict(data["phi"]) if "phi" in data else None
     functionals = tuple(
         FuncSpec(
-            mother=int(d["mother"]),
-            round=int(d["round"]),
-            functional=dc.functional_from_dict(d),
+            mother=int(required(d, "mother", f"functionals[{i}]")),
+            round=int(required(d, "round", f"functionals[{i}]")),
+            functional=dc.functional_from_dict(d, f"functionals[{i}]"),
         )
-        for d in data.get("functionals", [])
+        for i, d in enumerate(data.get("functionals", []))
     )
     return RunConfig(
         variant=variant,

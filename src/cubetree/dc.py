@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import match
-from .config import at_least_1
+from .config import at_least, required
 from .engine import (
     Engine,
     Node,
@@ -97,11 +97,11 @@ class PhiPredicate:
 
 def phi_from_dict(data: dict) -> PhiPredicate:
     def rule_of(d: dict, key: str) -> tuple:
-        kind = d["kind"]
+        kind = required(d, "kind", key)
         if kind == "until":
-            return ("until", int(d["s0"]))
+            return ("until", int(required(d, "s0", key)))
         if kind == "periodic":
-            return ("periodic", at_least_1(d["period"], f"{key}.period"))
+            return ("periodic", at_least(required(d, "period", key), 1, f"{key}.period"))
         if kind in ("never", "always"):
             return (kind,)
         raise ValueError(f"unknown phi rule kind {kind!r}")
@@ -111,7 +111,7 @@ def phi_from_dict(data: dict) -> PhiPredicate:
         for n, d in sorted(data.get("rules", {}).items(), key=lambda kv: int(kv[0]))
     )
     default = rule_of(data["default"], "phi.default") if "default" in data else ("never",)
-    return PhiPredicate(int(data["range"]), rules, default)
+    return PhiPredicate(int(required(data, "range", "phi")), rules, default)
 
 
 @dataclass(frozen=True)
@@ -155,15 +155,15 @@ class Functional:
         raise ValueError(f"unknown functional kind {self.kind!r}")
 
 
-def functional_from_dict(data: dict) -> Functional:
-    kind = data["kind"]
+def functional_from_dict(data: dict, where: str) -> Functional:
+    kind = required(data, "kind", where)
     if kind == "constant":
         return Functional("constant", value=int(data.get("value", 0)))
     if kind == "length_threshold":
         return Functional(
             "length_threshold",
             value=int(data.get("value", 0)),
-            min_len=int(data["min_len"]),
+            min_len=int(required(data, "min_len", where)),
         )
     if kind == "bit_probe":
         return Functional(

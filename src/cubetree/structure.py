@@ -18,9 +18,12 @@ s^{<s} ladder.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
+from typing import NamedTuple
 
 NatString = tuple[int, ...]
 
@@ -44,9 +47,6 @@ class CubeElem:
     fset: frozenset[int]
     sigma: NatString
     sort: int | None = None  # None in the single-sorted variant
-
-    def key(self) -> tuple:
-        return (tuple(sorted(self.fset)), self.sigma, self.sort)
 
 
 @dataclass(frozen=True)
@@ -214,11 +214,22 @@ def strings_of_width(w: int) -> list[NatString]:
 StringKey = tuple[NatString, int | None]  # (sigma, sort)
 
 
-@dataclass(frozen=True)
-class GrowEvent:
+class GrowEvent(NamedTuple):
     stage: int
-    seq: int  # global event order
     pre_top: int  # largest n already on the empty-set vertex, -1 if none
+    sigma: NatString
+    sort: int | None
+
+
+def declared_by(ev: GrowEvent, fset: frozenset[int]) -> int:
+    """How many labels S_0, S_1, ... one growth event declares on vertex fset.
+
+    Along one string's events this never decreases (pre-tops rise strictly
+    and stages never go down), so every label query bisects on it.
+    """
+    if not fset:
+        return ev.pre_top + 2
+    return max(ev.pre_top, 0) if max(fset) < ev.stage else 0
 
 
 @dataclass
@@ -234,25 +245,26 @@ class LabelStore:
 
     variant: str = "cc"  # "cc" | "dc"
     _grows: dict[StringKey, list[GrowEvent]] = field(default_factory=dict)
-    _direct: dict[tuple, dict[int, int]] = field(default_factory=dict)
-    _direct_order: list[tuple[int, int, int, CubeElem]] = field(default_factory=list)
-    _seq: int = 0
+    _direct: dict[CubeElem, dict[int, int]] = field(default_factory=dict)
+    # Growth events and direct (stage, n, element) declarations, as recorded.
+    _log: list[GrowEvent | tuple[int, int, CubeElem]] = field(default_factory=list)
 
     def _check_sort(self, sort: int | None) -> None:
         if sort not in sorts(self.variant):
             raise VariantMismatch(f"{self.variant} store given sort {sort!r}")
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def grow(self, sigma: NatString, sort: int | None, stage: int) -> GrowEvent:
+        """Record a growth; ValueError if the string last grew at a later stage."""
         self._check_sort(sort)
-        key = (tuple(sigma), sort)
-        empty = CubeElem(frozenset(), tuple(sigma), sort)
-        pre = self.top_label(empty)
-        ev = GrowEvent(stage, self._next_seq(), -1 if pre is None else pre)
-        self._grows.setdefault(key, []).append(ev)
+        sigma = tuple(sigma)
+        events = self._grows.setdefault((sigma, sort), [])
+        if events and stage < events[-1].stage:
+            raise ValueError(f"grow of {format_string(sigma)} at stage {stage} "
+                             f"after one at stage {events[-1].stage}")
+        pre = self.top_label(CubeElem(frozenset(), sigma, sort))
+        ev = GrowEvent(stage, -1 if pre is None else pre, sigma, sort)
+        events.append(ev)
+        self._log.append(ev)
         return ev
 
     def declare(self, n: int, e: CubeElem, stage: int) -> bool:
@@ -260,32 +272,28 @@ class LabelStore:
         self._check_sort(e.sort)
         if self.label_stamp(n, e) is not None:
             return False
-        self._direct.setdefault(e.key(), {})[n] = stage
-        self._direct_order.append((stage, self._next_seq(), n, e))
+        self._direct.setdefault(e, {})[n] = stage
+        self._log.append((stage, n, e))
         return True
 
     def grows(self, sigma: NatString, sort: int | None) -> list[GrowEvent]:
         return self._grows.get((tuple(sigma), sort), [])
 
+    def _grown(self, e: CubeElem, before: int | None) -> int:
+        """How many labels the growth events stamped < before declare on e."""
+        events = self.grows(e.sigma, e.sort)
+        i = len(events)
+        if before is not None:
+            i = bisect_left(events, before, key=itemgetter(0))
+        return declared_by(events[i - 1], e.fset) if i else 0
+
     def label_stamp(self, n: int, e: CubeElem, before: int | None = None) -> int | None:
         """Stage stamping S_n(e), or None; `before` restricts to stamps < before."""
-        best = self._direct.get(e.key(), {}).get(n)
+        best = self._direct.get(e, {}).get(n)
         events = self.grows(e.sigma, e.sort)
-        if not e.fset:
-            # A growth with pre-top m declares labels k < m + 2 on the empty
-            # set; pre-tops are strictly increasing across events.
-            for ev in events:
-                if n < ev.pre_top + 2:
-                    if best is None or ev.stage < best:
-                        best = ev.stage
-                    break
-        else:
-            top = max(e.fset)
-            for ev in events:
-                if n < ev.pre_top and top < ev.stage:
-                    if best is None or ev.stage < best:
-                        best = ev.stage
-                    break
+        i = bisect_right(events, n, key=lambda ev: declared_by(ev, e.fset))
+        if i < len(events) and (best is None or events[i].stage < best):
+            best = events[i].stage
         if best is not None and before is not None and best >= before:
             return None
         return best
@@ -297,27 +305,17 @@ class LabelStore:
 
     def top_label(self, e: CubeElem, before: int | None = None) -> int | None:
         """Largest n with S_n(e) stamped < before (anywhere if None)."""
-        best: int | None = None
-        live = [ev for ev in self.grows(e.sigma, e.sort)
-                if before is None or ev.stage < before]
-        if not e.fset:
-            if live:
-                best = max(ev.pre_top + 1 for ev in live)
-        else:
-            top = max(e.fset)
-            tops = [ev.pre_top - 1 for ev in live if top < ev.stage]
-            if tops and max(tops) >= 0:
-                best = max(tops)
-        for n, stamp in self._direct.get(e.key(), {}).items():
-            if (before is None or stamp < before) and (best is None or n > best):
-                best = n
-        return best
+        top = self._grown(e, before) - 1
+        for n, stamp in self._direct.get(e, {}).items():
+            if (before is None or stamp < before) and n > top:
+                top = n
+        return None if top < 0 else top
 
     def labels(self, e: CubeElem, upto: int | None = None) -> list[int]:
-        top = self.top_label(e, before=None if upto is None else upto + 1)
-        if top is None:
-            return []
-        return [n for n in range(top + 1) if self.has_label(n, e, upto)]
+        k = self._grown(e, None if upto is None else upto + 1)
+        direct = self._direct.get(e, {}).items()
+        return [*range(k), *sorted(n for n, stamp in direct
+                                   if n >= k and (upto is None or stamp <= upto))]
 
     def n_sigma(self, sigma: NatString, sort: int | None, s: int) -> int:
         """Largest n with S_n declared on the empty-set vertex before stage s."""
@@ -328,16 +326,9 @@ class LabelStore:
             )
         return top
 
-    def declaration_events(self) -> list[tuple[int, int, str, object]]:
-        """All events in (stage, seq) order: ('grow', ...) and ('decl', ...)."""
-        out: list[tuple[int, int, str, object]] = []
-        for key, events in self._grows.items():
-            for ev in events:
-                out.append((ev.stage, ev.seq, "grow", (key, ev.pre_top)))
-        for stage, seq, n, e in self._direct_order:
-            out.append((stage, seq, "decl", (n, e)))
-        out.sort(key=lambda t: (t[0], t[1]))
-        return out
+    def declaration_events(self) -> list[GrowEvent | tuple[int, int, CubeElem]]:
+        """The growth events and direct declarations by stage, ties as recorded."""
+        return sorted(self._log, key=itemgetter(0))
 
 
 # ---------------------------------------------------------------------------
@@ -373,36 +364,27 @@ class Snapshot:
         declarations are tracked separately.
         """
         rows: list[tuple[int, int, CubeElem]] = []
-        cursor: dict[tuple, int] = {}
-        sparse: set[tuple[int, tuple]] = set()
+        cursor: dict[CubeElem, int] = {}
+        sparse: set[tuple[int, CubeElem]] = set()
         window_f = sorted(self.fsets, key=lambda f: (len(f), tuple(sorted(f))))
-
-        def extend(e: CubeElem, upto: int, stage: int) -> None:
-            key = e.key()
-            start = cursor.get(key, 0)
-            for n in range(start, upto):
-                if (n, key) not in sparse:
-                    rows.append((stage, n, e))
-            if upto > start:
-                cursor[key] = upto
-
-        for stage, _seq, kind, payload in self.store.declaration_events():
+        vertices = [frozenset(), *(f for f in window_f if f)]
+        for ev in self.store.declaration_events():
+            stage = ev[0]
             if stage > self.stage:
-                continue
-            if kind == "decl":
-                n, e = payload
-                key = e.key()
-                if n >= cursor.get(key, 0) and (n, key) not in sparse:
-                    sparse.add((n, key))
+                break
+            if not isinstance(ev, GrowEvent):
+                _, n, e = ev
+                if n >= cursor.get(e, 0) and (n, e) not in sparse:
+                    sparse.add((n, e))
                     rows.append((stage, n, e))
                 continue
-            (sigma, sort), pre_top = payload
-            extend(CubeElem(frozenset(), sigma, sort), pre_top + 2, stage)
-            if pre_top > 0:
-                for f in window_f:
-                    if not f or max(f) >= stage:
-                        continue
-                    extend(CubeElem(f, sigma, sort), pre_top, stage)
+            for f in vertices:
+                e = CubeElem(f, ev.sigma, ev.sort)
+                start, upto = cursor.get(e, 0), declared_by(ev, f)
+                if upto > start:
+                    rows.extend((stage, n, e) for n in range(start, upto)
+                                if (n, e) not in sparse)
+                    cursor[e] = upto
         return rows
 
     def dump_lines(self) -> list[str]:
@@ -444,8 +426,8 @@ class LongForm:
     def U(self, k: int) -> bool:
         return 0 <= k < len(self.carriers)
 
-    def index(self) -> dict[tuple[int, tuple], int]:
-        return {(n, e.key()): k for k, (n, e) in enumerate(self.carriers)}
+    def index(self) -> dict[tuple[int, CubeElem], int]:
+        return {(n, e): k for k, (n, e) in enumerate(self.carriers)}
 
     def dump_lines(self) -> list[str]:
         return [
@@ -477,7 +459,7 @@ def lift_isomorphism(g, source: LongForm, target: LongForm) -> dict[int, int]:
     mapping: dict[int, int] = {}
     for k, (n, y) in enumerate(source.carriers):
         gy = g(y)
-        hit = target_index.get((n, gy.key()))
+        hit = target_index.get((n, gy))
         if hit is None:
             raise UnmatchedCarrier(f"target has no carrier for S_{n}({format_elem(gy)})")
         mapping[k] = hit

@@ -47,6 +47,21 @@ def test_defective_copy_strands_the_matcher():
     assert len(fin_tokens) == 1
 
 
+def test_matcher_skips_links_to_strings_chosen_below_its_infinite_outcome():
+    # N<0> sits below M0's ii outcome and chooses <3>, a child of the root
+    # image.  The copy lacks every P link from <> to <3>; the stability
+    # witness of <> must not ask for one, so M0 still finds it and stays
+    # on its infinite outcome.
+    broken = {"kind": "break_p", "sigma": [], "j": 3}
+    result = run_stages(cc_config(horizon=12, adversaries=[faithful(defects=[broken])]))
+    lines = result.trace_lines()
+    assert "choose 2 /o/ii <3> -" in lines
+    assert any(line.startswith("ftau 5 /o <3> ") for line in lines)
+    late = [line for line in lines if line.startswith("xtau") and int(line.split()[1]) >= 5]
+    assert late and all(line.endswith(" <> 0") for line in late)
+    assert all(tok.startswith("i") and tok != "ii" for s, tok in m_node(result).outcomes if s >= 5)
+
+
 def test_responsibility_set_monotone():
     result = run_stages(cc_config(horizon=30, adversaries=[faithful(delay=3)]))
     sizes = [ev[6] for ev in result.trace if ev[0] == "mstat"]

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from cubetree import cli
 from cubetree.cli import main
+from cubetree.dc import GammaUnresolved, InconsistentPrefixes
+from cubetree.structure import UndefinedLabel, VariantMismatch
+from cubetree.verify import InvariantBroken
 
 
 CC_CONFIG = {
@@ -174,3 +178,73 @@ def test_truncated_fact_line_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "copy.facts, line 2" in err
+
+
+def _with_adversary(**spec):
+    return dict(CC_CONFIG, adversaries=[dict({"kind": "faithful"}, **spec)])
+
+
+def _with_functional(**drop):
+    functional = {"mother": 0, "round": 2, "kind": "length_threshold", "min_len": 3}
+    return dict(DC_CONFIG, functionals=[{k: v for k, v in functional.items() if k not in drop}])
+
+
+@pytest.mark.parametrize("data, key", [
+    (dict(CC_CONFIG, adversaries=[{"kind": "file"}]), "adversaries[0].path"),
+    (dict(DC_CONFIG, phi={"default": {"kind": "never"}}), "phi.range"),
+    (dict(DC_CONFIG, phi={"range": 8, "default": {"s0": 6}}), "phi.default.kind"),
+    (dict(DC_CONFIG, phi={"range": 8, "rules": {"3": {"kind": "until"}}}), "phi.rules.3.s0"),
+    (dict(DC_CONFIG, phi={"range": 8, "default": {"kind": "periodic"}}), "phi.default.period"),
+    (_with_functional(mother=True), "functionals[0].mother"),
+    (_with_functional(round=True), "functionals[0].round"),
+    (_with_functional(kind=True), "functionals[0].kind"),
+    (_with_functional(min_len=True), "functionals[0].min_len"),
+    (_with_adversary(permutation={"kind": "block_rotate", "shift": 1}),
+     "adversaries[0].permutation.block"),
+    (_with_adversary(permutation={"kind": "block_rotate", "block": 2}),
+     "adversaries[0].permutation.shift"),
+    (_with_adversary(defects=[{"n": 0, "sigma": [0]}]), "adversaries[0].defects[0].kind"),
+    (_with_adversary(defects=[{"kind": "omit_label", "sigma": [0]}]),
+     "adversaries[0].defects[0].n"),
+    (_with_adversary(defects=[{"kind": "omit_label", "n": 0}]),
+     "adversaries[0].defects[0].sigma"),
+    (_with_adversary(defects=[{"kind": "break_p", "sigma": []}]),
+     "adversaries[0].defects[0].j"),
+    (_with_adversary(defects=[{"kind": "freeze_after"}]), "adversaries[0].defects[0].step"),
+    (dict(CC_CONFIG, tree={"nodes": [[0]], "branches": [{"prefix": [0]}]}),
+     "tree.branches[0].period"),
+])
+def test_missing_required_key_exits_two(tmp_path, capsys, data, key):
+    cfg = write_config(tmp_path, data)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {key} is required\n"
+
+
+def test_negative_delay_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, _with_adversary(delay=-4))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "adversaries[0].delay" in err
+    good = write_config(tmp_path, dict(CC_CONFIG, horizon=8), name="good.json")
+    facts = tmp_path / "copy.facts"
+    rc = main(["gen-adversary", "--config", str(good), "--out", str(facts), "--delay", "-4"])
+    assert rc == 2 and not facts.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--delay" in err
+    zero = write_config(tmp_path, dict(_with_adversary(delay=0), horizon=8), name="zero.json")
+    assert main(["run", "--config", str(zero), "--out", str(tmp_path / "zero")]) == 0
+
+
+@pytest.mark.parametrize("error", [
+    GammaUnresolved, InconsistentPrefixes, InvariantBroken, UndefinedLabel, VariantMismatch,
+])
+def test_internal_errors_exit_three(tmp_path, capsys, monkeypatch, error):
+    def broken(config):
+        raise error("broken on purpose")
+
+    monkeypatch.setattr(cli, "run_stages", broken)
+    cfg = write_config(tmp_path, CC_CONFIG)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"internal error: {error.__name__}: broken on purpose\n"
