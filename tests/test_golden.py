@@ -3,7 +3,10 @@
 Each case runs a config to a fixed horizon, writes its artifacts with
 `cli.write_artifacts`, and compares the SHA-256 of `trace.log`,
 `snapshot.log` and `meta.json` against digests recorded before any
-refactor.  A behaviour-preserving change leaves every digest as it is.
+refactor.  The cases with adversaries also pin each live adversary's fact
+stream, and check that a faithful copy replayed after the run with the same
+spec yields the same facts.  A behaviour-preserving change leaves every
+digest as it is.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from cubetree import cli
+from cubetree.adversary import make_faithful_copy
 from cubetree.config import config_from_dict
 from cubetree.engine import Engine
 from test_acceptance import CC_DEFECTIVE, CC_FAITHFUL, DC_DIAG, DC_MODULUS
@@ -77,3 +81,40 @@ def test_artifact_digests(case, tmp_path):
         for name in ("trace.log", "snapshot.log", "meta.json")
     }
     assert digests == GOLDEN[case]
+
+
+# SHA-256 of each live adversary's fact lines, in config order.
+FACT_GOLDEN = {
+    "CC_DEFECTIVE@60": [
+        "6f0772b2bf8130168b1ad3f147ab1ead9c87f7e364479583bdc60ef89dca9e89",
+    ],
+    "CC_FAITHFUL@60": [
+        "ef8f15fcde03e853dfdf9c1b13e5bce427d49bffa8a043eef8a0b2f90bcb06ba",
+        "b9e85df672e3734a70903e80f575ee9adf9fdc47e1cd5d5096ace8651b04a7b4",
+    ],
+    "cc_faithful.json@80": [
+        "397fbd2ed1b86950bf1030de00b3a259733fbe489d5f2e3d60ca146654b939b2",
+        "48efa083bd05539acbdff157adf1aba92d21613da9661e2b3c3ec31908a3c505",
+    ],
+    "dc_diagonal.json@40": [
+        "04b1749f399168676c5b5228ed86400f8f4440f200af1f02478417e2556c9270",
+    ],
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(case for case in CASES if CASES[case][0]["adversaries"]))
+def test_fact_stream_digests(case):
+    data, horizon = CASES[case]
+    config = config_from_dict(dict(data, horizon=horizon))
+    result = Engine(config).run()
+    live = [adv.stream.to_lines() for adv in result.adversaries]
+    assert [_sha("\n".join(lines) + "\n") for lines in live] == FACT_GOLDEN[case]
+    for spec, lines in zip(config.adversaries, live):
+        assert spec.kind == "faithful"
+        replayed = make_faithful_copy(result, spec.permutation, spec.delay,
+                                      spec.defects, spec.label)
+        assert replayed.stream.to_lines() == lines
