@@ -13,12 +13,13 @@ structure they are building.  Defective variants drop designated facts.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 from .structure import (
     CubeElem,
     Elem,
+    GrowEvent,
     NatString,
     StringKey,
     UElem,
@@ -99,20 +100,16 @@ def parse_fact_line(line: str) -> tuple[int, Fact]:
 class FactStream:
     """Ordered fact log with first-occurrence indexes."""
 
-    _steps: list[int] = field(default_factory=list)
-    _facts: list[Fact] = field(default_factory=list)
-    _first: dict[Fact, int] = field(default_factory=dict)
+    _first: dict[Fact, int] = field(default_factory=dict)  # fact -> step, in order
     _age: dict[int, int] = field(default_factory=dict)
     _w_index: dict[tuple, list[int]] = field(default_factory=dict)
     _e_index: dict[tuple[int, int], list[tuple[int, int]]] = field(default_factory=dict)
 
     def append(self, step: int, fact: Fact) -> None:
-        if self._steps and step < self._steps[-1]:
+        if self._first and step < next(reversed(self._first.values())):
             raise ValueError("fact steps must be non-decreasing")
         if fact in self._first:
             return  # duplicate enumeration keeps the earliest stamp
-        self._steps.append(step)
-        self._facts.append(fact)
         self._first[fact] = step
         for x in fact_args(fact):
             self._age.setdefault(x, step)
@@ -122,7 +119,7 @@ class FactStream:
             self._e_index.setdefault((fact[1], fact[2]), []).append((step, fact[3]))
 
     def __len__(self) -> int:
-        return len(self._facts)
+        return len(self._first)
 
     def holds_within(self, fact: Fact, budget: int) -> bool:
         step = self._first.get(fact)
@@ -138,8 +135,8 @@ class FactStream:
         )
 
     def facts_within(self, budget: int) -> list[tuple[int, Fact]]:
-        hi = bisect_right(self._steps, budget)
-        return list(zip(self._steps[:hi], self._facts[:hi]))
+        rows = ((step, fact) for fact, step in self._first.items())
+        return list(takewhile(lambda row: row[0] <= budget, rows))
 
     def witnesses_W(self, sigma: NatString, sort: int | None, budget: int) -> list[int]:
         xs = self._w_index.get((tuple(sigma), sort), [])
@@ -167,7 +164,7 @@ class FactStream:
         return None
 
     def to_lines(self) -> list[str]:
-        return [format_fact(s, f) for s, f in zip(self._steps, self._facts)]
+        return [format_fact(s, f) for f, s in self._first.items()]
 
 
 def _instantiate(conjunct: Fact, x: int) -> Fact:
@@ -269,8 +266,6 @@ class FaithfulGenerator:
         self.adversary = Adversary(
             FactStream(), label=label, delay=delay, permutation=permutation
         )
-        self._positions = 0
-        self._visible: dict[Elem, int] = {}
         self._by_string: dict[StringKey, list[CubeElem]] = {}
         self._strings: set[NatString] = set()
         self._fsets: list = []
@@ -278,9 +273,7 @@ class FaithfulGenerator:
         self._frozen = False
 
     def _alloc(self, e: Elem) -> int:
-        x = self.permutation.apply(self._positions)
-        self._positions += 1
-        self._visible[e] = x
+        x = self.permutation.apply(len(self.adversary.to_ground))
         self.adversary.to_ground[x] = e
         self.adversary.to_copy[e] = x
         if isinstance(e, CubeElem):
@@ -322,7 +315,7 @@ class FaithfulGenerator:
             stamp = store.label_stamp(n, e)
             if stamp is None or stamp > upto_stage:
                 break
-            self._emit(step, ("S", n, self._visible[e]))
+            self._emit(step, ("S", n, self.adversary.to_copy[e]))
             n += 1
         self._next_label[e] = n
 
@@ -331,13 +324,14 @@ class FaithfulGenerator:
         stage: int,
         store,
         chosen_birth: dict[NatString, int],
-        touched: set[StringKey] | None = None,
+        touched: set[StringKey],
     ) -> None:
-        """Reveal stage's new elements and declarations.  `touched` limits the
-        fresh-label sweep to strings that gained labels this stage; None
-        sweeps everything (slow, used by tests)."""
+        """Reveal stage's new elements and declarations.  `touched` holds the
+        strings that gained labels this stage; only their old elements get
+        fresh labels."""
         step = stage + self.delay
         sort_values = sorts(self.variant)
+        to_copy = self.adversary.to_copy
         new_elems: list[Elem] = []
         if stage == 1 and self.variant == "dc":
             new_elems.extend(UElem(k) for k in (0, 1))
@@ -361,42 +355,41 @@ class FaithfulGenerator:
             self._alloc(e)
         for e in new_elems:
             if isinstance(e, CubeElem):
-                self._emit(step, ("W", e.sigma, e.sort, self._visible[e]))
+                self._emit(step, ("W", e.sigma, e.sort, to_copy[e]))
         # Structural facts touching the new elements.
         for e in new_elems:
             if not isinstance(e, CubeElem):
                 continue
-            x = self._visible[e]
+            x = to_copy[e]
             for other in self._by_string.get((e.sigma, e.sort), []):
                 if other == e:
                     continue
                 diff = other.fset ^ e.fset
                 if len(diff) == 1:
                     i = next(iter(diff))
-                    y = self._visible[other]
+                    y = to_copy[other]
                     self._emit(step, ("E", i, x, y))
                     self._emit(step, ("E", i, y, x))
             for parent_sigma in (e.sigma[:-1],) if e.sigma else ():
                 for other in self._by_string.get((parent_sigma, e.sort), []):
                     if holds_P(other, e):
-                        self._emit(step, ("P", self._visible[other], x))
+                        self._emit(step, ("P", to_copy[other], x))
             # Links to already-visible children of the new element.
             for j in sorted({t[len(e.sigma)] for t in self._strings
                              if len(t) == len(e.sigma) + 1 and t[: len(e.sigma)] == e.sigma}):
                 for other in self._by_string.get((e.sigma + (j,), e.sort), []):
                     if holds_P(e, other):
-                        self._emit(step, ("P", x, self._visible[other]))
+                        self._emit(step, ("P", x, to_copy[other]))
             if self.variant == "dc":
                 for k in (0, 1):
                     u = UElem(k)
-                    if u in self._visible and holds_P(u, e):
-                        self._emit(step, ("P", self._visible[u], x))
+                    if u in to_copy and holds_P(u, e):
+                        self._emit(step, ("P", to_copy[u], x))
         # Label backlog for new elements, fresh declarations for touched strings.
         for e in new_elems:
             if isinstance(e, CubeElem):
                 self._emit_labels(step, e, store, stage)
-        keys = touched if touched is not None else set(self._by_string)
-        for key in sorted(keys, key=lambda k: (ladder_key(k[0]), -1 if k[1] is None else k[1])):
+        for key in sorted(touched, key=lambda k: (ladder_key(k[0]), -1 if k[1] is None else k[1])):
             for e in self._by_string.get(key, []):
                 self._emit_labels(step, e, store, stage)
 
@@ -416,7 +409,11 @@ def make_faithful_copy(
     gen = FaithfulGenerator(
         ground.variant, ground.schedule, permutation, delay, defects, label
     )
-    touched = ground.touched_by_stage()
+    # The strings that gained labels at each stage, read off the store's log.
+    touched: dict[int, set[StringKey]] = {}
+    for ev in ground.store.declaration_events():
+        e = ev if isinstance(ev, GrowEvent) else ev[2]
+        touched.setdefault(ev[0], set()).add((e.sigma, e.sort))
     for stage in range(1, ground.horizon + 1):
         gen.ingest(stage, ground.store, ground.chosen_birth, touched.get(stage, set()))
     return gen.result()

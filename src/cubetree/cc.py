@@ -95,7 +95,7 @@ def act_N(engine: Engine, node: Node, s: int) -> str:
                 raise RuntimeError("parent tree strategy has not chosen a string")
             m = engine.fresh(s)
             st["sigma"] = parent.state["sigma"] + (m,)
-    engine.grow(st["sigma"], None, s, chooser=node.addr)
+    engine.grow(st["sigma"], None, s, chooser=node)
     return "o"
 
 

@@ -54,9 +54,21 @@ class RunConfig:
     raw: str = "{}"
 
 
+def _path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def integer(value, key: str) -> int:
+    """value as an int; a ConfigError naming the key when it is not one."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
 def at_least(value, minimum: int, key: str) -> int:
     """value as an int; a ConfigError naming the key when it is below minimum."""
-    n = int(value)
+    n = integer(value, key)
     if n < minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {n}")
     return n
@@ -65,53 +77,79 @@ def at_least(value, minimum: int, key: str) -> int:
 def required(data: dict, key: str, where: str):
     """data[key]; a ConfigError naming where.key when the key is missing."""
     if key not in data:
-        raise ConfigError(f"{where}.{key} is required")
+        raise ConfigError(f"{_path(where, key)} is required")
     return data[key]
+
+
+def read_int(data: dict, key: str, where: str, default: int | None = None) -> int:
+    """data[key] as an int: required when there is no default."""
+    value = required(data, key, where) if default is None else data.get(key, default)
+    return integer(value, _path(where, key))
+
+
+def as_object(data, where: str) -> dict:
+    """data; a ConfigError naming where when it is not a JSON object."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
+    return data
+
+
+def only_keys(data: dict, where: str, *keys: str) -> None:
+    """A ConfigError naming the first key of data that its parser does not read."""
+    for key in data:
+        if key not in keys:
+            raise ConfigError(f"{_path(where, key)} is not a known key")
 
 
 def canonical_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def parse_permutation(data: dict | None, where: str) -> PermSpec:
-    if not data:
+def parse_permutation(data, where: str) -> PermSpec:
+    if data is None:
         return PermSpec()
-    kind = data.get("kind", "identity")
+    kind = as_object(data, where).get("kind", "identity")
     if kind == "identity":
+        only_keys(data, where, "kind")
         return PermSpec()
     if kind == "block_rotate":
+        only_keys(data, where, "kind", "block", "shift")
         return PermSpec("block_rotate",
                         at_least(required(data, "block", where), 1, f"{where}.block"),
-                        int(required(data, "shift", where)))
+                        read_int(data, "shift", where))
     raise ConfigError(f"unknown permutation kind {kind!r}")
 
 
-def parse_defect(data: dict, where: str) -> Defect:
-    kind = required(data, "kind", where)
+def parse_defect(data, where: str) -> Defect:
+    kind = required(as_object(data, where), "kind", where)
     if kind == "omit_label":
+        only_keys(data, where, "kind", "n", "sigma", "sort")
         return Defect(
             "omit_label",
-            n=int(required(data, "n", where)),
+            n=read_int(data, "n", where),
             sigma=tuple(required(data, "sigma", where)),
             sort=data.get("sort"),
         )
     if kind == "break_p":
+        only_keys(data, where, "kind", "sigma", "j", "sort")
         return Defect(
             "break_p",
             sigma=tuple(required(data, "sigma", where)),
-            j=int(required(data, "j", where)),
+            j=read_int(data, "j", where),
             sort=data.get("sort"),
         )
     if kind == "freeze_after":
-        return Defect("freeze_after", step=int(required(data, "step", where)))
+        only_keys(data, where, "kind", "step")
+        return Defect("freeze_after", step=read_int(data, "step", where))
     raise ConfigError(f"unknown defect kind {kind!r}")
 
 
-def parse_adversary(data: dict, index: int, base_dir) -> AdvSpec:
-    kind = data.get("kind", "faithful")
-    label = data.get("label", f"adv{index}")
+def parse_adversary(data, index: int, base_dir) -> AdvSpec:
     where = f"adversaries[{index}]"
+    kind = as_object(data, where).get("kind", "faithful")
+    label = data.get("label", f"adv{index}")
     if kind == "faithful":
+        only_keys(data, where, "kind", "label", "permutation", "delay", "defects")
         return AdvSpec(
             kind="faithful",
             label=label,
@@ -121,6 +159,7 @@ def parse_adversary(data: dict, index: int, base_dir) -> AdvSpec:
                           for j, d in enumerate(data.get("defects", []))),
         )
     if kind == "file":
+        only_keys(data, where, "kind", "label", "path")
         path = required(data, "path", where)
         full = path if base_dir is None else str(base_dir / path)
         with open(full, "r", encoding="utf-8") as fh:
@@ -129,33 +168,50 @@ def parse_adversary(data: dict, index: int, base_dir) -> AdvSpec:
     raise ConfigError(f"unknown adversary kind {kind!r}")
 
 
-def parse_universe(data: dict | None) -> UniverseSchedule:
-    if not data:
+def parse_universe(data) -> UniverseSchedule:
+    if data is None:
         return UniverseSchedule()
+    only_keys(as_object(data, "universe"), "universe", "rate", "cap", "f_rate", "f_cap")
     cap = data.get("cap", 4)
     return UniverseSchedule(
         rate=at_least(data.get("rate", 1), 1, "universe.rate"),
-        cap=None if cap is None else int(cap),
+        cap=None if cap is None else integer(cap, "universe.cap"),
         f_rate=at_least(data.get("f_rate", 1), 1, "universe.f_rate"),
-        f_cap=int(data.get("f_cap", 2)),
+        f_cap=read_int(data, "f_cap", "universe", 2),
     )
 
 
-def parse_tree(data: dict | None) -> TestTree | None:
+def parse_tree(data) -> TestTree | None:
     if data is None:
         return None
+    only_keys(as_object(data, "tree"), "tree", "nodes", "branches")
     nodes = [tuple(n) for n in data.get("nodes", [])]
-    branches = [
-        (tuple(required(b, "prefix", f"tree.branches[{i}]")),
-         tuple(required(b, "period", f"tree.branches[{i}]")))
-        for i, b in enumerate(data.get("branches", []))
-    ]
+    branches = []
+    for i, b in enumerate(data.get("branches", [])):
+        where = f"tree.branches[{i}]"
+        only_keys(as_object(b, where), where, "prefix", "period")
+        branches.append((tuple(required(b, "prefix", where)),
+                         tuple(required(b, "period", where))))
     return tree_from_lists(nodes, branches)
+
+
+def parse_functional(data, where: str) -> FuncSpec:
+    from . import dc  # deferred: dc pulls in the engine
+
+    as_object(data, where)
+    rest = {k: v for k, v in data.items() if k not in ("mother", "round")}
+    return FuncSpec(
+        mother=read_int(data, "mother", where),
+        round=read_int(data, "round", where),
+        functional=dc.functional_from_dict(rest, where),
+    )
 
 
 def config_from_dict(data: dict, base_dir=None) -> RunConfig:
     from . import dc  # deferred: dc pulls in the engine
 
+    only_keys(as_object(data, "config"), "", "variant", "horizon", "universe", "adversaries",
+              "tree", "mothers", "phi", "functionals", "witness_base", "true_path")
     variant = data.get("variant")
     if variant not in ("cc", "dc"):
         raise ConfigError(f"variant must be 'cc' or 'dc', got {variant!r}")
@@ -163,14 +219,11 @@ def config_from_dict(data: dict, base_dir=None) -> RunConfig:
     adversaries = tuple(
         parse_adversary(d, i, base_dir) for i, d in enumerate(data.get("adversaries", []))
     )
-    tp = data.get("true_path", {})
+    tp = as_object(data.get("true_path", {}), "true_path")
+    only_keys(tp, "true_path", "threshold", "window")
     phi = dc.phi_from_dict(data["phi"]) if "phi" in data else None
     functionals = tuple(
-        FuncSpec(
-            mother=int(required(d, "mother", f"functionals[{i}]")),
-            round=int(required(d, "round", f"functionals[{i}]")),
-            functional=dc.functional_from_dict(d, f"functionals[{i}]"),
-        )
+        parse_functional(d, f"functionals[{i}]")
         for i, d in enumerate(data.get("functionals", []))
     )
     return RunConfig(
@@ -179,11 +232,11 @@ def config_from_dict(data: dict, base_dir=None) -> RunConfig:
         universe=parse_universe(data.get("universe")),
         adversaries=adversaries,
         tree=parse_tree(data.get("tree")),
-        mothers=int(data.get("mothers", 2)),
+        mothers=read_int(data, "mothers", "", 2),
         phi=phi,
         functionals=functionals,
-        witness_base=int(data.get("witness_base", 1_000_000)),
-        tp_threshold=int(tp.get("threshold", 3)),
+        witness_base=read_int(data, "witness_base", "", 1_000_000),
+        tp_threshold=read_int(tp, "threshold", "true_path", 3),
         tp_window=tp.get("window"),
         raw=canonical_json(data),
     )

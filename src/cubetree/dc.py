@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import match
-from .config import at_least, required
+from .config import as_object, at_least, integer, only_keys, read_int, required
 from .engine import (
     Engine,
     Node,
@@ -29,7 +29,6 @@ from .engine import (
     Requirement,
     RunResult,
     TPEntry,
-    format_addr,
 )
 from .structure import CubeElem, NatString, Snapshot, UElem, VariantMismatch, format_string
 
@@ -95,23 +94,27 @@ class PhiPredicate:
         return None
 
 
-def phi_from_dict(data: dict) -> PhiPredicate:
-    def rule_of(d: dict, key: str) -> tuple:
-        kind = required(d, "kind", key)
+def phi_from_dict(data) -> PhiPredicate:
+    def rule_of(d, key: str) -> tuple:
+        kind = required(as_object(d, key), "kind", key)
         if kind == "until":
-            return ("until", int(required(d, "s0", key)))
+            only_keys(d, key, "kind", "s0")
+            return ("until", read_int(d, "s0", key))
         if kind == "periodic":
+            only_keys(d, key, "kind", "period")
             return ("periodic", at_least(required(d, "period", key), 1, f"{key}.period"))
         if kind in ("never", "always"):
+            only_keys(d, key, "kind")
             return (kind,)
         raise ValueError(f"unknown phi rule kind {kind!r}")
 
-    rules = tuple(
-        (int(n), rule_of(d, f"phi.rules.{n}"))
-        for n, d in sorted(data.get("rules", {}).items(), key=lambda kv: int(kv[0]))
-    )
+    only_keys(as_object(data, "phi"), "phi", "range", "rules", "default")
+    # The keys of phi.rules are positions, so any integer is allowed.
+    positions = {integer(n, "phi.rules key"): d
+                 for n, d in as_object(data.get("rules", {}), "phi.rules").items()}
+    rules = tuple((n, rule_of(d, f"phi.rules.{n}")) for n, d in sorted(positions.items()))
     default = rule_of(data["default"], "phi.default") if "default" in data else ("never",)
-    return PhiPredicate(int(required(data, "range", "phi")), rules, default)
+    return PhiPredicate(read_int(data, "range", "phi"), rules, default)
 
 
 @dataclass(frozen=True)
@@ -158,21 +161,25 @@ class Functional:
 def functional_from_dict(data: dict, where: str) -> Functional:
     kind = required(data, "kind", where)
     if kind == "constant":
-        return Functional("constant", value=int(data.get("value", 0)))
+        only_keys(data, where, "kind", "value")
+        return Functional("constant", value=read_int(data, "value", where, 0))
     if kind == "length_threshold":
+        only_keys(data, where, "kind", "value", "min_len")
         return Functional(
             "length_threshold",
-            value=int(data.get("value", 0)),
-            min_len=int(required(data, "min_len", where)),
+            value=read_int(data, "value", where, 0),
+            min_len=read_int(data, "min_len", where),
         )
     if kind == "bit_probe":
+        only_keys(data, where, "kind", "coord", "pos", "modulus")
         return Functional(
             "bit_probe",
-            coord=int(data.get("coord", 0)),
-            pos=int(data.get("pos", 0)),
-            modulus=int(data.get("modulus", 2)),
+            coord=read_int(data, "coord", where, 0),
+            pos=read_int(data, "pos", where, 0),
+            modulus=read_int(data, "modulus", where, 2),
         )
     if kind == "never":
+        only_keys(data, where, "kind")
         return Functional("never")
     raise ValueError(f"unknown functional kind {kind!r}")
 
@@ -309,7 +316,7 @@ def act_N_mother(engine: Engine, node: Node, s: int) -> str:
     if "v" not in st:
         st["v"] = engine.fresh(s)
         st["sigma"] = (st["v"],)
-    engine.grow(st["sigma"], node.req.a, s, chooser=node.addr)
+    engine.grow(st["sigma"], node.req.a, s, chooser=node)
     return "o"
 
 
@@ -323,7 +330,7 @@ def resolve_gamma(engine: Engine, node: Node) -> NatString:
         (nd for nd in path if nd.req == ReqMother(req.r, req.a)), None
     )
     if theta is None:
-        raise GammaUnresolved(f"daughter {format_addr(node.addr)} has no mother")
+        raise GammaUnresolved(f"daughter {node} has no mother")
     v_theta = theta.state["v"]
     for nd in reversed(path):
         if nd is theta:
@@ -332,9 +339,7 @@ def resolve_gamma(engine: Engine, node: Node) -> NatString:
             alpha = node.addr[len(nd.addr)]
             sig = nd.state.get("sig", {})
             if alpha not in sig:
-                raise GammaUnresolved(
-                    f"previous daughter {format_addr(nd.addr)} lacks outcome {alpha}"
-                )
+                raise GammaUnresolved(f"previous daughter {nd} lacks outcome {alpha}")
             return sig[alpha]
         if (
             isinstance(nd.req, ReqU)
@@ -345,11 +350,9 @@ def resolve_gamma(engine: Engine, node: Node) -> NatString:
             if (req.a == 0 and i == v_theta) or (req.a == 1 and i is not None and i > v_theta):
                 stolen = nd.state["stolen"].get(theta.addr)
                 if stolen is None:
-                    raise GammaUnresolved(
-                        f"frozen {format_addr(nd.addr)} holds nothing for this mother"
-                    )
+                    raise GammaUnresolved(f"frozen {nd} holds nothing for this mother")
                 return stolen
-    raise GammaUnresolved(f"no provider for {format_addr(node.addr)}")
+    raise GammaUnresolved(f"no provider for {node}")
 
 
 def act_N_daughter(engine: Engine, node: Node, s: int) -> str:
@@ -360,7 +363,7 @@ def act_N_daughter(engine: Engine, node: Node, s: int) -> str:
         st["t"] = 0
         st["sig"] = {}
     gamma = resolve_gamma(engine, node)
-    engine.emit("gamma", s, format_addr(node.addr), gamma, req.n)
+    engine.emit("gamma", s, node, gamma, req.n)
     if len(gamma) != req.n:
         raise GammaUnresolved(
             f"inherited string {format_string(gamma)} has length {len(gamma)}, wanted {req.n}"
@@ -370,8 +373,8 @@ def act_N_daughter(engine: Engine, node: Node, s: int) -> str:
     token = "i" if fired else str(st["k"])
     if token not in st["sig"]:
         st["sig"][token] = gamma + (s,)
-        engine.emit("sigdef", s, format_addr(node.addr), token, st["sig"][token])
-    engine.grow(st["sig"][token], req.a, s, chooser=node.addr)
+        engine.emit("sigdef", s, node, token, st["sig"][token])
+    engine.grow(st["sig"][token], req.a, s, chooser=node)
     if fired:
         st["k"] += 1
         st["t"] = s
@@ -398,7 +401,7 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
     if st.get("frozen"):
         for psi_addr in st["C"]:
             sort = engine.nodes[psi_addr].req.a
-            engine.grow(st["stolen"][psi_addr], sort, s, chooser=node.addr)
+            engine.grow(st["stolen"][psi_addr], sort, s, chooser=node)
         return "1"
     functional: Functional = engine.cfg.functionals[req.e].functional
     below = node.addr + ("0",)
@@ -439,12 +442,10 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
                     blocks.add(ReqDaughter(psi.req.r, n, psi.req.a))
             st["blocks"] = blocks
             engine.enumerate_witness(st["x"], s)
-            engine.emit("ufreeze", s, format_addr(node.addr), st["x"], st["ell"])
+            engine.emit("ufreeze", s, node, st["x"], st["ell"])
             for psi_addr in st["C"]:
-                engine.emit(
-                    "usteal", s, format_addr(node.addr), format_addr(psi_addr),
-                    st["stolen"][psi_addr], engine.nodes[psi_addr].req.a,
-                )
+                psi = engine.nodes[psi_addr]
+                engine.emit("usteal", s, node, psi, st["stolen"][psi_addr], psi.req.a)
             return "1"
     return "0"
 

@@ -114,12 +114,6 @@ def format_addr(addr: Addr) -> str:
     return "/" + "/".join(addr) if addr else "/"
 
 
-def parse_addr(text: str) -> Addr:
-    if text == "/":
-        return ()
-    return tuple(text.strip("/").split("/"))
-
-
 # ---------------------------------------------------------------------------
 # Nodes.
 
@@ -142,6 +136,9 @@ class Node:
     def depth(self) -> int:
         return len(self.addr)
 
+    def __str__(self) -> str:
+        return format_addr(self.addr)
+
 
 # ---------------------------------------------------------------------------
 # Engine.
@@ -160,7 +157,6 @@ class Engine:
         self.watermark = 0
         self.chosen: dict[StringKey, list[tuple[Addr, int]]] = {}
         self.chosen_birth: dict[NatString, int] = {}
-        self.touched: dict[int, set[StringKey]] = {}
         self._stage_touched: set[StringKey] = set()
         self.zprime: dict[int, int] = {}
         self._witness_next = config.witness_base
@@ -231,7 +227,7 @@ class Engine:
         return [self.nodes[addr[:k]] for k in range(depth)]
 
     def grow(self, sigma: NatString, sort: int | None, stage: int,
-             chooser: Addr | None) -> None:
+             chooser: Node | None) -> None:
         sigma = tuple(sigma)
         for part in sigma:
             self.mention(part)
@@ -240,9 +236,9 @@ class Engine:
         self.emit("grow", stage, sigma, sort, ev.pre_top)
         if chooser is not None:
             records = self.chosen.setdefault((sigma, sort), [])
-            if not any(a == chooser for a, _ in records):
-                records.append((chooser, stage))
-                self.emit("choose", stage, format_addr(chooser), sigma, sort)
+            if not any(a == chooser.addr for a, _ in records):
+                records.append((chooser.addr, stage))
+                self.emit("choose", stage, chooser, sigma, sort)
                 if sigma not in self.chosen_birth:
                     self.chosen_birth[sigma] = birth_stage(sigma)
 
@@ -296,7 +292,7 @@ class Engine:
 
     # -- the stage loop -----------------------------------------------------
 
-    def run(self) -> "RunResult":
+    def run(self) -> Engine:
         for s in range(1, self.horizon + 1):
             self.mention(s)
             self.emit("stage", s)
@@ -308,12 +304,12 @@ class Engine:
                 if node.req is None:
                     node.req = self.strat.assign_type(self, node, s)
                     node.typed_at = s
-                    self.emit("typed", s, format_addr(addr), req_label(node.req))
+                    self.emit("typed", s, node, req_label(node.req))
                 node.visits.append(s)
-                self.emit("visit", s, format_addr(addr), req_label(node.req))
+                self.emit("visit", s, node, req_label(node.req))
                 token = self.strat.act(self, node, s)
                 node.outcomes.append((s, token))
-                self.emit("outcome", s, format_addr(addr), token)
+                self.emit("outcome", s, node, token)
                 self._current_path.append(node)
                 addr = addr + (token,)
             self._current_path = []
@@ -321,37 +317,10 @@ class Engine:
             for gen in self._generators:
                 if gen is not None:
                     gen.ingest(s, self.store, self.chosen_birth, self._stage_touched)
-            self.touched[s] = self._stage_touched
             self._stage_touched = set()
-        return RunResult(self)
+        return self
 
-
-def run_stages(config) -> "RunResult":
-    """Run the configured construction to its horizon and return the result."""
-    return Engine(config).run()
-
-
-# ---------------------------------------------------------------------------
-# Results.
-
-class RunResult:
-    def __init__(self, engine: Engine) -> None:
-        self.engine = engine
-        self.cfg = engine.cfg
-        self.variant = engine.variant
-        self.horizon = engine.horizon
-        self.schedule = engine.schedule
-        self.store = engine.store
-        self.nodes = engine.nodes
-        self.trace = engine.trace
-        self.chosen = engine.chosen
-        self.chosen_birth = engine.chosen_birth
-        self.zprime = engine.zprime
-        self.adversaries = engine.adversaries
-        self.universe_strings = engine.universe_strings
-
-    def touched_by_stage(self) -> dict[int, set[StringKey]]:
-        return self.engine.touched
+    # -- the finished run ---------------------------------------------------
 
     def snapshot(self, stage: int | None = None) -> Snapshot:
         stage = self.horizon if stage is None else stage
@@ -375,8 +344,17 @@ class RunResult:
             if ev[0] == "stage":
                 paths.append((ev[1], []))
             elif ev[0] == "visit":
-                paths[-1][1].append(parse_addr(ev[2]))
+                paths[-1][1].append(ev[2].addr)
         return paths
+
+
+# A finished run is its engine.
+RunResult = Engine
+
+
+def run_stages(config) -> RunResult:
+    """Run the configured construction to its horizon and return the result."""
+    return Engine(config).run()
 
 
 def format_event(ev: tuple) -> str:

@@ -12,7 +12,7 @@ unchanged since its last visit.  The variant supplies only C and B.
 from __future__ import annotations
 
 from .adversary import HOLE
-from .engine import Engine, Node, format_addr
+from .engine import Engine, Node
 from .structure import StringKey
 
 
@@ -46,11 +46,10 @@ def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
         st["t"] = 0
         st["x_at_t"] = {}
     stream = engine.adversaries[node.req.index].stream
-    addr = format_addr(node.addr)
     f = st["f"]
     t, k0, k1 = st["t"], st["k0"], st["k1"]
     B = responsibility(engine, node, t, str(k0))
-    engine.emit("mstat", s, addr, t, k0, k1, len(B))
+    engine.emit("mstat", s, node, t, k0, k1, len(B))
     for key in B:
         if key not in f:
             sigma, sort = key
@@ -58,12 +57,12 @@ def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
             x = stream.oldest_satisfying([("W", sigma, sort, HOLE), ("S", n, HOLE)], s)
             if x is not None:
                 f[key] = x
-                engine.emit("ftau", s, addr, *_fields(key), x)
+                engine.emit("ftau", s, node, *_fields(key), x)
     children = children_index(B)
     for key in B:
         bullet = _failing_bullet(engine, f, stream, children.get(key, ()), key, t, s)
         if bullet:
-            engine.emit("mfail", s, addr, *_fields(key), bullet)
+            engine.emit("mfail", s, node, *_fields(key), bullet)
             return str(k0)
     below_inf = node.addr + ("ii",)
     D = {key for key in B if not engine.chosen_by_extension_of(*key, below_inf)}
@@ -75,7 +74,7 @@ def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
         conjuncts += [("P", HOLE, f[child]) for child in children.get(key, ()) if child in D]
         x = stream.oldest_satisfying(conjuncts, s)
         xs[key] = x
-        engine.emit("xtau", s, addr, *_fields(key), x)
+        engine.emit("xtau", s, node, *_fields(key), x)
         if x is None or x != st["x_at_t"].get(key):
             stable = False
     token = f"i{k1}" if stable else "ii"

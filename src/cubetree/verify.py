@@ -20,8 +20,6 @@ from .engine import (
     RunResult,
     TPEntry,
     check_left_kill,
-    format_addr,
-    parse_addr,
 )
 from .structure import (
     CubeElem,
@@ -637,8 +635,8 @@ def _mnode_visit_data(result: RunResult):
     data: dict[tuple, list[tuple[int, int, int]]] = {}
     for ev in result.trace:
         if ev[0] == "mstat":
-            _kind, s, addr, t, k0, _k1, _bsize = ev
-            data.setdefault(parse_addr(addr), []).append((s, t, k0))
+            _kind, s, node, t, k0, _k1, _bsize = ev
+            data.setdefault(node.addr, []).append((s, t, k0))
     return data
 
 
@@ -688,7 +686,7 @@ def _check_b_sets(result: RunResult, report: Report) -> None:
     inf_stages: dict[tuple, set[int]] = {}
     for ev in result.trace:
         if ev[0] == "outcome" and ev[3].startswith("i"):
-            inf_stages.setdefault(parse_addr(ev[2]), set()).add(ev[1])
+            inf_stages.setdefault(ev[2].addr, set()).add(ev[1])
     bad_mono = None
     bad_eq = None
     for addr, visits in _mnode_visit_data(result).items():
@@ -702,9 +700,9 @@ def _check_b_sets(result: RunResult, report: Report) -> None:
             current = _recompute_B(result, addr, stage, t, k0)
             if prev is not None:
                 if not prev <= current:
-                    bad_mono = f"{format_addr(addr)} between {prev_stage} and {stage}"
+                    bad_mono = f"{node} between {prev_stage} and {stage}"
                 if not any(prev_stage <= q < stage for q in infs) and prev != current:
-                    bad_eq = f"{format_addr(addr)} between {prev_stage} and {stage}"
+                    bad_eq = f"{node} between {prev_stage} and {stage}"
             prev, prev_stage = current, stage
     report.add("responsibility-monotone", bad_mono is None, bad_mono or "")
     report.add("responsibility-stable", bad_eq is None, bad_eq or "")
@@ -718,16 +716,16 @@ def _check_witness_ages(result: RunResult, report: Report) -> None:
         if ev[0] != "xtau":
             continue
         if result.variant == "cc":
-            _kind, s, addr, sigma, x = ev
-            key = (addr, sigma, None)
+            _kind, s, node, sigma, x = ev
+            key = (node.addr, sigma, None)
         else:
-            _kind, s, addr, sigma, sort, x = ev
-            key = (addr, sigma, sort)
+            _kind, s, node, sigma, sort, x = ev
+            key = (node.addr, sigma, sort)
         if x is not None:
             per_key.setdefault(key, []).append((s, x))
     for (addr, sigma, sort), rows in per_key.items():
-        node = result.nodes.get(parse_addr(addr))
-        if node is None or not isinstance(node.req, ReqM):
+        node = result.nodes[addr]
+        if not isinstance(node.req, ReqM):
             continue
         stream = result.adversaries[node.req.index].stream
         for (s0, x0), (s1, x1) in zip(rows, rows[1:]):
@@ -735,7 +733,7 @@ def _check_witness_ages(result: RunResult, report: Report) -> None:
                 continue
             a0, a1 = stream.age(x0), stream.age(x1)
             if (a1, x1) <= (a0, x0):
-                bad = f"{addr} {format_string(sigma)} at {s1}"
+                bad = f"{node} {format_string(sigma)} at {s1}"
                 break
         if bad:
             break

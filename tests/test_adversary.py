@@ -2,8 +2,8 @@ from cubetree.adversary import (
     HOLE,
     Defect,
     FactStream,
-    FaithfulGenerator,
     PermSpec,
+    make_faithful_copy,
     parse_fact_line,
     stream_from_lines,
 )
@@ -109,31 +109,19 @@ def tiny_ground(variant="cc", horizon=6):
     g.horizon = horizon
     g.store = store
     g.chosen_birth = {}
-    touched = {}
     for s in range(1, horizon + 1):
         for sort in sorts:
             store.grow((), sort, s)
-        touched[s] = {((), sort) for sort in sorts}
         for sigma in sched.base_strings(s):
             for sort in sorts:
                 if store.label_stamp(0, elem((), sigma, sort)) is None:
                     store.declare(0, elem((), sigma, sort), s)
-                    touched[s].add((sigma, sort))
-    g.touched_by_stage = lambda: touched
     return g
-
-
-def generate(ground, **kwargs):
-    gen = FaithfulGenerator(ground.variant, ground.schedule, **kwargs)
-    touched = ground.touched_by_stage()
-    for s in range(1, ground.horizon + 1):
-        gen.ingest(s, ground.store, ground.chosen_birth, touched.get(s, set()))
-    return gen.result()
 
 
 def test_identity_copy_reveals_ground_with_delay():
     ground = tiny_ground()
-    adv = generate(ground, delay=2)
+    adv = make_faithful_copy(ground, delay=2)
     stream = adv.stream
     root = adv.to_copy[elem((), ())]
     # The root's W fact appears at its visibility stage plus the delay.
@@ -147,8 +135,8 @@ def test_identity_copy_reveals_ground_with_delay():
 
 def test_permuted_copy_is_pushforward():
     ground = tiny_ground()
-    ident = generate(ground, delay=1)
-    rot = generate(ground, delay=1, permutation=PermSpec("block_rotate", 8, 3))
+    ident = make_faithful_copy(ground, delay=1)
+    rot = make_faithful_copy(ground, delay=1, permutation=PermSpec("block_rotate", 8, 3))
     assert set(ident.to_ground.values()) == set(rot.to_ground.values())
     for e, x in rot.to_copy.items():
         assert rot.to_ground[x] == e
@@ -158,8 +146,8 @@ def test_permuted_copy_is_pushforward():
 
 def test_delay_shifts_every_stamp():
     ground = tiny_ground()
-    a0 = generate(ground, delay=1)
-    a5 = generate(ground, delay=6)
+    a0 = make_faithful_copy(ground, delay=1)
+    a5 = make_faithful_copy(ground, delay=6)
     f0 = {fact: step for step, fact in a0.stream.facts_within(10**9)}
     f5 = {fact: step for step, fact in a5.stream.facts_within(10**9)}
     assert set(f0) == set(f5)
@@ -168,7 +156,7 @@ def test_delay_shifts_every_stamp():
 
 def test_structure_facts_present():
     ground = tiny_ground()
-    adv = generate(ground, delay=1)
+    adv = make_faithful_copy(ground, delay=1)
     stream = adv.stream
     horizon = 100
     root = adv.to_copy[elem((), ())]
@@ -184,7 +172,7 @@ def test_structure_facts_present():
 
 def test_omit_label_defect():
     ground = tiny_ground()
-    adv = generate(ground, delay=1,
+    adv = make_faithful_copy(ground, delay=1,
                    defects=(Defect("omit_label", n=0, sigma=(0,)),))
     target = adv.to_copy[elem((), (0,))]
     assert not adv.stream.holds_within(("S", 0, target), 10**9)
@@ -194,7 +182,7 @@ def test_omit_label_defect():
 
 def test_break_p_defect():
     ground = tiny_ground()
-    adv = generate(ground, delay=1, defects=(Defect("break_p", sigma=(), j=0),))
+    adv = make_faithful_copy(ground, delay=1, defects=(Defect("break_p", sigma=(), j=0),))
     root = adv.to_copy[elem((), ())]
     child = adv.to_copy[elem((), (0,))]
     assert not adv.stream.holds_within(("P", root, child), 10**9)
@@ -202,13 +190,13 @@ def test_break_p_defect():
 
 def test_freeze_after_zero_gives_empty_stream():
     ground = tiny_ground()
-    adv = generate(ground, delay=1, defects=(Defect("freeze_after", step=0),))
+    adv = make_faithful_copy(ground, delay=1, defects=(Defect("freeze_after", step=0),))
     assert len(adv.stream) == 0
 
 
 def test_dc_copy_has_u_pair_and_links():
     ground = tiny_ground(variant="dc")
-    adv = generate(ground, delay=1)
+    adv = make_faithful_copy(ground, delay=1)
     from cubetree.structure import UElem
 
     u0 = adv.to_copy[UElem(0)]

@@ -248,3 +248,69 @@ def test_internal_errors_exit_three(tmp_path, capsys, monkeypatch, error):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err == f"internal error: {error.__name__}: broken on purpose\n"
+
+
+def _functional_with(**fields):
+    return dict(DC_CONFIG, functionals=[dict(_with_functional()["functionals"][0], **fields)])
+
+
+@pytest.mark.parametrize("data, key", [
+    ([1], "config"),
+    (dict(CC_CONFIG, adversaries=[3]), "adversaries[0]"),
+    (_with_adversary(permutation=[8, 3]), "adversaries[0].permutation"),
+    (_with_adversary(defects=["omit_label"]), "adversaries[0].defects[0]"),
+    (dict(DC_CONFIG, functionals=[2]), "functionals[0]"),
+    (dict(CC_CONFIG, tree=[[0]]), "tree"),
+    (dict(CC_CONFIG, tree={"branches": [[0]]}), "tree.branches[0]"),
+    (dict(CC_CONFIG, universe=4), "universe"),
+    (dict(CC_CONFIG, true_path=3), "true_path"),
+    (dict(DC_CONFIG, phi="never"), "phi"),
+    (dict(DC_CONFIG, phi={"range": 8, "default": "never"}), "phi.default"),
+    (dict(DC_CONFIG, phi={"range": 8, "rules": [1]}), "phi.rules"),
+    (dict(DC_CONFIG, phi={"range": 8, "rules": {"3": 1}}), "phi.rules.3"),
+])
+def test_non_object_entry_exits_two(tmp_path, capsys, data, key):
+    cfg = write_config(tmp_path, data)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be a JSON object, got ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data, key, value", [
+    (_with_adversary(delay="abc"), "adversaries[0].delay", "abc"),
+    (dict(CC_CONFIG, horizon="x"), "horizon", "x"),
+    (dict(CC_CONFIG, mothers="two"), "mothers", "two"),
+    (dict(CC_CONFIG, universe={"cap": "z"}), "universe.cap", "z"),
+    (dict(CC_CONFIG, true_path={"threshold": "t"}), "true_path.threshold", "t"),
+    (_with_adversary(permutation={"kind": "block_rotate", "block": 2, "shift": "s"}),
+     "adversaries[0].permutation.shift", "s"),
+    (_with_adversary(defects=[{"kind": "freeze_after", "step": "s"}]),
+     "adversaries[0].defects[0].step", "s"),
+    (dict(DC_CONFIG, phi={"range": "r"}), "phi.range", "r"),
+    (dict(DC_CONFIG, phi={"range": 8, "rules": {"x": {"kind": "never"}}}), "phi.rules key", "x"),
+    (dict(DC_CONFIG, phi={"range": 8, "default": {"kind": "until", "s0": "s"}}),
+     "phi.default.s0", "s"),
+    (_functional_with(min_len="m"), "functionals[0].min_len", "m"),
+    (_functional_with(round="r"), "functionals[0].round", "r"),
+])
+def test_non_integer_names_its_key(tmp_path, capsys, data, key, value):
+    cfg = write_config(tmp_path, data)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("data, key", [
+    (dict(CC_CONFIG, univrse={"rate": 2}), "univrse"),
+    (dict(CC_CONFIG, universe={"rte": 2}), "universe.rte"),
+    (_with_adversary(dely=2), "adversaries[0].dely"),
+    (_with_adversary(kind="file", path="copy.facts", delay=2), "adversaries[0].delay"),
+    (_with_adversary(defects=[{"kind": "freeze_after", "step": 3, "n": 0}]),
+     "adversaries[0].defects[0].n"),
+    (dict(DC_CONFIG, phi={"range": 8, "default": {"kind": "never", "s0": 3}}),
+     "phi.default.s0"),
+    (_functional_with(period=3), "functionals[0].period"),
+])
+def test_unknown_key_exits_two(tmp_path, capsys, data, key):
+    cfg = write_config(tmp_path, data)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {key} is not a known key\n"

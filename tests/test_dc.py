@@ -69,7 +69,7 @@ def test_daughter_strings_extend_mother_chain():
         for token, string in node.state.get("sig", {}).items():
             assert len(string) == node.req.n + 1
         for ev in result.trace:
-            if ev[0] == "gamma" and ev[2] == "/" + "/".join(node.addr):
+            if ev[0] == "gamma" and ev[2] is node:
                 assert len(ev[3]) == ev[4]
 
 
@@ -176,7 +176,7 @@ def test_frozen_u_blocks_and_daughters_inherit():
             if (node.req.r, node.req.a) == (psi.req.r, psi.req.a) \
                     and node.req.n == len(string):
                 for ev in result.trace:
-                    if ev[0] == "gamma" and ev[2] == "/" + "/".join(node.addr):
+                    if ev[0] == "gamma" and ev[2] is node:
                         assert ev[3] == string
                         inherited = True
     assert inherited

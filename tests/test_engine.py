@@ -6,7 +6,6 @@ from cubetree.engine import (
     Engine,
     check_left_kill,
     outcome_key,
-    parse_addr,
     req_label,
     run_stages,
     strictly_left,
@@ -36,7 +35,7 @@ def test_stage_loop_shape():
     per_stage = {}
     for ev in result.trace:
         if ev[0] == "visit":
-            per_stage.setdefault(ev[1], []).append(parse_addr(ev[2]))
+            per_stage.setdefault(ev[1], []).append(ev[2].addr)
     for s, visits in per_stage.items():
         assert len(visits) == s + 1
         assert [len(a) for a in visits] == list(range(s + 1))
