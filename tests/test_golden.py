@@ -83,6 +83,20 @@ def test_artifact_digests(case, tmp_path):
     assert digests == GOLDEN[case]
 
 
+# The cases with adversaries, plus each adversary config at a shorter and a
+# longer horizon: a fact that appears at one horizon only still gets pinned.
+FACT_CASES = {
+    **{case: CASES[case] for case in CASES if CASES[case][0]["adversaries"]},
+    "CC_DEFECTIVE@25": (CC_DEFECTIVE, 25),
+    "CC_DEFECTIVE@150": (CC_DEFECTIVE, 150),
+    "CC_FAITHFUL@25": (CC_FAITHFUL, 25),
+    "CC_FAITHFUL@150": (CC_FAITHFUL, 150),
+    "cc_faithful.json@30": (_sample("cc_faithful.json"), 30),
+    "cc_faithful.json@160": (_sample("cc_faithful.json"), 160),
+    "dc_diagonal.json@20": (_sample("dc_diagonal.json"), 20),
+    "dc_diagonal.json@60": (_sample("dc_diagonal.json"), 60),
+}
+
 # SHA-256 of each live adversary's fact lines, in config order.
 FACT_GOLDEN = {
     "CC_DEFECTIVE@60": [
@@ -99,6 +113,34 @@ FACT_GOLDEN = {
     "dc_diagonal.json@40": [
         "04b1749f399168676c5b5228ed86400f8f4440f200af1f02478417e2556c9270",
     ],
+    "CC_DEFECTIVE@25": [
+        "31199421fc9da7357465391504d0ee70bd8482846ff76761f8ec6b312c83361a",
+    ],
+    "CC_DEFECTIVE@150": [
+        "a8dd9beb8fe5d3077a7bdcd4dc0f433c7d5234256c904c15aef7dc510658d2e2",
+    ],
+    "CC_FAITHFUL@25": [
+        "41e20831644f63e588e0f91f1ce8c6fd2d6180450e2db1e94de6e05bac4088e3",
+        "bffb0c8a0305f2ff6599393ede48f01b6c98039fe854d27176ef78f5f08686ad",
+    ],
+    "CC_FAITHFUL@150": [
+        "e452305eadb6408773d63dc88be83a2a991f7e3bcaea1d270cef20163845a121",
+        "755dacf2ee01373ccd4a056baf7f3010a0a351ec3fbc40577b5273c6bbb96dcc",
+    ],
+    "cc_faithful.json@30": [
+        "af20e062ba9071b5a9818330820ee4c024121ff92758da33841862b2472fdaf0",
+        "6d91db55fd436aaa34c922850989185f2f448906040d4e15cfeab64ef70065e2",
+    ],
+    "cc_faithful.json@160": [
+        "a46b72cc88785508c2fa32487b0d593fd460614a7766c6473288fe715a193c6e",
+        "bdb3e8d868b6bd4403b961ac8ab22f30815cf94c004b4c05f111c384d3152eaa",
+    ],
+    "dc_diagonal.json@20": [
+        "8fd8adfd081f24aa4b1615027c5cccb26c33cf4229373d12813b96e6aa8d21b5",
+    ],
+    "dc_diagonal.json@60": [
+        "efeff02910dab58fe7cef35427a289bd12c063efdfaf80065dec50bae719233b",
+    ],
 }
 
 
@@ -106,9 +148,9 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(case for case in CASES if CASES[case][0]["adversaries"]))
+@pytest.mark.parametrize("case", sorted(FACT_CASES))
 def test_fact_stream_digests(case):
-    data, horizon = CASES[case]
+    data, horizon = FACT_CASES[case]
     config = config_from_dict(dict(data, horizon=horizon))
     result = Engine(config).run()
     live = [adv.stream.to_lines() for adv in result.adversaries]
