@@ -13,6 +13,7 @@ structure they are building.  Defective variants drop designated facts.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import takewhile
 
@@ -268,6 +269,7 @@ class FaithfulGenerator:
         )
         self._by_string: dict[StringKey, list[CubeElem]] = {}
         self._strings: set[NatString] = set()
+        self._next_symbols: dict[NatString, list[int]] = {}  # parent -> sorted j
         self._fsets: list = []
         self._next_label: dict[CubeElem, int] = {}
         self._frozen = False
@@ -327,8 +329,8 @@ class FaithfulGenerator:
         touched: set[StringKey],
     ) -> None:
         """Reveal stage's new elements and declarations.  `touched` holds the
-        strings that gained labels this stage; only their old elements get
-        fresh labels."""
+        strings that grew this stage; only their old elements get fresh
+        labels."""
         step = stage + self.delay
         sort_values = sorts(self.variant)
         to_copy = self.adversary.to_copy
@@ -340,7 +342,7 @@ class FaithfulGenerator:
         new_strings = sorted(universe - self._strings, key=ladder_key)
         fsets = self.schedule.fsets(stage)
         new_fsets = [f for f in fsets if f not in self._fsets]
-        for sigma in sorted(self._strings, key=ladder_key):
+        for sigma in sorted(self._strings, key=ladder_key) if new_fsets else ():
             for f in new_fsets:
                 for sort in sort_values:
                     new_elems.append(CubeElem(f, sigma, sort))
@@ -348,7 +350,7 @@ class FaithfulGenerator:
             for f in fsets:
                 for sort in sort_values:
                     new_elems.append(CubeElem(f, sigma, sort))
-        self._strings.update(new_strings)
+        self._add_strings(new_strings)
         self._fsets = fsets
 
         for e in new_elems:
@@ -375,8 +377,7 @@ class FaithfulGenerator:
                     if holds_P(other, e):
                         self._emit(step, ("P", to_copy[other], x))
             # Links to already-visible children of the new element.
-            for j in sorted({t[len(e.sigma)] for t in self._strings
-                             if len(t) == len(e.sigma) + 1 and t[: len(e.sigma)] == e.sigma}):
+            for j in self._next_symbols.get(e.sigma, ()):
                 for other in self._by_string.get((e.sigma + (j,), e.sort), []):
                     if holds_P(e, other):
                         self._emit(step, ("P", x, to_copy[other]))
@@ -392,6 +393,13 @@ class FaithfulGenerator:
         for key in sorted(touched, key=lambda k: (ladder_key(k[0]), -1 if k[1] is None else k[1])):
             for e in self._by_string.get(key, []):
                 self._emit_labels(step, e, store, stage)
+
+    def _add_strings(self, strings) -> None:
+        """Make strings visible, keeping the next-symbol index."""
+        self._strings.update(strings)
+        for t in strings:
+            if t:
+                insort(self._next_symbols.setdefault(t[:-1], []), t[-1])
 
     def result(self) -> Adversary:
         return self.adversary
@@ -409,11 +417,12 @@ def make_faithful_copy(
     gen = FaithfulGenerator(
         ground.variant, ground.schedule, permutation, delay, defects, label
     )
-    # The strings that gained labels at each stage, read off the store's log.
+    # The strings that grew at each stage, off the store's log.  A direct
+    # declaration is S_0 on a string entering the universe: its backlog has it.
     touched: dict[int, set[StringKey]] = {}
     for ev in ground.store.declaration_events():
-        e = ev if isinstance(ev, GrowEvent) else ev[2]
-        touched.setdefault(ev[0], set()).add((e.sigma, e.sort))
+        if isinstance(ev, GrowEvent):
+            touched.setdefault(ev.stage, set()).add((ev.sigma, ev.sort))
     for stage in range(1, ground.horizon + 1):
         gen.ingest(stage, ground.store, ground.chosen_birth, touched.get(stage, set()))
     return gen.result()

@@ -56,8 +56,7 @@ def ordering_iter(config):
 
 
 def assign_type(engine: Engine, node: Node, s: int) -> Requirement:
-    on_path = {n.req for n in engine.path_nodes(node.addr)}
-    return engine.first_fit(lambda req: req not in on_path)
+    return engine.first_fit()
 
 
 def act(engine: Engine, node: Node, s: int) -> str:
@@ -76,7 +75,7 @@ def act_G(engine: Engine, s: int) -> None:
         if sigma in covered:
             continue
         covered.add(sigma)
-        if not engine.choosers(sigma, None):
+        if (sigma, None) not in engine.chosen:
             engine.declare_base(sigma, None, s)
 
 
@@ -100,17 +99,7 @@ def act_N(engine: Engine, node: Node, s: int) -> str:
 
 
 def compute_B(engine: Engine, node: Node, t: int, fin_token: str) -> list[StringKey]:
-    """Responsibility set: the stage-t universe minus strings chosen by an
-    ancestor or by a strategy extending the current finite outcome."""
-    out = []
-    below_fin = node.addr + (fin_token,)
-    for sigma in engine.universe_strings(t):
-        if engine.chosen_by_ancestor_of(sigma, None, node.addr):
-            continue
-        if engine.chosen_by_extension_of(sigma, None, below_fin):
-            continue
-        out.append((sigma, None))
-    return out
+    return match.responsibility_set(engine, node, t, fin_token)
 
 
 def _tree_images(engine: Engine, node: Node) -> list[StringKey]:
@@ -133,9 +122,6 @@ def act_M(engine: Engine, node: Node, s: int) -> str:
 @dataclass(frozen=True)
 class TreeQ:
     phi: dict[NatString, NatString]  # input-tree node -> chosen image string
-
-    def image(self) -> set[NatString]:
-        return set(self.phi.values())
 
     def check_tree(self) -> bool:
         """phi is injective and prefix-preserving, so the image is a tree."""

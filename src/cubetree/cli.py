@@ -22,14 +22,13 @@ from .adversary import Defect, PermSpec, make_faithful_copy
 from .config import ConfigError, at_least, load_config
 from .dc import GammaUnresolved, InconsistentPrefixes
 from .engine import RunResult, run_stages, true_path_approx
-from .structure import UndefinedLabel, VariantMismatch, format_elem, format_string
+from .structure import GrowOutOfOrder, UndefinedLabel, VariantMismatch, format_elem, format_string
 from .verify import InvariantBroken
 
 VERSION = "0.1.0"
 
-INTERNAL_ERRORS = (
-    GammaUnresolved, InconsistentPrefixes, InvariantBroken, UndefinedLabel, VariantMismatch,
-)
+INTERNAL_ERRORS = (GammaUnresolved, GrowOutOfOrder, InconsistentPrefixes, InvariantBroken,
+                   UndefinedLabel, VariantMismatch)
 
 
 def _tp(result: RunResult):

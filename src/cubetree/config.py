@@ -94,6 +94,20 @@ def as_object(data, where: str) -> dict:
     return data
 
 
+def as_list(data, where: str) -> list:
+    """data; a ConfigError naming where when it is not a JSON array."""
+    if not isinstance(data, list):
+        raise ConfigError(f"{where} must be a JSON array, got {data!r}")
+    return data
+
+
+def naturals(data, where: str) -> tuple[int, ...]:
+    """data as a tuple; a ConfigError naming where unless it is an array of naturals."""
+    if not all(type(n) is int and n >= 0 for n in as_list(data, where)):
+        raise ConfigError(f"{where} must be an array of naturals, got {data!r}")
+    return tuple(data)
+
+
 def only_keys(data: dict, where: str, *keys: str) -> None:
     """A ConfigError naming the first key of data that its parser does not read."""
     for key in data:
@@ -127,14 +141,14 @@ def parse_defect(data, where: str) -> Defect:
         return Defect(
             "omit_label",
             n=read_int(data, "n", where),
-            sigma=tuple(required(data, "sigma", where)),
+            sigma=naturals(required(data, "sigma", where), f"{where}.sigma"),
             sort=data.get("sort"),
         )
     if kind == "break_p":
         only_keys(data, where, "kind", "sigma", "j", "sort")
         return Defect(
             "break_p",
-            sigma=tuple(required(data, "sigma", where)),
+            sigma=naturals(required(data, "sigma", where), f"{where}.sigma"),
             j=read_int(data, "j", where),
             sort=data.get("sort"),
         )
@@ -155,8 +169,8 @@ def parse_adversary(data, index: int, base_dir) -> AdvSpec:
             label=label,
             permutation=parse_permutation(data.get("permutation"), f"{where}.permutation"),
             delay=at_least(data.get("delay", 1), 0, f"{where}.delay"),
-            defects=tuple(parse_defect(d, f"{where}.defects[{j}]")
-                          for j, d in enumerate(data.get("defects", []))),
+            defects=tuple(parse_defect(d, f"{where}.defects[{j}]") for j, d
+                          in enumerate(as_list(data.get("defects", []), f"{where}.defects"))),
         )
     if kind == "file":
         only_keys(data, where, "kind", "label", "path")
@@ -185,13 +199,14 @@ def parse_tree(data) -> TestTree | None:
     if data is None:
         return None
     only_keys(as_object(data, "tree"), "tree", "nodes", "branches")
-    nodes = [tuple(n) for n in data.get("nodes", [])]
+    nodes = [naturals(n, f"tree.nodes[{i}]")
+             for i, n in enumerate(as_list(data.get("nodes", []), "tree.nodes"))]
     branches = []
-    for i, b in enumerate(data.get("branches", [])):
+    for i, b in enumerate(as_list(data.get("branches", []), "tree.branches")):
         where = f"tree.branches[{i}]"
         only_keys(as_object(b, where), where, "prefix", "period")
-        branches.append((tuple(required(b, "prefix", where)),
-                         tuple(required(b, "period", where))))
+        branches.append((naturals(required(b, "prefix", where), f"{where}.prefix"),
+                         naturals(required(b, "period", where), f"{where}.period")))
     return tree_from_lists(nodes, branches)
 
 
@@ -216,16 +231,13 @@ def config_from_dict(data: dict, base_dir=None) -> RunConfig:
     if variant not in ("cc", "dc"):
         raise ConfigError(f"variant must be 'cc' or 'dc', got {variant!r}")
     horizon = at_least(data.get("horizon", 0), 1, "horizon")
-    adversaries = tuple(
-        parse_adversary(d, i, base_dir) for i, d in enumerate(data.get("adversaries", []))
-    )
+    adversaries = tuple(parse_adversary(d, i, base_dir) for i, d
+                        in enumerate(as_list(data.get("adversaries", []), "adversaries")))
     tp = as_object(data.get("true_path", {}), "true_path")
     only_keys(tp, "true_path", "threshold", "window")
     phi = dc.phi_from_dict(data["phi"]) if "phi" in data else None
-    functionals = tuple(
-        parse_functional(d, f"functionals[{i}]")
-        for i, d in enumerate(data.get("functionals", []))
-    )
+    functionals = tuple(parse_functional(d, f"functionals[{i}]") for i, d
+                        in enumerate(as_list(data.get("functionals", []), "functionals")))
     return RunConfig(
         variant=variant,
         horizon=horizon,

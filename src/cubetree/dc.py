@@ -269,14 +269,11 @@ def blocking_report(engine: Engine, addr) -> dict:
 
 
 def assign_type(engine: Engine, node: Node, s: int) -> Requirement:
-    on_path = {nd.req for nd in engine.path_nodes(node.addr)}
     report = blocking_report(engine, node.addr)
     u_cleared = all(report["coverage"][maddr] > ell
                     for maddr, ell in report["u_clearance"].items())
 
     def allowed(req: Requirement) -> bool:
-        if req in on_path:
-            return False
         if isinstance(req, ReqDaughter):
             return req not in report["blocked"]
         return u_cleared or not isinstance(req, ReqU)
@@ -471,17 +468,7 @@ def _c_pairs(engine: Engine, node: Node) -> list[tuple[NatString, int]]:
 
 
 def compute_B_pairs(engine: Engine, node: Node, t: int, fin_token: str):
-    below_fin = node.addr + (fin_token,)
-    cpairs = set(node.state["C"])
-    out = []
-    for sigma in engine.universe_strings(t):
-        for a in (0, 1):
-            if (sigma, a) in cpairs:
-                continue
-            if engine.chosen_by_extension_of(sigma, a, below_fin):
-                continue
-            out.append((sigma, a))
-    return out
+    return match.responsibility_set(engine, node, t, fin_token)
 
 
 def act_M(engine: Engine, node: Node, s: int) -> str:

@@ -16,6 +16,7 @@ from itertools import count
 from .adversary import Adversary, FaithfulGenerator, stream_from_lines
 from .config import ConfigError
 from .structure import (
+    CubeElem,
     LabelStore,
     NatString,
     Snapshot,
@@ -133,9 +134,6 @@ class Node:
             counts[token] = counts.get(token, 0) + 1
         return counts
 
-    def depth(self) -> int:
-        return len(self.addr)
-
     def __str__(self) -> str:
         return format_addr(self.addr)
 
@@ -161,6 +159,7 @@ class Engine:
         self.zprime: dict[int, int] = {}
         self._witness_next = config.witness_base
         self._current_path: list[Node] = []
+        self._path_reqs: set[Requirement] = set()
         if self.variant == "cc":
             from . import cc as strat
         elif self.variant == "dc":
@@ -243,10 +242,7 @@ class Engine:
                     self.chosen_birth[sigma] = birth_stage(sigma)
 
     def declare_base(self, sigma: NatString, sort: int | None, stage: int) -> None:
-        from .structure import CubeElem
-
         if self.store.declare(0, CubeElem(frozenset(), tuple(sigma), sort), stage):
-            self._stage_touched.add((tuple(sigma), sort))
             self.emit("gdecl", stage, tuple(sigma), sort)
 
     def universe_strings(self, s: int) -> list[NatString]:
@@ -256,29 +252,25 @@ class Engine:
         base.update(t for t, b in self.chosen_birth.items() if b <= s)
         return sorted(base, key=ladder_key)
 
-    def choosers(self, sigma: NatString, sort: int | None) -> list[tuple[Addr, int]]:
-        return self.chosen.get((tuple(sigma), sort), [])
+    def keys_chosen_below(self, prefix: Addr) -> set[StringKey]:
+        """The keys chosen by a strategy at prefix or below it."""
+        n = len(prefix)
+        return {key for key, records in self.chosen.items()
+                if any(a[:n] == prefix for a, _ in records)}
 
-    def chosen_by_extension_of(self, sigma: NatString, sort: int | None,
-                               prefix: Addr) -> bool:
-        return any(a[: len(prefix)] == prefix for a, _ in self.choosers(sigma, sort))
-
-    def chosen_by_ancestor_of(self, sigma: NatString, sort: int | None,
-                              addr: Addr) -> bool:
-        return any(len(a) < len(addr) and addr[: len(a)] == a
-                   for a, _ in self.choosers(sigma, sort))
-
-    def first_fit(self, allowed) -> Requirement:
-        """The first requirement of the priority order that `allowed`
-        accepts; Idle once a finite order runs out."""
+    def first_fit(self, allowed=None) -> Requirement:
+        """The first requirement of the priority order off the current path
+        that `allowed` (if given) accepts; Idle once a finite order runs out."""
+        on_path = self._path_reqs
         for k in count():
             if k == len(self.ordering):
                 req = next(self._ordering_rest, None)
                 if req is None:
                     return ReqIdle()
                 self.ordering.append(req)
-            if allowed(self.ordering[k]):
-                return self.ordering[k]
+            req = self.ordering[k]
+            if req not in on_path and (allowed is None or allowed(req)):
+                return req
 
     def alloc_witness(self) -> int:
         x = self._witness_next
@@ -299,6 +291,7 @@ class Engine:
             self.emit("window", s, self.schedule.width(s), self.schedule.f_width(s))
             addr: Addr = ()
             self._current_path = []
+            self._path_reqs = set()
             for depth in range(s + 1):
                 node = self.node_at(addr)
                 if node.req is None:
@@ -311,6 +304,7 @@ class Engine:
                 node.outcomes.append((s, token))
                 self.emit("outcome", s, node, token)
                 self._current_path.append(node)
+                self._path_reqs.add(node.req)
                 addr = addr + (token,)
             self._current_path = []
             self.strat.act_G(self, s)

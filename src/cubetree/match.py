@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .adversary import HOLE
 from .engine import Engine, Node
-from .structure import StringKey
+from .structure import StringKey, sorts
 
 
 def children_index(pool) -> dict[StringKey, list[StringKey]]:
@@ -27,6 +27,16 @@ def children_index(pool) -> dict[StringKey, list[StringKey]]:
     for kids in index.values():
         kids.sort()
     return index
+
+
+def responsibility_set(engine: Engine, node: Node, t: int, fin_token: str) -> list[StringKey]:
+    """B: the stage-t universe minus the starting set C and the keys chosen
+    at or below the finite outcome fin_token.  In the single-sorted variant
+    C is every string an ancestor chose: only tree strategies choose, each
+    its own image."""
+    excluded = engine.keys_chosen_below(node.addr + (fin_token,)).union(node.state["C"])
+    return [(sigma, sort) for sigma in engine.universe_strings(t)
+            for sort in sorts(engine.variant) if (sigma, sort) not in excluded]
 
 
 def _fields(key: StringKey) -> tuple:
@@ -64,8 +74,7 @@ def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
         if bullet:
             engine.emit("mfail", s, node, *_fields(key), bullet)
             return str(k0)
-    below_inf = node.addr + ("ii",)
-    D = {key for key in B if not engine.chosen_by_extension_of(*key, below_inf)}
+    D = set(B) - engine.keys_chosen_below(node.addr + ("ii",))
     xs: dict[StringKey, int | None] = {}
     stable = True
     for key in st["C"]:

@@ -38,6 +38,10 @@ class UndefinedLabel(LookupError):
     """n_sigma consulted before any label exists on the empty-set vertex."""
 
 
+class GrowOutOfOrder(ValueError):
+    """A string grew at a stage below its last growth: the stage loop is broken."""
+
+
 class UnmatchedCarrier(LookupError):
     """Long-form lift found no carrier for a required declaration."""
 
@@ -254,13 +258,13 @@ class LabelStore:
             raise VariantMismatch(f"{self.variant} store given sort {sort!r}")
 
     def grow(self, sigma: NatString, sort: int | None, stage: int) -> GrowEvent:
-        """Record a growth; ValueError if the string last grew at a later stage."""
+        """Record a growth; GrowOutOfOrder if the string last grew at a later stage."""
         self._check_sort(sort)
         sigma = tuple(sigma)
         events = self._grows.setdefault((sigma, sort), [])
         if events and stage < events[-1].stage:
-            raise ValueError(f"grow of {format_string(sigma)} at stage {stage} "
-                             f"after one at stage {events[-1].stage}")
+            raise GrowOutOfOrder(f"grow of {format_string(sigma)} at stage {stage} "
+                                 f"after one at stage {events[-1].stage}")
         pre = self.top_label(CubeElem(frozenset(), sigma, sort))
         ev = GrowEvent(stage, -1 if pre is None else pre, sigma, sort)
         events.append(ev)

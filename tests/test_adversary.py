@@ -1,7 +1,10 @@
+from hypothesis import given, strategies as st
+
 from cubetree.adversary import (
     HOLE,
     Defect,
     FactStream,
+    FaithfulGenerator,
     PermSpec,
     make_faithful_copy,
     parse_fact_line,
@@ -234,3 +237,22 @@ def test_faithful_ground_truth_is_isomorphism_at_any_horizon():
             lambda e: adv.to_copy.get(e), result.snapshot(), adv, horizon
         )
         assert report.ok, (horizon, report.failures())
+
+
+def scan_next_symbols(strings, sigma):
+    """The scan the generator's index replaces: the sorted last symbols of
+    the visible strings one symbol longer than sigma that extend it."""
+    return sorted({t[len(sigma)] for t in strings
+                   if len(t) == len(sigma) + 1 and t[: len(sigma)] == sigma})
+
+
+words = st.lists(st.integers(0, 4), max_size=4).map(tuple)
+
+
+@given(st.lists(st.sets(words, max_size=12), max_size=6), st.lists(words, max_size=8))
+def test_next_symbol_index_matches_scan(batches, probes):
+    gen = FaithfulGenerator("cc", UniverseSchedule())
+    for batch in batches:
+        gen._add_strings(sorted(batch - gen._strings))
+        for sigma in [*gen._strings, *probes]:
+            assert gen._next_symbols.get(sigma, []) == scan_next_symbols(gen._strings, sigma)

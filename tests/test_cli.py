@@ -5,7 +5,7 @@ import pytest
 from cubetree import cli
 from cubetree.cli import main
 from cubetree.dc import GammaUnresolved, InconsistentPrefixes
-from cubetree.structure import UndefinedLabel, VariantMismatch
+from cubetree.structure import LabelStore, UndefinedLabel, VariantMismatch
 from cubetree.verify import InvariantBroken
 
 
@@ -250,6 +250,19 @@ def test_internal_errors_exit_three(tmp_path, capsys, monkeypatch, error):
     assert err == f"internal error: {error.__name__}: broken on purpose\n"
 
 
+def test_grow_at_a_lower_stage_exits_three(tmp_path, capsys, monkeypatch):
+    def out_of_order(config):
+        store = LabelStore("cc")
+        store.grow((1,), None, 5)
+        store.grow((1,), None, 4)
+
+    monkeypatch.setattr(cli, "run_stages", out_of_order)
+    cfg = write_config(tmp_path, CC_CONFIG)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: GrowOutOfOrder: grow of <1> at stage 4 after one at stage 5\n"
+
+
 def _functional_with(**fields):
     return dict(DC_CONFIG, functionals=[dict(_with_functional()["functionals"][0], **fields)])
 
@@ -314,3 +327,33 @@ def test_unknown_key_exits_two(tmp_path, capsys, data, key):
     cfg = write_config(tmp_path, data)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {key} is not a known key\n"
+
+
+def _branch(**fields):
+    return dict(CC_CONFIG, tree={"branches": [dict({"prefix": [0], "period": [2]}, **fields)]})
+
+
+ARRAY, NATURALS = "a JSON array", "an array of naturals"
+
+
+@pytest.mark.parametrize("data, key, kind", [
+    (dict(CC_CONFIG, adversaries=3), "adversaries", ARRAY),
+    (dict(DC_CONFIG, functionals={"mother": 0}), "functionals", ARRAY),
+    (_with_adversary(defects={"kind": "omit_label"}), "adversaries[0].defects", ARRAY),
+    (dict(CC_CONFIG, tree={"nodes": 3}), "tree.nodes", ARRAY),
+    (dict(CC_CONFIG, tree={"branches": {"prefix": [0]}}), "tree.branches", ARRAY),
+    (dict(CC_CONFIG, tree={"nodes": [[0], 5]}), "tree.nodes[1]", ARRAY),
+    (dict(CC_CONFIG, tree={"nodes": [[0, -1]]}), "tree.nodes[0]", NATURALS),
+    (_branch(prefix="x"), "tree.branches[0].prefix", ARRAY),
+    (_branch(prefix=["x"]), "tree.branches[0].prefix", NATURALS),
+    (_branch(period=[1.5]), "tree.branches[0].period", NATURALS),
+    (_with_adversary(defects=[{"kind": "omit_label", "n": 0, "sigma": 0}]),
+     "adversaries[0].defects[0].sigma", ARRAY),
+    (_with_adversary(defects=[{"kind": "break_p", "sigma": [True], "j": 0}]),
+     "adversaries[0].defects[0].sigma", NATURALS),
+])
+def test_non_list_or_non_naturals_exits_two(tmp_path, capsys, data, key, kind):
+    cfg = write_config(tmp_path, data)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be {kind}, got ") and err.count("\n") == 1

@@ -1,9 +1,17 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from conftest import cc_config, faithful
 
+from cubetree import cc, dc
+from cubetree.config import config_from_dict
 from cubetree.engine import (
     Engine,
+    ReqDaughter,
+    ReqIdle,
+    ReqU,
     check_left_kill,
     outcome_key,
     req_label,
@@ -171,3 +179,57 @@ def test_cc_ordering_constraints():
             assert pos[ReqN(req.pi[:-1])] < pos[req]
     labels = [req_label(r) for r in ordering]
     assert labels.count("M0") == 1 and labels.count("M1") == 1
+
+
+def reference_first_fit(engine, allowed):
+    """The first requirement of the order drawn so far that `allowed` accepts."""
+    return next((req for req in engine.ordering if allowed(req)), ReqIdle())
+
+
+def reference_cc_allowed(engine, node):
+    on_path = {n.req for n in engine.path_nodes(node.addr)}
+    return lambda req: req not in on_path
+
+
+def reference_dc_allowed(engine, node):
+    on_path = {nd.req for nd in engine.path_nodes(node.addr)}
+    report = dc.blocking_report(engine, node.addr)
+    u_cleared = all(report["coverage"][maddr] > ell
+                    for maddr, ell in report["u_clearance"].items())
+
+    def allowed(req):
+        if req in on_path:
+            return False
+        if isinstance(req, ReqDaughter):
+            return req not in report["blocked"]
+        return u_cleared or not isinstance(req, ReqU)
+
+    return allowed
+
+
+DC_DIAGONAL = json.loads((Path(__file__).resolve().parent.parent
+                          / "configs" / "dc_diagonal.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("variant, config", [
+    ("cc", cc_config(horizon=40, adversaries=[faithful(delay=1), faithful(delay=3)])),
+    ("dc", config_from_dict(dict(DC_DIAGONAL, horizon=40))),
+])
+def test_first_fit_matches_on_path_scan(variant, config, monkeypatch):
+    """At every typing, the requirement first_fit picks with the stage
+    loop's on-path set is the one picked with the on-path set built from
+    path_nodes, the formula the stage loop's set replaces."""
+    module = cc if variant == "cc" else dc
+    reference_allowed = reference_cc_allowed if variant == "cc" else reference_dc_allowed
+    hook = module.assign_type
+    typed = []
+
+    def checked(engine, node, s):
+        req = hook(engine, node, s)
+        assert req == reference_first_fit(engine, reference_allowed(engine, node))
+        typed.append(req)
+        return req
+
+    monkeypatch.setattr(module, "assign_type", checked)
+    run_stages(config)
+    assert len(typed) > 40
