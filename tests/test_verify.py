@@ -3,11 +3,19 @@ import pytest
 from conftest import cc_config, dc_config, faithful
 
 from cubetree.engine import run_stages, true_path_approx
-from cubetree.structure import CubeElem, UElem, elem
+from cubetree.structure import (
+    CubeElem,
+    UElem,
+    elem,
+    format_elem,
+    holds_P,
+    snapshot_from_declarations,
+)
 from cubetree.trees import Branch, tree_from_lists
 from cubetree.verify import (
     BranchOutsideTree,
     InvariantBroken,
+    Report,
     atomic_equivalent,
     automorphism_from_paths,
     bf_equiv,
@@ -245,3 +253,166 @@ def test_sort_one_mover_fixes_the_other_sort():
     assert report.ok, report.failures()
     chain = path_from_automorphism(g, (), 8, sort=1, tree=tree)
     assert len(chain) == 8 and branch.has_prefix(chain[-1])
+
+
+# -- one isomorphism checker ---------------------------------------------------
+
+
+def reference_check_iso_snapshot(g, source, target):
+    """The snapshot-to-snapshot checker the single stream body replaced,
+    kept verbatim as the reference the differential test compares against."""
+    report = Report()
+    elems = source.elements()
+    if source.variant == "dc":
+        elems = elems + [UElem(0), UElem(1)]
+    images = {}
+    for e in elems:
+        img = g(e)
+        if img is None:
+            report.add("total", False, format_elem(e))
+            return report
+        images[e] = img
+    report.add("total", True)
+    report.add("injective", len(set(images.values())) == len(images))
+    w_ok = all(
+        isinstance(img, CubeElem) == isinstance(e, CubeElem)
+        and (not isinstance(e, CubeElem)
+             or (img.sigma == e.sigma and img.sort == e.sort))
+        for e, img in images.items()
+    )
+    report.add("respects-W", w_ok)
+    by_string = {}
+    for e in elems:
+        if isinstance(e, CubeElem):
+            by_string.setdefault((e.sigma, e.sort), []).append(e)
+    e_ok = True
+    p_ok = True
+    locus = ""
+    for (sigma, sort), group in by_string.items():
+        for e1 in group:
+            for e2 in group:
+                d0 = e1.fset ^ e2.fset
+                d1 = images[e1].fset ^ images[e2].fset
+                if (len(d0) == 1) != (len(d1) == 1) or (len(d0) == 1 and d0 != d1):
+                    e_ok = False
+                    locus = f"{format_elem(e1)},{format_elem(e2)}"
+        parent = (sigma[:-1], sort) if sigma else None
+        if parent in by_string:
+            for e1 in by_string[parent]:
+                for e2 in group:
+                    if holds_P(e1, e2) != holds_P(images[e1], images[e2]):
+                        p_ok = False
+                        locus = f"{format_elem(e1)},{format_elem(e2)}"
+    for e in elems:
+        if isinstance(e, UElem):
+            for other in elems:
+                if isinstance(other, CubeElem):
+                    if holds_P(e, other) != holds_P(images[e], images[other]):
+                        p_ok = False
+                        locus = f"u{e.k},{format_elem(other)}"
+    report.add("respects-E", e_ok, locus if not e_ok else "")
+    report.add("respects-P", p_ok, locus if not p_ok else "")
+    s_ok = True
+    for e in elems:
+        if not isinstance(e, CubeElem):
+            continue
+        if source.labels(e) != target.labels(images[e]):
+            s_ok = False
+            locus = format_elem(e)
+            break
+    report.add("respects-S", s_ok, locus if not s_ok else "")
+    return report
+
+
+def built_automorphism_cases():
+    """(snapshot, named correct maps) over cc and dc ideal tree snapshots."""
+    identity = ("identity", lambda e: e)
+    tree = two_branch_tree()
+    odd = tree_from_lists([[0], [0, 2]], branches=[((0, 2), (1,))])
+    uswap = tree_from_lists([[0]], branches=[((0,), (4,))])
+    mover = tree_from_lists([[0]], branches=[((0,), (3,))])
+    return [
+        (ideal_tree_snapshot(tree, depth=5, label_count=4), [
+            identity,
+            ("one color", automorphism_from_paths(tree, {0: tree.branches[0]}, {0}, ())),
+            ("two colors", automorphism_from_paths(
+                tree, {0: tree.branches[0], 1: tree.branches[1]}, {0, 1}, ())),
+        ]),
+        (ideal_tree_snapshot(odd, depth=5, label_count=4), [
+            identity,
+            ("odd target", automorphism_from_paths(odd, {2: odd.branches[0]}, {2}, (0,))),
+        ]),
+        (ideal_tree_snapshot(uswap, depth=5, label_count=4, variant="dc"), [
+            identity,
+            ("uswap", automorphism_from_paths(uswap, {}, set(), (), uswap=uswap.branches[0])),
+        ]),
+        (ideal_tree_snapshot(mover, depth=5, label_count=4, variant="dc"), [
+            identity,
+            ("sort-1 mover", automorphism_from_paths(
+                mover, {0: mover.branches[0]}, {0}, (), sort=1)),
+        ]),
+    ]
+
+
+def mutations(snap, g):
+    """Named maps that break g in one way each; none is an isomorphism."""
+    sort = None if snap.variant == "cc" else 0
+    a, b = elem((), (), sort), elem({0}, (), sort)
+    swap = {(0,): (1,), (1,): (0,)}
+
+    def non_injective(e):
+        return g(a) if e == b else g(e)
+
+    def swapped_strings(e):
+        img = g(e)
+        if isinstance(e, CubeElem) and e.sigma in swap:
+            return CubeElem(img.fset, swap[img.sigma], img.sort)
+        return img
+
+    def broken_edge(e):
+        if isinstance(e, CubeElem) and e.sigma == () and e.fset in ({0}, {1}):
+            e = CubeElem(e.fset ^ {0, 1}, e.sigma, e.sort)
+        return g(e)
+
+    cases = [("non-injective", non_injective), ("swapped strings", swapped_strings),
+             ("broken edge", broken_edge)]
+    if snap.variant == "dc":
+        def swapped_sort(e):
+            img = g(e)
+            if isinstance(e, CubeElem) and e.sigma == ():
+                return CubeElem(img.fset, img.sigma, 1 - img.sort)
+            return img
+
+        def u_only_swap(e):
+            return UElem(1 - g(e).k) if isinstance(e, UElem) else g(e)
+
+        cases += [("swapped sort", swapped_sort), ("u pair swapped alone", u_only_swap)]
+    return cases
+
+
+def with_declarations(snap, rows):
+    return snapshot_from_declarations(snap.variant, rows, snap.strings, snap.fsets, snap.stage)
+
+
+def mutated_targets(snap):
+    """The snapshot missing its last declaration, and with S_1 added on the
+    empty vertex of an off-tree border string (which carries S_0 alone)."""
+    rows = snap.declarations()
+    border = next(CubeElem(frozenset(), sigma, sort) for sigma, sort in snap.strings
+                  if snap.labels(CubeElem(frozenset(), sigma, sort)) == [0])
+    extra = (rows[-1][0], 1, border)
+    return [("missing declaration", with_declarations(snap, rows[:-1])),
+            ("extra declaration", with_declarations(snap, rows + [extra]))]
+
+
+def test_one_checker_agrees_with_the_snapshot_reference():
+    for snap, maps in built_automorphism_cases():
+        for name, g in maps:
+            cases = [(name, g, snap, True)]
+            cases += [(f"{name}/{m}", h, snap, False) for m, h in mutations(snap, g)]
+            cases += [(f"{name}/{t}", g, target, False) for t, target in mutated_targets(snap)]
+            for label, h, target, expected in cases:
+                new = check_isomorphism(h, snap, target)
+                old = reference_check_iso_snapshot(h, snap, target)
+                assert old.ok is expected, (snap.variant, label, old.failures())
+                assert new.ok is old.ok, (snap.variant, label, new.failures())
