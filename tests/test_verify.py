@@ -355,10 +355,13 @@ def built_automorphism_cases():
 
 
 def mutations(snap, g):
-    """Named maps that break g in one way each; none is an isomorphism."""
+    """Named maps that break g in one way each, all inside the window; none
+    is an isomorphism."""
     sort = None if snap.variant == "cc" else 0
-    a, b = elem((), (), sort), elem({0}, (), sort)
-    swap = {(0,): (1,), (1,): (0,)}
+    i, j = sorted(set().union(*snap.fsets))[:2]
+    a, b = elem((), (), sort), elem({i}, (), sort)
+    s1, s2 = sorted({sigma for sigma, _ in snap.strings if len(sigma) == 1})[:2]
+    swap = {s1: s2, s2: s1}
 
     def non_injective(e):
         return g(a) if e == b else g(e)
@@ -370,8 +373,8 @@ def mutations(snap, g):
         return img
 
     def broken_edge(e):
-        if isinstance(e, CubeElem) and e.sigma == () and e.fset in ({0}, {1}):
-            e = CubeElem(e.fset ^ {0, 1}, e.sigma, e.sort)
+        if isinstance(e, CubeElem) and e.sigma == () and e.fset in ({i}, {j}):
+            e = CubeElem(e.fset ^ {i, j}, e.sigma, e.sort)
         return g(e)
 
     cases = [("non-injective", non_injective), ("swapped strings", swapped_strings),
