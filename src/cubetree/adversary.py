@@ -337,9 +337,8 @@ class FaithfulGenerator:
         new_elems: list[Elem] = []
         if stage == 1 and self.variant == "dc":
             new_elems.extend(UElem(k) for k in (0, 1))
-        universe = set(self.schedule.base_strings(stage))
-        universe.update(s for s, b in chosen_birth.items() if b <= stage)
-        new_strings = sorted(universe - self._strings, key=ladder_key)
+        new_strings = sorted(self.schedule.slice(stage, chosen_birth) - self._strings,
+                             key=ladder_key)
         fsets = self.schedule.fsets(stage)
         new_fsets = [f for f in fsets if f not in self._fsets]
         for sigma in sorted(self._strings, key=ladder_key) if new_fsets else ():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -137,6 +138,9 @@ def cmd_verify(args) -> int:
 
 def cmd_extract(args) -> int:
     config = load_config(args.config)
+    if args.target == "isomorphism" and not 0 <= args.adversary < len(config.adversaries):
+        raise ConfigError(f"--adversary {args.adversary} is out of range: "
+                          f"the config has {len(config.adversaries)} adversaries")
     result = run_stages(config)
     entries = _tp(result)
     out = Path(args.out)
@@ -163,7 +167,11 @@ def cmd_extract(args) -> int:
     elif args.target == "isomorphism":
         if result.variant != "cc":
             raise ConfigError("isomorphism extraction needs a cc run")
-        extracted = cc_mod.extract_isomorphism(result, entries, args.adversary)
+        try:
+            extracted = cc_mod.extract_isomorphism(result, entries, args.adversary)
+        except cc_mod.ExtractionStalled as exc:
+            print(f"ExtractionStalled: {exc}", file=sys.stderr)
+            return 1
         data = {
             "adversary": args.adversary,
             "map": {
@@ -199,16 +207,19 @@ def cmd_replay(args) -> int:
 
 def cmd_gen_adversary(args) -> int:
     delay = at_least(args.delay, 0, "--delay")
+    defects = ()
+    if args.omit_label:
+        spec = re.fullmatch(r"(\d+)@((?:\d+(?:,\d+)*)?)", args.omit_label)
+        if spec is None:
+            raise ConfigError("--omit-label must be n@j1,j2,...")
+        n, sig = spec.groups()
+        defects = (Defect("omit_label", n=int(n),
+                          sigma=tuple(int(p) for p in sig.split(",") if p)),)
     config = load_config(args.config)
     result = run_stages(config)
     perm = PermSpec()
     if args.block > 1:
         perm = PermSpec("block_rotate", args.block, args.shift)
-    defects = ()
-    if args.omit_label:
-        n, sig = args.omit_label.split("@", 1)
-        defects = (Defect("omit_label", n=int(n),
-                          sigma=tuple(int(p) for p in sig.split(",") if p)),)
     adv = make_faithful_copy(result, permutation=perm, delay=delay,
                              defects=defects)
     Path(args.out).write_text(

@@ -30,7 +30,7 @@ from .engine import (
     RunResult,
     TPEntry,
 )
-from .structure import CubeElem, NatString, Snapshot, UElem, VariantMismatch, format_string
+from .structure import NatString, format_string
 
 
 class GammaUnresolved(RuntimeError):
@@ -84,14 +84,6 @@ class PhiPredicate:
             n for n in range(self.range_n)
             if self.rule_for(n)[0] in ("periodic", "always")
         )
-
-    def recorded_s0(self, n: int) -> int | None:
-        rule = self.rule_for(n)
-        if rule[0] == "never":
-            return 0
-        if rule[0] == "until":
-            return rule[1]
-        return None
 
 
 def phi_from_dict(data) -> PhiPredicate:
@@ -564,27 +556,3 @@ def modulus_check(
     bound = fi + gj
     fired = any(phi.holds(n, s) for s in range(bound + 1, horizon + 1))
     return ModulusVerdict(True, not fired)
-
-
-@dataclass(frozen=True)
-class FinalStructure:
-    """The finished structure with constants naming the anchor elements."""
-
-    snapshot: Snapshot
-
-    @property
-    def c(self) -> UElem:
-        return UElem(0)
-
-    @property
-    def d(self) -> CubeElem:
-        return CubeElem(frozenset(), (), 1)
-
-    def v(self, fset) -> CubeElem:
-        return CubeElem(frozenset(fset), (), 1)
-
-
-def assemble_final_structure(snapshot: Snapshot) -> FinalStructure:
-    if snapshot.variant != "dc":
-        raise VariantMismatch("final structure applies to the two-sorted variant")
-    return FinalStructure(snapshot)

@@ -246,11 +246,8 @@ class Engine:
             self.emit("gdecl", stage, tuple(sigma), sort)
 
     def universe_strings(self, s: int) -> list[NatString]:
-        """The stage-s slice of omega^{<omega}: the breadth-covered base plus
-        every chosen string past its birth stage."""
-        base = set(self.schedule.base_strings(s))
-        base.update(t for t, b in self.chosen_birth.items() if b <= s)
-        return sorted(base, key=ladder_key)
+        """The stage-s slice of omega^{<omega} in ladder order."""
+        return sorted(self.schedule.slice(s, self.chosen_birth), key=ladder_key)
 
     def keys_chosen_below(self, prefix: Addr) -> set[StringKey]:
         """The keys chosen by a strategy at prefix or below it."""

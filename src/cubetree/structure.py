@@ -42,10 +42,6 @@ class GrowOutOfOrder(ValueError):
     """A string grew at a stage below its last growth: the stage loop is broken."""
 
 
-class UnmatchedCarrier(LookupError):
-    """Long-form lift found no carrier for a required declaration."""
-
-
 @dataclass(frozen=True)
 class CubeElem:
     fset: frozenset[int]
@@ -188,6 +184,11 @@ class UniverseSchedule:
 
     def base_strings(self, s: int) -> list[NatString]:
         return strings_of_width(self.width(s))
+
+    def slice(self, s: int, chosen_birth: dict[NatString, int]) -> set[NatString]:
+        """The stage-s slice of omega^{<omega}, unordered: the breadth-covered
+        base plus every chosen string past its birth stage."""
+        return {*self.base_strings(s), *(t for t, b in chosen_birth.items() if b <= s)}
 
     def fsets(self, s: int) -> list[frozenset[int]]:
         return fsets_over(range(self.f_width(s)))
@@ -360,8 +361,8 @@ class Snapshot:
         return self.store.n_sigma(sigma, sort, self.stage + 1)
 
     def declarations(self) -> list[tuple[int, int, CubeElem]]:
-        """Expanded (stamp, n, element) rows within the window, in carrier
-        allocation order: event order, then label index, then vertex order.
+        """Expanded (stamp, n, element) rows within the window, in event
+        order, then label index, then vertex order.
 
         Growth events declare contiguous label prefixes, so a cursor per
         element makes the expansion linear in the output; sparse direct
@@ -407,64 +408,3 @@ def snapshot_from_declarations(
     for stamp, n, e in rows:
         store.declare(n, e, stamp)
     return Snapshot(variant, stage, store, tuple(strings), tuple(fsets))
-
-
-# ---------------------------------------------------------------------------
-# Long form: the carrier encoding that turns the c.e. labels into a
-# presentation with U, (V_n) and f over an explicit carrier set C.
-
-@dataclass(frozen=True)
-class LongForm:
-    snapshot: Snapshot
-    carriers: tuple[tuple[int, CubeElem], ...]  # index k -> (n, labeled element)
-
-    def carrier_count(self) -> int:
-        return len(self.carriers)
-
-    def V(self, n: int, k: int) -> bool:
-        return self.carriers[k][0] == n
-
-    def f(self, k: int) -> CubeElem:
-        return self.carriers[k][1]
-
-    def U(self, k: int) -> bool:
-        return 0 <= k < len(self.carriers)
-
-    def index(self) -> dict[tuple[int, CubeElem], int]:
-        return {(n, e): k for k, (n, e) in enumerate(self.carriers)}
-
-    def dump_lines(self) -> list[str]:
-        return [
-            f"carrier {k} V{n} f={format_elem(e)}"
-            for k, (n, e) in enumerate(self.carriers)
-        ]
-
-
-def export_long_form(snapshot: Snapshot) -> LongForm:
-    """Allocate carriers in declaration order: first unused element of C each."""
-    carriers = tuple((n, e) for _stage, n, e in snapshot.declarations())
-    return LongForm(snapshot, carriers)
-
-
-def reduced_view(long_form: LongForm) -> list[tuple[int, int, CubeElem]]:
-    """Forget carriers: recover the reduced declaration rows."""
-    decls = long_form.snapshot.declarations()
-    return [(decls[k][0], n, e) for k, (n, e) in enumerate(long_form.carriers)]
-
-
-def lift_isomorphism(g, source: LongForm, target: LongForm) -> dict[int, int]:
-    """Extend an element-level isomorphism to the carriers.
-
-    For each source carrier x with V_n(x) and f(x) = y, finds the target
-    carrier x' with f(x') = g(y) and V_n(x').  Raises UnmatchedCarrier when
-    the target lacks the matching declaration.
-    """
-    target_index = target.index()
-    mapping: dict[int, int] = {}
-    for k, (n, y) in enumerate(source.carriers):
-        gy = g(y)
-        hit = target_index.get((n, gy))
-        if hit is None:
-            raise UnmatchedCarrier(f"target has no carrier for S_{n}({format_elem(gy)})")
-        mapping[k] = hit
-    return mapping

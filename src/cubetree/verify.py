@@ -3,16 +3,16 @@
 Covers the two constructive directions of the orbit-coding claim (build an
 automorphism from branches, read branches back off an automorphism), the
 labeling behavior of chosen versus unchosen strings, isomorphism checking
-against snapshots and against adversary streams, orbit probing on test
-trees, a bounded back-and-forth equivalence approximation, and the trace
-invariant suite.
+against fact sources (adversary streams, and snapshots read as streams with
+lag 0), orbit probing on test trees, a bounded back-and-forth equivalence
+approximation, and the trace invariant suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .adversary import Adversary
+from .adversary import Adversary, FactStream
 from .engine import (
     ReqM,
     ReqN,
@@ -30,6 +30,7 @@ from .structure import (
     UndefinedLabel,
     format_elem,
     format_string,
+    holds_E,
     holds_P,
     sorts,
 )
@@ -260,105 +261,62 @@ def ideal_tree_snapshot(
 # ---------------------------------------------------------------------------
 # Isomorphism checking.
 
+def snapshot_view(snap: Snapshot) -> Adversary:
+    """A snapshot as a fact source with lag 0.  Each window element gets an
+    id in `to_copy`, the u pair first in the two-sorted variant, and every W,
+    S, E and P fact among those ids is enumerated at step 0.  It has no
+    `to_ground`, so a check against it takes its elements from the source."""
+    us = [UElem(0), UElem(1)] if snap.variant == "dc" else []
+    cube = snap.elements()
+    ids = {e: x for x, e in enumerate(us + cube)}
+    view = Adversary(FactStream(), to_copy=ids)
+    facts = []
+    colors = set().union(*snap.fsets)
+    for e in cube:
+        x = ids[e]
+        facts.append(("W", e.sigma, e.sort, x))
+        facts.extend(("S", n, x) for n in snap.labels(e))
+        for i in colors:
+            y = ids.get(CubeElem(e.fset ^ {i}, e.sigma, e.sort))
+            if y is not None:
+                facts.append(("E", i, x, y))
+        parents = [CubeElem(f, e.sigma[:-1], e.sort) for f in snap.fsets] if e.sigma else us
+        facts.extend(("P", ids[p], x) for p in parents if p in ids and holds_P(p, e))
+    for fact in facts:
+        view.stream.append(0, fact)
+    return view
+
+
 def check_isomorphism(g, source: Snapshot, target, horizon: int | None = None) -> Report:
-    if isinstance(target, Snapshot):
-        return _check_iso_snapshot(g, source, target)
-    return _check_iso_stream(g, source, target, horizon)
-
-
-def _check_iso_snapshot(g, source: Snapshot, target: Snapshot) -> Report:
-    report = Report()
-    elems = source.elements()
-    if source.variant == "dc":
-        elems = elems + [UElem(0), UElem(1)]
-    images: dict[Elem, Elem] = {}
-    for e in elems:
-        img = g(e)
-        if img is None:
-            report.add("total", False, format_elem(e))
-            return report
-        images[e] = img
-    report.add("total", True)
-    report.add("injective", len(set(images.values())) == len(images))
-    w_ok = all(
-        isinstance(img, CubeElem) == isinstance(e, CubeElem)
-        and (not isinstance(e, CubeElem)
-             or (img.sigma == e.sigma and img.sort == e.sort))
-        for e, img in images.items()
-    )
-    report.add("respects-W", w_ok)
-    by_string: dict[tuple, list[CubeElem]] = {}
-    for e in elems:
-        if isinstance(e, CubeElem):
-            by_string.setdefault((e.sigma, e.sort), []).append(e)
-    e_ok = True
-    p_ok = True
-    locus = ""
-    for (sigma, sort), group in by_string.items():
-        for e1 in group:
-            for e2 in group:
-                d0 = e1.fset ^ e2.fset
-                d1 = images[e1].fset ^ images[e2].fset
-                if (len(d0) == 1) != (len(d1) == 1) or (len(d0) == 1 and d0 != d1):
-                    e_ok = False
-                    locus = f"{format_elem(e1)},{format_elem(e2)}"
-        parent = (sigma[:-1], sort) if sigma else None
-        if parent in by_string:
-            for e1 in by_string[parent]:
-                for e2 in group:
-                    if holds_P(e1, e2) != holds_P(images[e1], images[e2]):
-                        p_ok = False
-                        locus = f"{format_elem(e1)},{format_elem(e2)}"
-    for e in elems:
-        if isinstance(e, UElem):
-            for other in elems:
-                if isinstance(other, CubeElem):
-                    if holds_P(e, other) != holds_P(images[e], images[other]):
-                        p_ok = False
-                        locus = f"u{e.k},{format_elem(other)}"
-    report.add("respects-E", e_ok, locus if not e_ok else "")
-    report.add("respects-P", p_ok, locus if not p_ok else "")
-    s_ok = True
-    for e in elems:
-        if not isinstance(e, CubeElem):
-            continue
-        if source.labels(e) != target.labels(images[e]):
-            s_ok = False
-            locus = format_elem(e)
-            break
-    report.add("respects-S", s_ok, locus if not s_ok else "")
-    return report
-
-
-def _check_iso_stream(g, source: Snapshot, adv: Adversary, horizon: int) -> Report:
-    """Check an extracted map against an adversary stream.
+    """Check a map from the source's elements into a fact source.
 
     The stream is positive-information only, so relation preservation is
     checked as: source-true facts must appear by the horizon (allowing the
     copy's enumeration lag), and stream facts among mapped elements must be
-    source-true.
+    source-true.  The cube elements checked are those a copy with ground
+    truth has enumerated by the horizon, else the source elements on strings
+    the stream has witnessed; in the two-sorted variant the u pair as well.
+    A target snapshot is read through `snapshot_view` at the source's stage,
+    with the map composed with the view's ids.
     """
+    if isinstance(target, Snapshot):
+        view = snapshot_view(target)
+        return check_isomorphism(lambda e: view.to_copy.get(g(e)), source, view, source.stage)
     report = Report()
-    stream = adv.stream
-    lag = adv.delay
+    stream = target.stream
+    lag = target.delay
     enumerated = stream.elements(horizon)
-    if adv.to_ground:
-        elems = [
-            adv.to_ground[x] for x in enumerated
-            if isinstance(adv.to_ground.get(x), CubeElem)
-        ]
+    if target.to_ground:
+        cube = [target.to_ground[x] for x in enumerated
+                if isinstance(target.to_ground.get(x), CubeElem)]
     else:
-        elems = [
-            e for e in source.elements()
-            if stream.witnesses_W(e.sigma, e.sort, horizon)
-        ]
-    images: dict[CubeElem, int] = {}
-    missing = [e for e in elems if g(e) is None]
+        cube = [e for e in source.elements() if stream.witnesses_W(e.sigma, e.sort, horizon)]
+    us = [UElem(0), UElem(1)] if source.variant == "dc" else []
+    images: dict[Elem, int] = {e: g(e) for e in us + cube}
+    missing = [e for e, x in images.items() if x is None]
     if missing:
         report.add("total", False, format_elem(missing[0]))
         return report
-    for e in elems:
-        images[e] = g(e)
     report.add("total", True)
     report.add(
         "injective",
@@ -366,10 +324,6 @@ def _check_iso_stream(g, source: Snapshot, adv: Adversary, horizon: int) -> Repo
     )
     covered = set(images.values())
     uncovered = [x for x in enumerated if x not in covered]
-    if adv.to_ground:
-        uncovered = [
-            x for x in uncovered if isinstance(adv.to_ground.get(x), CubeElem)
-        ]
     report.add(
         "covers-enumerated",
         not uncovered,
@@ -381,10 +335,10 @@ def _check_iso_stream(g, source: Snapshot, adv: Adversary, horizon: int) -> Repo
     p_ok = True
     locus: dict[str, str] = {}
     by_string: dict[tuple, list[CubeElem]] = {}
-    for e in elems:
+    for e in cube:
         by_string.setdefault((e.sigma, e.sort), []).append(e)
     label_bound = max(0, min(source.stage, horizon) - lag)
-    for e in elems:
+    for e in cube:
         x = images[e]
         if not stream.holds_within(("W", e.sigma, e.sort, x), horizon):
             w_ok = False
@@ -411,6 +365,11 @@ def _check_iso_stream(g, source: Snapshot, adv: Adversary, horizon: int) -> Repo
                     ):
                         p_ok = False
                         locus.setdefault("P", f"{format_elem(e1)}->{format_elem(e2)}")
+    for u in us:
+        for e in by_string.get(((), 0), []):
+            if holds_P(u, e) and not stream.holds_within(("P", images[u], images[e]), horizon):
+                p_ok = False
+                locus.setdefault("P", f"{format_elem(u)}->{format_elem(e)}")
     # Soundness: stream facts among mapped elements must be source-true.
     back = {x: e for e, x in images.items()}
     sound = True
@@ -418,16 +377,16 @@ def _check_iso_stream(g, source: Snapshot, adv: Adversary, horizon: int) -> Repo
         kind = fact[0]
         if kind == "W" and fact[3] in back:
             e = back[fact[3]]
-            if (fact[1], fact[2]) != (e.sigma, e.sort):
+            if isinstance(e, UElem) or (fact[1], fact[2]) != (e.sigma, e.sort):
                 sound = False
                 locus.setdefault("sound", f"W at {fact[3]}")
         elif kind == "S" and fact[2] in back:
-            if not source.store.has_label(fact[1], back[fact[2]]):
+            e = back[fact[2]]
+            if isinstance(e, UElem) or not source.has_label(fact[1], e):
                 sound = False
                 locus.setdefault("sound", f"S_{fact[1]} at {fact[2]}")
         elif kind == "E" and fact[2] in back and fact[3] in back:
-            e1, e2 = back[fact[2]], back[fact[3]]
-            if e1.fset ^ e2.fset != {fact[1]} or e1.sigma != e2.sigma or e1.sort != e2.sort:
+            if not holds_E(fact[1], back[fact[2]], back[fact[3]]):
                 sound = False
                 locus.setdefault("sound", f"E at {fact[2]},{fact[3]}")
         elif kind == "P" and fact[1] in back and fact[2] in back:

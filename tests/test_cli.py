@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +134,50 @@ def test_gen_adversary_then_run_from_file(tmp_path):
     cfg2 = write_config(tmp_path, file_cfg, name="config2.json")
     out = tmp_path / "out2"
     assert main(["run", "--config", str(cfg2), "--out", str(out)]) == 0
+
+
+SHIPPED_CC = Path(__file__).resolve().parents[1] / "configs" / "cc_faithful.json"
+
+
+@pytest.mark.parametrize("index", ["5", "-1"])
+def test_extract_adversary_out_of_range_exits_two(tmp_path, capsys, index):
+    assert main([
+        "extract", "--config", str(SHIPPED_CC), "--target", "isomorphism",
+        "--adversary", index, "--out", str(tmp_path / "iso.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--adversary" in err and "2 adversaries" in err
+
+
+def test_extract_unstable_matcher_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(CC_CONFIG, horizon=3))
+    assert main([
+        "extract", "--config", str(cfg), "--target", "isomorphism",
+        "--adversary", "0", "--out", str(tmp_path / "iso.json"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ExtractionStalled: no stable M0")
+
+
+@pytest.mark.parametrize("spec", ["3", "x@1", "3@a", "3@1,b", "1.5@0"])
+def test_malformed_omit_label_exits_two(tmp_path, capsys, spec):
+    cfg = write_config(tmp_path, CC_CONFIG)
+    assert main([
+        "gen-adversary", "--config", str(cfg), "--out", str(tmp_path / "copy.facts"),
+        "--omit-label", spec,
+    ]) == 2
+    assert capsys.readouterr().err == "error: --omit-label must be n@j1,j2,...\n"
+
+
+def test_omit_label_drops_one_label(tmp_path):
+    cfg = write_config(tmp_path, CC_CONFIG)
+    lines = {}
+    for spec in ("", "0@0"):
+        out = tmp_path / f"copy{spec}.facts"
+        assert main(["gen-adversary", "--config", str(cfg), "--out", str(out),
+                     "--omit-label", spec]) == 0
+        lines[spec] = set(out.read_text().splitlines())
+    assert lines["0@0"] < lines[""]
 
 
 def test_usage_errors_exit_two(tmp_path):

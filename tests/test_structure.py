@@ -2,27 +2,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cubetree.structure import (
-    CubeElem,
     LabelStore,
     Snapshot,
     UElem,
     UndefinedLabel,
     UniverseSchedule,
-    UnmatchedCarrier,
     VariantMismatch,
     birth_stage,
     elem,
-    export_long_form,
     format_elem,
     holds_E,
     holds_P,
     holds_W,
-    lift_isomorphism,
     parse_elem,
-    reduced_view,
     snapshot_from_declarations,
     strings_of_width,
 )
+from cubetree.verify import check_isomorphism
 
 
 def test_element_syntax_round_trip():
@@ -205,84 +201,45 @@ def test_variant_checks():
         dstore.grow((1,), None, 1)
 
 
-# -- long form ----------------------------------------------------------------
+# -- declared snapshots ------------------------------------------------------
 
 
-def ideal_snapshot():
+def ideal_snapshot(extra=(), drop=()):
     rows = [
         (1, 0, elem((), ())),
         (2, 0, elem((), (0,))),
         (3, 1, elem((), ())),
         (3, 0, elem({0}, ())),
     ]
+    rows = [row for row in rows if row not in drop] + list(extra)
     return snapshot_from_declarations(
         "cc", rows, [((), None), ((0,), None)], [frozenset(), frozenset({0})], 5
     )
 
 
-def test_long_form_allocates_in_declaration_order():
+# A map lifts to the carriers of the long form (one carrier per declaration
+# S_n(e), sent to the carrier of S_n(g(e))) exactly when the isomorphism check
+# finds every source label at the image (respects-S) and no other (sound).
+
+
+def test_carrier_lift_identity_passes():
     snap = ideal_snapshot()
-    long_form = export_long_form(snap)
-    assert long_form.carrier_count() == 4
-    assert long_form.f(0) == elem((), ())
-    assert long_form.V(0, 0) and not long_form.V(1, 0)
-    assert long_form.f(2) == elem((), ())
-    assert long_form.V(1, 2)
-    assert long_form.U(3) and not long_form.U(4)
+    report = check_isomorphism(lambda e: e, snap, snap)
+    assert report.ok, report.failures()
 
 
-def test_long_form_round_trip():
+def test_carrier_lift_missing_declaration_fails_respects_S():
     snap = ideal_snapshot()
-    long_form = export_long_form(snap)
-    assert reduced_view(long_form) == snap.declarations()
+    smaller = ideal_snapshot(drop=[(3, 1, elem((), ()))])
+    report = check_isomorphism(lambda e: e, snap, smaller)
+    assert [r.name for r in report.failures()] == ["respects-S"]
 
 
-def test_lift_isomorphism_identity():
+def test_carrier_lift_extra_declaration_fails_sound():
     snap = ideal_snapshot()
-    lf = export_long_form(snap)
-    mapping = lift_isomorphism(lambda e: e, lf, lf)
-    assert mapping == {0: 0, 1: 1, 2: 2, 3: 3}
-
-
-def test_lift_isomorphism_matches_by_label_and_target():
-    snap = ideal_snapshot()
-    lf = export_long_form(snap)
-    swap = {(): (0,), (0,): ()}
-
-    def g(e: CubeElem) -> CubeElem:
-        if e.fset == frozenset() and e.sigma in swap:
-            return CubeElem(e.fset, swap[e.sigma], e.sort)
-        return e
-
-    other_rows = [
-        (1, 0, elem((), (0,))),
-        (2, 0, elem((), ())),
-        (3, 1, elem((), (0,))),
-        (3, 0, elem({0}, ())),
-    ]
-    other = snapshot_from_declarations(
-        "cc", other_rows, [((), None), ((0,), None)], [frozenset(), frozenset({0})], 5
-    )
-    lf2 = export_long_form(other)
-    mapping = lift_isomorphism(g, lf, lf2)
-    # S_0 at the root maps to the other side's S_0 at the image string.
-    assert lf2.f(mapping[0]) == elem((), (0,))
-    assert lf2.V(0, mapping[0])
-
-
-def test_lift_isomorphism_unmatched():
-    snap = ideal_snapshot()
-    lf = export_long_form(snap)
-    smaller = snapshot_from_declarations(
-        "cc",
-        [(1, 0, elem((), ()))],
-        [((), None)],
-        [frozenset()],
-        5,
-    )
-    lf2 = export_long_form(smaller)
-    with pytest.raises(UnmatchedCarrier):
-        lift_isomorphism(lambda e: e, lf, lf2)
+    larger = ideal_snapshot(extra=[(4, 0, elem({0}, (0,)))])
+    report = check_isomorphism(lambda e: e, snap, larger)
+    assert [r.name for r in report.failures()] == ["sound"]
 
 
 def test_snapshot_dump_lines():
