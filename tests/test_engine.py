@@ -233,3 +233,38 @@ def test_first_fit_matches_on_path_scan(variant, config, monkeypatch):
     monkeypatch.setattr(module, "assign_type", checked)
     run_stages(config)
     assert len(typed) > 40
+
+
+# -- the universe record ---------------------------------------------------------
+
+def shipped(name):
+    return json.loads((Path(__file__).resolve().parent.parent / "configs" / name)
+                      .read_text(encoding="utf-8"))
+
+
+def universe_runs():
+    from test_acceptance import DC_MODULUS
+
+    return [
+        ("cc_faithful@80", dict(shipped("cc_faithful.json"), horizon=80)),
+        ("dc_diagonal@40", dict(DC_DIAGONAL, horizon=40)),
+        ("DC_MODULUS@120", dict(DC_MODULUS, horizon=120)),
+    ]
+
+
+@pytest.mark.parametrize("data", [d for _n, d in universe_runs()],
+                         ids=[n for n, _d in universe_runs()])
+def test_universe_strings_match_the_slice_formula(data):
+    """The stage-t slice is the width's base strings plus every chosen
+    string from its birth stage on, in ladder order."""
+    from cubetree.structure import birth_stage, ladder_key
+
+    result = run_stages(config_from_dict(data))
+    chosen = {sigma for sigma, _sort in result.chosen}
+    for t in range(result.horizon + 1):
+        expected = sorted(
+            set(result.schedule.base_strings(t))
+            | {sigma for sigma in chosen if birth_stage(sigma) <= t},
+            key=ladder_key,
+        )
+        assert result.universe_strings(t) == expected, t

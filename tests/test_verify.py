@@ -419,3 +419,91 @@ def test_one_checker_agrees_with_the_snapshot_reference():
                 old = reference_check_iso_snapshot(h, snap, target)
                 assert old.ok is expected, (snap.variant, label, old.failures())
                 assert new.ok is old.ok, (snap.variant, label, new.failures())
+
+
+# -- top-label definedness, checked once per string ------------------------------
+
+def reference_n_sigma_definedness(result):
+    """The whole slice at every stage: (ok, locus) of the first string with
+    no label on its empty vertex one stage after it is in the slice."""
+    from cubetree.structure import UndefinedLabel, format_string, sorts
+
+    for s in range(2, result.horizon + 1):
+        for sigma in result.universe_strings(s - 1):
+            for sort in sorts(result.variant):
+                try:
+                    result.store.n_sigma(sigma, sort, s)
+                except UndefinedLabel:
+                    return False, f"{format_string(sigma)} at stage {s}"
+    return True, ""
+
+
+def definedness(result):
+    from cubetree.verify import _check_n_sigma_definedness
+
+    report = Report()
+    _check_n_sigma_definedness(result, report)
+    (row,) = report.results
+    assert row.name == "top-label-defined"
+    return row.ok, row.locus
+
+
+def drop_declaration(monkeypatch, *ks):
+    """Make Engine.declare_base skip the k-th declarations that would add a label."""
+    from cubetree.engine import Engine
+
+    real = Engine.declare_base
+    seen = [0]
+
+    def declare_base(self, sigma, sort, stage):
+        if self.store.label_stamp(0, CubeElem(frozenset(), tuple(sigma), sort)) is None:
+            seen[0] += 1
+            if seen[0] in ks:
+                return
+        real(self, sigma, sort, stage)
+
+    monkeypatch.setattr(Engine, "declare_base", declare_base)
+
+
+@pytest.mark.parametrize("config", [
+    cc_config(horizon=40, adversaries=[faithful(delay=2)]),
+    dc_config(horizon=60, mothers=2, adversaries=[faithful(delay=2)],
+              functionals=[{"mother": 0, "round": 3, "kind": "length_threshold",
+                            "min_len": 3, "value": 0}]),
+], ids=["cc", "dc"])
+def test_definedness_agrees_with_the_slice_loop_on_clean_runs(config):
+    result = run_stages(config)
+    assert definedness(result) == reference_n_sigma_definedness(result) == (True, "")
+
+
+@pytest.mark.parametrize("k, locus", [
+    (2, "<3> at stage 5"), (5, "<5> at stage 7"), (30, "<3,15,15> at stage 17"),
+])
+def test_definedness_agrees_with_the_slice_loop_on_a_dropped_label(monkeypatch, k, locus):
+    from cubetree.config import config_from_dict
+    from test_acceptance import DC_MODULUS
+
+    drop_declaration(monkeypatch, k)
+    result = run_stages(config_from_dict(dict(DC_MODULUS, horizon=120)))
+    assert definedness(result) == reference_n_sigma_definedness(result) == (False, locus)
+
+
+def test_definedness_reports_the_first_entry_stage_not_the_first_string(monkeypatch):
+    # <0,0> comes first in ladder order but enters the slice at stage 12,
+    # after its birth, since the width reaches 3 only then; <3,9> enters at 10.
+    drop_declaration(monkeypatch, 20, 34)
+    result = run_stages(dc_config(horizon=30))
+    entry = {sigma: next(s for s in range(31) if sigma in result.universe_strings(s))
+             for sigma in [(0, 0), (3, 9)]}
+    assert entry == {(0, 0): 12, (3, 9): 10}
+    assert definedness(result) == reference_n_sigma_definedness(result) \
+        == (False, "<3,9> at stage 11")
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_definedness_agrees_with_the_slice_loop_on_a_dropped_cc_label(monkeypatch, k):
+    drop_declaration(monkeypatch, k)
+    result = run_stages(cc_config(horizon=30))
+    expected = reference_n_sigma_definedness(result)
+    assert not expected[0]
+    assert definedness(result) == expected
