@@ -230,12 +230,6 @@ class Adversary:
     delay: int = 0
     permutation: PermSpec | None = None
 
-    def ground_of(self, x: int) -> Elem | None:
-        return self.to_ground.get(x)
-
-    def copy_of(self, e: Elem) -> int | None:
-        return self.to_copy.get(e)
-
 
 class FaithfulGenerator:
     """Incrementally enumerates the ground structure as a fact stream.
@@ -325,23 +319,22 @@ class FaithfulGenerator:
         self,
         stage: int,
         store,
-        chosen_birth: dict[NatString, int],
+        universe: list[NatString],
         touched: set[StringKey],
     ) -> None:
-        """Reveal stage's new elements and declarations.  `touched` holds the
-        strings that grew this stage; only their old elements get fresh
-        labels."""
+        """Reveal stage's new elements and declarations.  `universe` is the
+        stage's slice in ladder order; `touched` holds the strings that grew
+        this stage, and only their old elements get fresh labels."""
         step = stage + self.delay
         sort_values = sorts(self.variant)
         to_copy = self.adversary.to_copy
         new_elems: list[Elem] = []
         if stage == 1 and self.variant == "dc":
             new_elems.extend(UElem(k) for k in (0, 1))
-        new_strings = sorted(self.schedule.slice(stage, chosen_birth) - self._strings,
-                             key=ladder_key)
+        new_strings = [t for t in universe if t not in self._strings]
         fsets = self.schedule.fsets(stage)
         new_fsets = [f for f in fsets if f not in self._fsets]
-        for sigma in sorted(self._strings, key=ladder_key) if new_fsets else ():
+        for sigma in (t for t in universe if t in self._strings) if new_fsets else ():
             for f in new_fsets:
                 for sort in sort_values:
                     new_elems.append(CubeElem(f, sigma, sort))
@@ -423,7 +416,8 @@ def make_faithful_copy(
         if isinstance(ev, GrowEvent):
             touched.setdefault(ev.stage, set()).add((ev.sigma, ev.sort))
     for stage in range(1, ground.horizon + 1):
-        gen.ingest(stage, ground.store, ground.chosen_birth, touched.get(stage, set()))
+        gen.ingest(stage, ground.store, ground.universe_strings(stage),
+                   touched.get(stage, set()))
     return gen.result()
 
 

@@ -69,14 +69,10 @@ def act(engine: Engine, node: Node, s: int) -> str:
 
 
 def act_G(engine: Engine, s: int) -> None:
-    """End of stage: base coverage of every unchosen string in the window."""
-    covered = engine.g_covered
-    for sigma in engine.schedule.base_strings(s):
-        if sigma in covered:
-            continue
-        covered.add(sigma)
-        if (sigma, None) not in engine.chosen:
-            engine.declare_base(sigma, None, s)
+    """End of stage: base coverage of every string entering the slice (a
+    chosen string already has its label)."""
+    for sigma in engine.entering(s):
+        engine.declare_base(sigma, None, s)
 
 
 def act_N(engine: Engine, node: Node, s: int) -> str:
@@ -215,12 +211,12 @@ def extract_isomorphism(
             and not stream.holds_within(("P", x, f[child]), horizon)
         )
         if mode == "ground" and adv.to_ground:
-            ge = adv.ground_of(x)
+            ge = adv.to_ground.get(x)
             if not isinstance(ge, CubeElem) or ge.sigma != sigma:
                 stalls.append(f"ground witness mismatch at {format_string(sigma)}")
                 continue
             target = CubeElem(ge.fset ^ frozenset(J), sigma, ge.sort)
-            y = adv.copy_of(target)
+            y = adv.to_copy.get(target)
             if y is None:
                 stalls.append(f"corrected witness not enumerated at {format_string(sigma)}")
                 continue

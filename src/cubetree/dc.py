@@ -220,14 +220,13 @@ def ordering_iter(config):
         h += 1
 
 
-def n_along(engine: Engine, addr, mother: Node) -> int:
-    """Largest n of a daughter of the given mother strictly below addr (0 if
-    none)."""
-    best = 0
-    want = (mother.req.r, mother.req.a)
+def daughter_coverage(engine: Engine, addr) -> dict[tuple[int, int], int]:
+    """Largest n of a daughter strictly below addr, per (slot, sort)."""
+    best: dict[tuple[int, int], int] = {}
     for nd in engine.path_nodes(addr):
-        if isinstance(nd.req, ReqDaughter) and (nd.req.r, nd.req.a) == want:
-            best = max(best, nd.req.n)
+        if isinstance(nd.req, ReqDaughter):
+            key = (nd.req.r, nd.req.a)
+            best[key] = max(best.get(key, 0), nd.req.n)
     return best
 
 
@@ -248,7 +247,8 @@ def blocking_report(engine: Engine, addr) -> dict:
     """Blocking data visible from a candidate position: per-mother daughter
     coverage, and the daughter types frozen diagonalizers rule out."""
     mothers = [nd for nd in engine.path_nodes(addr) if isinstance(nd.req, ReqMother)]
-    coverage = {nd.addr: n_along(engine, addr, nd) for nd in mothers}
+    covered = daughter_coverage(engine, addr)
+    coverage = {nd.addr: covered.get((nd.req.r, nd.req.a), 0) for nd in mothers}
     blocked: set[ReqDaughter] = set()
     min_clearance: dict[tuple, int] = {}
     for u in frozen_us_on_path(engine, addr):
@@ -291,11 +291,7 @@ def act_G(engine: Engine, s: int) -> None:
     slice with the base label on both sorts."""
     engine.grow((), 0, s, chooser=None)
     engine.grow((), 1, s, chooser=None)
-    covered = engine.g_covered
-    for sigma in engine.universe_strings(s):
-        if sigma in covered:
-            continue
-        covered.add(sigma)
+    for sigma in engine.entering(s):
         for a in (0, 1):
             engine.declare_base(sigma, a, s)
 
@@ -423,9 +419,10 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
             }
             st["ell"] = max(len(p) for p in oracle)
             blocks: set[ReqDaughter] = set()
+            covered = daughter_coverage(engine, node.addr)
             for psi_addr in st["C"]:
                 psi = engine.nodes[psi_addr]
-                low = n_along(engine, node.addr, psi)
+                low = covered.get((psi.req.r, psi.req.a), 0)
                 high = len(st["stolen"][psi_addr])
                 for n in range(low + 1, high):
                     blocks.add(ReqDaughter(psi.req.r, n, psi.req.a))

@@ -10,6 +10,7 @@ through the variant hooks.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -122,7 +123,6 @@ def format_addr(addr: Addr) -> str:
 class Node:
     addr: Addr
     req: Requirement | None = None
-    typed_at: int | None = None
     state: dict = field(default_factory=dict)
     visits: list[int] = field(default_factory=list)
     outcomes: list[tuple[int, str]] = field(default_factory=list)
@@ -154,7 +154,9 @@ class Engine:
         self.trace: list[tuple] = []
         self.watermark = 0
         self.chosen: dict[StringKey, list[tuple[Addr, int]]] = {}
-        self.chosen_birth: dict[NatString, int] = {}
+        # Every string that has entered the slice, in ladder order, and when.
+        self.universe: list[NatString] = []
+        self.entered: dict[NatString, int] = {}
         self._stage_touched: set[StringKey] = set()
         self.zprime: dict[int, int] = {}
         self._witness_next = config.witness_base
@@ -168,11 +170,9 @@ class Engine:
             raise ConfigError(f"unknown variant {self.variant!r}")
         self.strat = strat
         strat.validate_config(config)
-        # Strategy state shared across nodes: the priority order drawn so
-        # far, and the strings the global strategy has covered.
+        # The priority order drawn so far, shared across nodes.
         self.ordering: list[Requirement] = []
         self._ordering_rest = strat.ordering_iter(config)
-        self.g_covered: set[NatString] = set()
         self.adversaries: list[Adversary] = []
         self._generators: list[FaithfulGenerator | None] = []
         for spec in config.adversaries:
@@ -238,16 +238,25 @@ class Engine:
             if not any(a == chooser.addr for a, _ in records):
                 records.append((chooser.addr, stage))
                 self.emit("choose", stage, chooser, sigma, sort)
-                if sigma not in self.chosen_birth:
-                    self.chosen_birth[sigma] = birth_stage(sigma)
+                # Strings are chosen before birth, so this is their entry.
+                self._enter(sigma, birth_stage(sigma))
 
     def declare_base(self, sigma: NatString, sort: int | None, stage: int) -> None:
         if self.store.declare(0, CubeElem(frozenset(), tuple(sigma), sort), stage):
             self.emit("gdecl", stage, tuple(sigma), sort)
 
+    def _enter(self, sigma: NatString, stage: int) -> None:
+        if sigma not in self.entered:
+            self.entered[sigma] = stage
+            insort(self.universe, sigma, key=ladder_key)
+
     def universe_strings(self, s: int) -> list[NatString]:
         """The stage-s slice of omega^{<omega} in ladder order."""
-        return sorted(self.schedule.slice(s, self.chosen_birth), key=ladder_key)
+        return [t for t in self.universe if self.entered[t] <= s]
+
+    def entering(self, s: int) -> list[NatString]:
+        """The strings that enter the slice at stage s, in ladder order."""
+        return [t for t in self.universe if self.entered[t] == s]
 
     def keys_chosen_below(self, prefix: Addr) -> set[StringKey]:
         """The keys chosen by a strategy at prefix or below it."""
@@ -286,6 +295,8 @@ class Engine:
             self.mention(s)
             self.emit("stage", s)
             self.emit("window", s, self.schedule.width(s), self.schedule.f_width(s))
+            for sigma in self.schedule.base_strings(s):
+                self._enter(sigma, s)
             addr: Addr = ()
             self._current_path = []
             self._path_reqs = set()
@@ -293,7 +304,6 @@ class Engine:
                 node = self.node_at(addr)
                 if node.req is None:
                     node.req = self.strat.assign_type(self, node, s)
-                    node.typed_at = s
                     self.emit("typed", s, node, req_label(node.req))
                 node.visits.append(s)
                 self.emit("visit", s, node, req_label(node.req))
@@ -307,7 +317,7 @@ class Engine:
             self.strat.act_G(self, s)
             for gen in self._generators:
                 if gen is not None:
-                    gen.ingest(s, self.store, self.chosen_birth, self._stage_touched)
+                    gen.ingest(s, self.store, self.universe_strings(s), self._stage_touched)
             self._stage_touched = set()
         return self
 

@@ -27,8 +27,6 @@ from typing import NamedTuple
 
 NatString = tuple[int, ...]
 
-ROOT: NatString = ()
-
 
 class VariantMismatch(ValueError):
     """Element or query does not fit the structure variant."""
@@ -184,11 +182,6 @@ class UniverseSchedule:
 
     def base_strings(self, s: int) -> list[NatString]:
         return strings_of_width(self.width(s))
-
-    def slice(self, s: int, chosen_birth: dict[NatString, int]) -> set[NatString]:
-        """The stage-s slice of omega^{<omega}, unordered: the breadth-covered
-        base plus every chosen string past its birth stage."""
-        return {*self.base_strings(s), *(t for t, b in chosen_birth.items() if b <= s)}
 
     def fsets(self, s: int) -> list[frozenset[int]]:
         return fsets_over(range(self.f_width(s)))
@@ -356,9 +349,6 @@ class Snapshot:
 
     def labels(self, e: CubeElem) -> list[int]:
         return self.store.labels(e, upto=self.stage)
-
-    def n_sigma(self, sigma: NatString, sort: int | None = None) -> int:
-        return self.store.n_sigma(sigma, sort, self.stage + 1)
 
     def declarations(self) -> list[tuple[int, int, CubeElem]]:
         """Expanded (stamp, n, element) rows within the window, in event

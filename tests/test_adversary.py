@@ -111,7 +111,7 @@ def tiny_ground(variant="cc", horizon=6):
     g.schedule = sched
     g.horizon = horizon
     g.store = store
-    g.chosen_birth = {}
+    g.universe_strings = sched.base_strings
     for s in range(1, horizon + 1):
         for sort in sorts:
             store.grow((), sort, s)

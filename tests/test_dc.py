@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from conftest import dc_config, faithful
 
 from cubetree import dc
+from cubetree.config import config_from_dict
 from cubetree.engine import ReqDaughter, ReqMother, ReqU, req_label, run_stages, true_path_approx
 from cubetree.structure import elem
 
@@ -380,3 +384,30 @@ def test_every_unblocked_type_reaches_the_true_path():
         prefix.append(next(it))
     for req in prefix:
         assert req in on_path or req in blocked, req
+
+
+def reference_n_along(engine, addr, mother):
+    """Largest n of a daughter of the given mother strictly below addr (0 if
+    none), one path walk per mother."""
+    best = 0
+    want = (mother.req.r, mother.req.a)
+    for nd in engine.path_nodes(addr):
+        if isinstance(nd.req, ReqDaughter) and (nd.req.r, nd.req.a) == want:
+            best = max(best, nd.req.n)
+    return best
+
+
+def test_daughter_coverage_agrees_with_one_walk_per_mother():
+    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                       / "dc_diagonal.json").read_text(encoding="utf-8"))
+    result = run_stages(config_from_dict(dict(data, horizon=80)))
+    assert any(u.state.get("frozen") for u in nodes_of(result, ReqU))
+    compared = 0
+    for addr in result.nodes:
+        covered = dc.daughter_coverage(result, addr)
+        for mother in result.path_nodes(addr):
+            if isinstance(mother.req, ReqMother):
+                assert covered.get((mother.req.r, mother.req.a), 0) \
+                    == reference_n_along(result, addr, mother)
+                compared += 1
+    assert compared > 1000

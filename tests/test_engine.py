@@ -256,11 +256,13 @@ def universe_runs():
                          ids=[n for n, _d in universe_runs()])
 def test_universe_strings_match_the_slice_formula(data):
     """The stage-t slice is the width's base strings plus every chosen
-    string from its birth stage on, in ladder order."""
+    string from its birth stage on, in ladder order; the strings entering
+    at t are those of the stage-t slice missing from the stage t-1 one."""
     from cubetree.structure import birth_stage, ladder_key
 
     result = run_stages(config_from_dict(data))
     chosen = {sigma for sigma, _sort in result.chosen}
+    previous = set()
     for t in range(result.horizon + 1):
         expected = sorted(
             set(result.schedule.base_strings(t))
@@ -268,3 +270,6 @@ def test_universe_strings_match_the_slice_formula(data):
             key=ladder_key,
         )
         assert result.universe_strings(t) == expected, t
+        assert result.entering(t) == [sigma for sigma in expected
+                                      if sigma not in previous], t
+        previous = set(expected)
