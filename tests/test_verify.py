@@ -2,12 +2,15 @@ import pytest
 
 from conftest import cc_config, dc_config, faithful
 
+from cubetree.adversary import Adversary, FactStream
 from cubetree.engine import run_stages, true_path_approx
 from cubetree.structure import (
     CubeElem,
+    Snapshot,
     UElem,
     elem,
     format_elem,
+    holds_E,
     holds_P,
     snapshot_from_declarations,
 )
@@ -324,6 +327,130 @@ def reference_check_iso_snapshot(g, source, target):
     return report
 
 
+def reference_snapshot_view(snap):
+    """The snapshot view with a colour, parent and u-pair loop of its own,
+    kept as the reference for `true_facts`."""
+    us = [UElem(0), UElem(1)] if snap.variant == "dc" else []
+    cube = snap.elements()
+    ids = {e: x for x, e in enumerate(us + cube)}
+    view = Adversary(FactStream(), to_copy=ids)
+    facts = []
+    colors = set().union(*snap.fsets)
+    for e in cube:
+        x = ids[e]
+        facts.append(("W", e.sigma, e.sort, x))
+        facts.extend(("S", n, x) for n in snap.labels(e))
+        for i in colors:
+            y = ids.get(CubeElem(e.fset ^ {i}, e.sigma, e.sort))
+            if y is not None:
+                facts.append(("E", i, x, y))
+        parents = [CubeElem(f, e.sigma[:-1], e.sort) for f in snap.fsets] if e.sigma else us
+        facts.extend(("P", ids[p], x) for p in parents if p in ids and holds_P(p, e))
+    for fact in facts:
+        view.stream.append(0, fact)
+    return view
+
+
+def reference_check_isomorphism(g, source, target, horizon=None):
+    """The checker with a completeness loop per fact kind and a soundness
+    test per kind, kept as the reference the shared enumeration replaced."""
+    if isinstance(target, Snapshot):
+        view = reference_snapshot_view(target)
+        return reference_check_isomorphism(
+            lambda e: view.to_copy.get(g(e)), source, view, source.stage)
+    report = Report()
+    stream = target.stream
+    lag = target.delay
+    enumerated = stream.elements(horizon)
+    if target.to_ground:
+        cube = [target.to_ground[x] for x in enumerated
+                if isinstance(target.to_ground.get(x), CubeElem)]
+    else:
+        cube = [e for e in source.elements() if stream.witnesses_W(e.sigma, e.sort, horizon)]
+    us = [UElem(0), UElem(1)] if source.variant == "dc" else []
+    images = {e: g(e) for e in us + cube}
+    missing = [e for e, x in images.items() if x is None]
+    if missing:
+        report.add("total", False, format_elem(missing[0]))
+        return report
+    report.add("total", True)
+    report.add("injective", len(set(images.values())) == len(images))
+    covered = set(images.values())
+    uncovered = [x for x in enumerated if x not in covered]
+    report.add("covers-enumerated", not uncovered,
+               f"{len(uncovered)} elements uncovered" if uncovered else "")
+    w_ok = s_ok = e_ok = p_ok = True
+    locus = {}
+    by_string = {}
+    for e in cube:
+        by_string.setdefault((e.sigma, e.sort), []).append(e)
+    label_bound = max(0, min(source.stage, horizon) - lag)
+    for e in cube:
+        x = images[e]
+        if not stream.holds_within(("W", e.sigma, e.sort, x), horizon):
+            w_ok = False
+            locus.setdefault("W", format_elem(e))
+        for n in source.store.labels(e, upto=label_bound):
+            if not stream.holds_within(("S", n, x), horizon):
+                s_ok = False
+                locus.setdefault("S", f"S_{n} {format_elem(e)}")
+    for (sigma, sort), group in by_string.items():
+        for e1 in group:
+            for e2 in group:
+                diff = e1.fset ^ e2.fset
+                if len(diff) == 1:
+                    i = next(iter(diff))
+                    if not stream.holds_within(("E", i, images[e1], images[e2]), horizon):
+                        e_ok = False
+                        locus.setdefault("E", f"{format_elem(e1)}-{format_elem(e2)}")
+        parent = (sigma[:-1], sort) if sigma else None
+        if parent in by_string:
+            for e1 in by_string[parent]:
+                for e2 in group:
+                    if holds_P(e1, e2) and not stream.holds_within(
+                        ("P", images[e1], images[e2]), horizon
+                    ):
+                        p_ok = False
+                        locus.setdefault("P", f"{format_elem(e1)}->{format_elem(e2)}")
+    for u in us:
+        for e in by_string.get(((), 0), []):
+            if holds_P(u, e) and not stream.holds_within(("P", images[u], images[e]), horizon):
+                p_ok = False
+                locus.setdefault("P", f"{format_elem(u)}->{format_elem(e)}")
+    back = {x: e for e, x in images.items()}
+    sound = True
+    for _step, fact in stream.facts_within(horizon):
+        kind = fact[0]
+        if kind == "W" and fact[3] in back:
+            e = back[fact[3]]
+            if isinstance(e, UElem) or (fact[1], fact[2]) != (e.sigma, e.sort):
+                sound = False
+                locus.setdefault("sound", f"W at {fact[3]}")
+        elif kind == "S" and fact[2] in back:
+            e = back[fact[2]]
+            if isinstance(e, UElem) or not source.has_label(fact[1], e):
+                sound = False
+                locus.setdefault("sound", f"S_{fact[1]} at {fact[2]}")
+        elif kind == "E" and fact[2] in back and fact[3] in back:
+            if not holds_E(fact[1], back[fact[2]], back[fact[3]]):
+                sound = False
+                locus.setdefault("sound", f"E at {fact[2]},{fact[3]}")
+        elif kind == "P" and fact[1] in back and fact[2] in back:
+            if not holds_P(back[fact[1]], back[fact[2]]):
+                sound = False
+                locus.setdefault("sound", f"P at {fact[1]},{fact[2]}")
+    report.add("respects-W", w_ok, locus.get("W", ""))
+    report.add("respects-S", s_ok, locus.get("S", ""))
+    report.add("respects-E", e_ok, locus.get("E", ""))
+    report.add("respects-P", p_ok, locus.get("P", ""))
+    report.add("sound", sound, locus.get("sound", ""))
+    return report
+
+
+def verdicts(report):
+    return [(r.name, r.ok) for r in report.results]
+
+
 def built_automorphism_cases():
     """(snapshot, named correct maps) over cc and dc ideal tree snapshots."""
     identity = ("identity", lambda e: e)
@@ -419,6 +546,43 @@ def test_one_checker_agrees_with_the_snapshot_reference():
                 old = reference_check_iso_snapshot(h, snap, target)
                 assert old.ok is expected, (snap.variant, label, old.failures())
                 assert new.ok is old.ok, (snap.variant, label, new.failures())
+                ref = reference_check_isomorphism(h, snap, target)
+                assert verdicts(new) == verdicts(ref), (snap.variant, label)
+
+
+def stream_mutations(extracted):
+    """The extracted map, that map with the images of two elements swapped,
+    and that map with one element sent to another's image."""
+    table = extracted.source_to_copy
+    a, b = sorted(table, key=lambda e: table[e])[:2]
+    swapped = table | {a: table[b], b: table[a]}
+    merged = table | {b: table[a]}
+    return [("extracted", extracted), ("two images swapped", swapped.get),
+            ("one image shared", merged.get)]
+
+
+@pytest.mark.parametrize("horizon", [31, 62, 80])
+def test_one_checker_agrees_with_the_reference_on_stream_targets(horizon):
+    """On each adversary of the shipped cc config, every result name gets the
+    reference's verdict for the extracted map and two broken versions of it."""
+    from cubetree import cc
+    from cubetree.config import load_config
+    from dataclasses import replace
+    from pathlib import Path
+
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "cc_faithful.json")
+    result = run_stages(replace(config, horizon=horizon))
+    entries = true_path_approx(result, threshold=3)
+    snap = result.snapshot()
+    seen = set()
+    for idx, adv in enumerate(result.adversaries):
+        for label, g in stream_mutations(cc.extract_isomorphism(result, entries, idx)):
+            new = check_isomorphism(g, snap, adv, horizon)
+            ref = reference_check_isomorphism(g, snap, adv, horizon)
+            assert verdicts(new) == verdicts(ref), (idx, label)
+            seen.add((label, ref.ok))
+    assert seen == {("extracted", True), ("two images swapped", False),
+                    ("one image shared", False)}
 
 
 # -- top-label definedness, checked once per string ------------------------------
