@@ -45,20 +45,6 @@ class _Hole:
 HOLE = _Hole()
 
 
-def fact_args(fact: Fact) -> tuple[int, ...]:
-    """Element arguments of a fact."""
-    kind = fact[0]
-    if kind == "W":
-        return (fact[3],)
-    if kind == "S":
-        return (fact[2],)
-    if kind == "E":
-        return (fact[2], fact[3])
-    if kind == "P":
-        return (fact[1], fact[2])
-    raise ValueError(f"unknown fact kind {kind!r}")
-
-
 def format_fact(step: int, fact: Fact) -> str:
     kind = fact[0]
     if kind == "W":
@@ -77,6 +63,8 @@ def format_fact(step: int, fact: Fact) -> str:
 
 # Whitespace-separated fields of a fact line, step and kind included.
 FACT_FIELDS = {"W": 5, "S": 4, "E": 5, "P": 4}
+# Index of a fact's first element argument: the elements are fact[k:].
+FACT_ARG0 = {"W": 3, "S": 2, "E": 2, "P": 1}
 
 
 def parse_fact_line(line: str) -> tuple[int, Fact]:
@@ -112,7 +100,7 @@ class FactStream:
         if fact in self._first:
             return  # duplicate enumeration keeps the earliest stamp
         self._first[fact] = step
-        for x in fact_args(fact):
+        for x in fact[FACT_ARG0[fact[0]]:]:
             self._age.setdefault(x, step)
         if fact[0] == "W":
             self._w_index.setdefault((fact[1], fact[2]), []).append(fact[3])

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .adversary import Defect, PermSpec
-from .structure import UniverseSchedule
+from .structure import UniverseSchedule, sorts
 from .trees import TestTree, tree_from_lists
 
 
@@ -134,7 +134,17 @@ def parse_permutation(data, where: str) -> PermSpec:
     raise ConfigError(f"unknown permutation kind {kind!r}")
 
 
-def parse_defect(data, where: str) -> Defect:
+def parse_sort(data: dict, where: str, variant: str) -> int | None:
+    """data["sort"]: absent, null or a sort of the variant."""
+    sort = data.get("sort")
+    if sort is not None and (type(sort) is not int or sort not in sorts(variant)):
+        valid = ["null", *(str(a) for a in sorts(variant) if a is not None)]
+        raise ConfigError(f"{where}.sort must be {' or '.join(valid)} in a {variant} "
+                          f"config, got {sort!r}")
+    return sort
+
+
+def parse_defect(data, where: str, variant: str) -> Defect:
     kind = required(as_object(data, where), "kind", where)
     if kind == "omit_label":
         only_keys(data, where, "kind", "n", "sigma", "sort")
@@ -142,7 +152,7 @@ def parse_defect(data, where: str) -> Defect:
             "omit_label",
             n=read_int(data, "n", where),
             sigma=naturals(required(data, "sigma", where), f"{where}.sigma"),
-            sort=data.get("sort"),
+            sort=parse_sort(data, where, variant),
         )
     if kind == "break_p":
         only_keys(data, where, "kind", "sigma", "j", "sort")
@@ -150,7 +160,7 @@ def parse_defect(data, where: str) -> Defect:
             "break_p",
             sigma=naturals(required(data, "sigma", where), f"{where}.sigma"),
             j=read_int(data, "j", where),
-            sort=data.get("sort"),
+            sort=parse_sort(data, where, variant),
         )
     if kind == "freeze_after":
         only_keys(data, where, "kind", "step")
@@ -158,7 +168,7 @@ def parse_defect(data, where: str) -> Defect:
     raise ConfigError(f"unknown defect kind {kind!r}")
 
 
-def parse_adversary(data, index: int, base_dir) -> AdvSpec:
+def parse_adversary(data, index: int, base_dir, variant: str) -> AdvSpec:
     where = f"adversaries[{index}]"
     kind = as_object(data, where).get("kind", "faithful")
     label = data.get("label", f"adv{index}")
@@ -169,7 +179,7 @@ def parse_adversary(data, index: int, base_dir) -> AdvSpec:
             label=label,
             permutation=parse_permutation(data.get("permutation"), f"{where}.permutation"),
             delay=at_least(data.get("delay", 1), 0, f"{where}.delay"),
-            defects=tuple(parse_defect(d, f"{where}.defects[{j}]") for j, d
+            defects=tuple(parse_defect(d, f"{where}.defects[{j}]", variant) for j, d
                           in enumerate(as_list(data.get("defects", []), f"{where}.defects"))),
         )
     if kind == "file":
@@ -231,10 +241,11 @@ def config_from_dict(data: dict, base_dir=None) -> RunConfig:
     if variant not in ("cc", "dc"):
         raise ConfigError(f"variant must be 'cc' or 'dc', got {variant!r}")
     horizon = at_least(data.get("horizon", 0), 1, "horizon")
-    adversaries = tuple(parse_adversary(d, i, base_dir) for i, d
+    adversaries = tuple(parse_adversary(d, i, base_dir, variant) for i, d
                         in enumerate(as_list(data.get("adversaries", []), "adversaries")))
     tp = as_object(data.get("true_path", {}), "true_path")
     only_keys(tp, "true_path", "threshold", "window")
+    window = tp.get("window")
     phi = dc.phi_from_dict(data["phi"]) if "phi" in data else None
     functionals = tuple(parse_functional(d, f"functionals[{i}]") for i, d
                         in enumerate(as_list(data.get("functionals", []), "functionals")))
@@ -249,7 +260,7 @@ def config_from_dict(data: dict, base_dir=None) -> RunConfig:
         functionals=functionals,
         witness_base=read_int(data, "witness_base", "", 1_000_000),
         tp_threshold=read_int(tp, "threshold", "true_path", 3),
-        tp_window=tp.get("window"),
+        tp_window=None if window is None else at_least(window, 1, "true_path.window"),
         raw=canonical_json(data),
     )
 

@@ -10,9 +10,10 @@ approximation, and the trace invariant suite.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .adversary import Adversary, FactStream
+from .adversary import FACT_ARG0, Adversary, Fact, FactStream
 from .engine import (
     ReqM,
     ReqN,
@@ -26,11 +27,11 @@ from .structure import (
     Elem,
     NatString,
     Snapshot,
+    StringKey,
     UElem,
     UndefinedLabel,
     format_elem,
     format_string,
-    holds_E,
     holds_P,
     sorts,
 )
@@ -261,28 +262,54 @@ def ideal_tree_snapshot(
 # ---------------------------------------------------------------------------
 # Isomorphism checking.
 
+def true_facts(elems: list[Elem], labels) -> Iterator[Fact]:
+    """The W, S, E and P facts that hold among `elems`, each element named
+    by its index there.  Per cube element in order: W, then S_n for each n
+    in `labels(e)`, then E to each neighbour in `elems`, then P from each
+    parent in `elems` (the u pair for a sort-0 root)."""
+    by_string: dict[StringKey, dict[frozenset[int], int]] = {}
+    us = []
+    for x, e in enumerate(elems):
+        if isinstance(e, UElem):
+            us.append(x)
+        else:
+            by_string.setdefault((e.sigma, e.sort), {})[e.fset] = x
+    colors = sorted(set().union(*(f for group in by_string.values() for f in group)))
+    for x, e in enumerate(elems):
+        if isinstance(e, UElem):
+            continue
+        yield ("W", e.sigma, e.sort, x)
+        for n in labels(e):
+            yield ("S", n, x)
+        group = by_string[(e.sigma, e.sort)]
+        for i in colors:
+            y = group.get(e.fset ^ {i})
+            if y is not None:
+                yield ("E", i, x, y)
+        parents = by_string.get((e.sigma[:-1], e.sort), {}).values() if e.sigma else us
+        for y in parents:
+            if holds_P(elems[y], e):
+                yield ("P", y, x)
+
+
+def _map_fact(fact: Fact, m) -> Fact | None:
+    """The fact with each element argument x replaced by m[x]; None when m
+    lacks one."""
+    k = FACT_ARG0[fact[0]]
+    try:
+        return fact[:k] + tuple(m[x] for x in fact[k:])
+    except KeyError:
+        return None
+
+
 def snapshot_view(snap: Snapshot) -> Adversary:
     """A snapshot as a fact source with lag 0.  Each window element gets an
     id in `to_copy`, the u pair first in the two-sorted variant, and every W,
     S, E and P fact among those ids is enumerated at step 0.  It has no
     `to_ground`, so a check against it takes its elements from the source."""
-    us = [UElem(0), UElem(1)] if snap.variant == "dc" else []
-    cube = snap.elements()
-    ids = {e: x for x, e in enumerate(us + cube)}
-    view = Adversary(FactStream(), to_copy=ids)
-    facts = []
-    colors = set().union(*snap.fsets)
-    for e in cube:
-        x = ids[e]
-        facts.append(("W", e.sigma, e.sort, x))
-        facts.extend(("S", n, x) for n in snap.labels(e))
-        for i in colors:
-            y = ids.get(CubeElem(e.fset ^ {i}, e.sigma, e.sort))
-            if y is not None:
-                facts.append(("E", i, x, y))
-        parents = [CubeElem(f, e.sigma[:-1], e.sort) for f in snap.fsets] if e.sigma else us
-        facts.extend(("P", ids[p], x) for p in parents if p in ids and holds_P(p, e))
-    for fact in facts:
+    elems = ([UElem(0), UElem(1)] if snap.variant == "dc" else []) + snap.elements()
+    view = Adversary(FactStream(), to_copy={e: x for x, e in enumerate(elems)})
+    for fact in true_facts(elems, snap.labels):
         view.stream.append(0, fact)
     return view
 
@@ -304,100 +331,48 @@ def check_isomorphism(g, source: Snapshot, target, horizon: int | None = None) -
         return check_isomorphism(lambda e: view.to_copy.get(g(e)), source, view, source.stage)
     report = Report()
     stream = target.stream
-    lag = target.delay
     enumerated = stream.elements(horizon)
     if target.to_ground:
         cube = [target.to_ground[x] for x in enumerated
                 if isinstance(target.to_ground.get(x), CubeElem)]
     else:
         cube = [e for e in source.elements() if stream.witnesses_W(e.sigma, e.sort, horizon)]
-    us = [UElem(0), UElem(1)] if source.variant == "dc" else []
-    images: dict[Elem, int] = {e: g(e) for e in us + cube}
-    missing = [e for e, x in images.items() if x is None]
-    if missing:
-        report.add("total", False, format_elem(missing[0]))
+    elems = ([UElem(0), UElem(1)] if source.variant == "dc" else []) + cube
+    images = [g(e) for e in elems]
+    if None in images:
+        report.add("total", False, format_elem(elems[images.index(None)]))
         return report
     report.add("total", True)
-    report.add(
-        "injective",
-        len(set(images.values())) == len(images),
-    )
-    covered = set(images.values())
+    covered = set(images)
+    report.add("injective", len(covered) == len(images))
     uncovered = [x for x in enumerated if x not in covered]
     report.add(
         "covers-enumerated",
         not uncovered,
         f"{len(uncovered)} elements uncovered" if uncovered else "",
     )
-    w_ok = True
-    s_ok = True
-    e_ok = True
-    p_ok = True
+    # Completeness: each true fact, its labels due by the lag, holds at the images.
     locus: dict[str, str] = {}
-    by_string: dict[tuple, list[CubeElem]] = {}
-    for e in cube:
-        by_string.setdefault((e.sigma, e.sort), []).append(e)
-    label_bound = max(0, min(source.stage, horizon) - lag)
-    for e in cube:
-        x = images[e]
-        if not stream.holds_within(("W", e.sigma, e.sort, x), horizon):
-            w_ok = False
-            locus.setdefault("W", format_elem(e))
-        for n in source.store.labels(e, upto=label_bound):
-            if not stream.holds_within(("S", n, x), horizon):
-                s_ok = False
-                locus.setdefault("S", f"S_{n} {format_elem(e)}")
-    for (sigma, sort), group in by_string.items():
-        for e1 in group:
-            for e2 in group:
-                diff = e1.fset ^ e2.fset
-                if len(diff) == 1:
-                    i = next(iter(diff))
-                    if not stream.holds_within(("E", i, images[e1], images[e2]), horizon):
-                        e_ok = False
-                        locus.setdefault("E", f"{format_elem(e1)}-{format_elem(e2)}")
-        parent = (sigma[:-1], sort) if sigma else None
-        if parent in by_string:
-            for e1 in by_string[parent]:
-                for e2 in group:
-                    if holds_P(e1, e2) and not stream.holds_within(
-                        ("P", images[e1], images[e2]), horizon
-                    ):
-                        p_ok = False
-                        locus.setdefault("P", f"{format_elem(e1)}->{format_elem(e2)}")
-    for u in us:
-        for e in by_string.get(((), 0), []):
-            if holds_P(u, e) and not stream.holds_within(("P", images[u], images[e]), horizon):
-                p_ok = False
-                locus.setdefault("P", f"{format_elem(u)}->{format_elem(e)}")
-    # Soundness: stream facts among mapped elements must be source-true.
-    back = {x: e for e, x in images.items()}
-    sound = True
-    for step, fact in stream.facts_within(horizon):
-        kind = fact[0]
-        if kind == "W" and fact[3] in back:
-            e = back[fact[3]]
-            if isinstance(e, UElem) or (fact[1], fact[2]) != (e.sigma, e.sort):
-                sound = False
-                locus.setdefault("sound", f"W at {fact[3]}")
-        elif kind == "S" and fact[2] in back:
-            e = back[fact[2]]
-            if isinstance(e, UElem) or not source.has_label(fact[1], e):
-                sound = False
-                locus.setdefault("sound", f"S_{fact[1]} at {fact[2]}")
-        elif kind == "E" and fact[2] in back and fact[3] in back:
-            if not holds_E(fact[1], back[fact[2]], back[fact[3]]):
-                sound = False
-                locus.setdefault("sound", f"E at {fact[2]},{fact[3]}")
-        elif kind == "P" and fact[1] in back and fact[2] in back:
-            if not holds_P(back[fact[1]], back[fact[2]]):
-                sound = False
-                locus.setdefault("sound", f"P at {fact[1]},{fact[2]}")
-    report.add("respects-W", w_ok, locus.get("W", ""))
-    report.add("respects-S", s_ok, locus.get("S", ""))
-    report.add("respects-E", e_ok, locus.get("E", ""))
-    report.add("respects-P", p_ok, locus.get("P", ""))
-    report.add("sound", sound, locus.get("sound", ""))
+    label_bound = max(0, min(source.stage, horizon) - target.delay)
+    due = true_facts(elems, lambda e: source.store.labels(e, upto=label_bound))
+    for fact in due:
+        if fact[0] not in locus and not stream.holds_within(_map_fact(fact, images), horizon):
+            names = [format_elem(elems[x]) for x in fact[FACT_ARG0[fact[0]]:]]
+            head = f"S_{fact[1]} " if fact[0] == "S" else ""
+            locus[fact[0]] = head + ("-" if fact[0] == "E" else "->").join(names)
+    # Soundness: each stream fact among the images pulls back to a true fact.
+    truth = set(true_facts(elems, source.labels))
+    back = {x: k for k, x in enumerate(images)}
+    for _step, fact in stream.facts_within(horizon):
+        pulled = _map_fact(fact, back)
+        if pulled is not None and pulled not in truth:
+            head = f"S_{fact[1]}" if fact[0] == "S" else fact[0]
+            args = fact[FACT_ARG0[fact[0]]:]
+            locus["sound"] = f"{head} at {','.join(map(str, args))}"
+            break
+    for kind in "WSEP":
+        report.add(f"respects-{kind}", kind not in locus, locus.get(kind, ""))
+    report.add("sound", "sound" not in locus, locus.get("sound", ""))
     return report
 
 

@@ -402,3 +402,45 @@ def test_non_list_or_non_naturals_exits_two(tmp_path, capsys, data, key, kind):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be {kind}, got ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("window, message", [
+    ("abc", "true_path.window must be an integer, got 'abc'"),
+    (0, "true_path.window must be at least 1, got 0"),
+    (-3, "true_path.window must be at least 1, got -3"),
+])
+def test_bad_true_path_window_exits_two(tmp_path, capsys, window, message):
+    data = json.loads(SHIPPED_CC.read_text(encoding="utf-8"))
+    data["true_path"]["window"] = window
+    cfg = write_config(tmp_path, data)
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _with_defect(base, **defect):
+    return dict(base, adversaries=[{"kind": "faithful", "defects": [defect]}])
+
+
+@pytest.mark.parametrize("data, expected", [
+    (_with_defect(CC_CONFIG, kind="omit_label", n=0, sigma=[], sort="x"),
+     "null in a cc config, got 'x'"),
+    (_with_defect(CC_CONFIG, kind="break_p", sigma=[], j=0, sort=0),
+     "null in a cc config, got 0"),
+    (_with_defect(DC_CONFIG, kind="omit_label", n=0, sigma=[], sort=2),
+     "null or 0 or 1 in a dc config, got 2"),
+    (_with_defect(DC_CONFIG, kind="break_p", sigma=[], j=0, sort="1"),
+     "null or 0 or 1 in a dc config, got '1'"),
+])
+def test_defect_sort_outside_the_variant_exits_two(tmp_path, capsys, data, expected):
+    cfg = write_config(tmp_path, data)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: adversaries[0].defects[0].sort must be {expected}\n"
+
+
+def test_defect_sort_of_the_variant_is_kept():
+    from cubetree.config import config_from_dict
+
+    data = _with_defect(DC_CONFIG, kind="omit_label", n=0, sigma=[], sort=1)
+    assert config_from_dict(data).adversaries[0].defects[0].sort == 1
+    assert config_from_dict(_with_defect(CC_CONFIG, kind="omit_label", n=0, sigma=[],
+                                         sort=None)).adversaries[0].defects[0].sort is None

@@ -550,6 +550,37 @@ def test_one_checker_agrees_with_the_snapshot_reference():
                 assert verdicts(new) == verdicts(ref), (snap.variant, label)
 
 
+def shipped_config(name, horizon):
+    from cubetree.config import load_config
+    from dataclasses import replace
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "configs" / name
+    return replace(load_config(path), horizon=horizon)
+
+
+@pytest.mark.parametrize("name, horizon", [("cc_faithful.json", 60), ("dc_diagonal.json", 30)])
+def test_true_facts_are_the_generated_copy_facts(name, horizon):
+    """The facts a faithful copy enumerates by the end of the run are the
+    images of the true facts among the ground elements it has enumerated;
+    the fact-stream digests pin the generator this is compared against."""
+    from cubetree.adversary import FACT_ARG0, make_faithful_copy
+    from cubetree.verify import true_facts
+
+    result = run_stages(shipped_config(name, horizon))
+    copy = make_faithful_copy(result, delay=1)
+    budget = horizon + 1
+    elems = [copy.to_ground[x] for x in copy.stream.elements(budget)]
+    ids = [copy.to_copy[e] for e in elems]
+    mapped = set()
+    for fact in true_facts(elems, result.snapshot().labels):
+        k = FACT_ARG0[fact[0]]
+        mapped.add(fact[:k] + tuple(ids[x] for x in fact[k:]))
+    generated = {fact for _step, fact in copy.stream.facts_within(budget)}
+    assert len(generated) > 1000
+    assert mapped == generated
+
+
 def stream_mutations(extracted):
     """The extracted map, that map with the images of two elements swapped,
     and that map with one element sent to another's image."""
@@ -566,12 +597,8 @@ def test_one_checker_agrees_with_the_reference_on_stream_targets(horizon):
     """On each adversary of the shipped cc config, every result name gets the
     reference's verdict for the extracted map and two broken versions of it."""
     from cubetree import cc
-    from cubetree.config import load_config
-    from dataclasses import replace
-    from pathlib import Path
 
-    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "cc_faithful.json")
-    result = run_stages(replace(config, horizon=horizon))
+    result = run_stages(shipped_config("cc_faithful.json", horizon))
     entries = true_path_approx(result, threshold=3)
     snap = result.snapshot()
     seen = set()
