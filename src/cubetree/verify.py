@@ -10,7 +10,7 @@ approximation, and the trace invariant suite.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .adversary import FACT_ARG0, Adversary, Fact, FactStream
@@ -262,7 +262,7 @@ def ideal_tree_snapshot(
 # ---------------------------------------------------------------------------
 # Isomorphism checking.
 
-def true_facts(elems: list[Elem], labels) -> Iterator[Fact]:
+def true_facts(elems: list[Elem], labels: Callable[[CubeElem], Iterable[int]]) -> Iterator[Fact]:
     """The W, S, E and P facts that hold among `elems`, each element named
     by its index there.  Per cube element in order: W, then S_n for each n
     in `labels(e)`, then E to each neighbour in `elems`, then P from each
