@@ -411,3 +411,109 @@ def test_daughter_coverage_agrees_with_one_walk_per_mother():
                     == reference_n_along(result, addr, mother)
                 compared += 1
     assert compared > 1000
+
+
+# -- the provider lookups against the path walks they replace --------------------
+#
+# The walks below are the stage loop's former `resolve_gamma`,
+# `daughter_coverage`, `frozen_us_on_path` and `blocking_report`: each one
+# steps through every ancestor of the position it is asked about.
+
+def walk_daughter_coverage(engine, addr):
+    """Largest n of a daughter strictly below addr, per (slot, sort)."""
+    best = {}
+    for nd in engine.path_nodes(addr):
+        if isinstance(nd.req, ReqDaughter):
+            key = (nd.req.r, nd.req.a)
+            best[key] = max(best.get(key, 0), nd.req.n)
+    return best
+
+
+def walk_frozen_us(engine, addr):
+    return [nd for nd in engine.path_nodes(addr)
+            if isinstance(nd.req, ReqU) and nd.state.get("frozen")
+            and len(addr) > len(nd.addr) and addr[len(nd.addr)] == "1"]
+
+
+def walk_blocking_report(engine, addr):
+    mothers = [nd for nd in engine.path_nodes(addr) if isinstance(nd.req, ReqMother)]
+    covered = walk_daughter_coverage(engine, addr)
+    coverage = {nd.addr: covered.get((nd.req.r, nd.req.a), 0) for nd in mothers}
+    blocked = set()
+    min_clearance = {}
+    for u in walk_frozen_us(engine, addr):
+        blocked.update(u.state["blocks"])
+        for nd in mothers:
+            if len(nd.addr) < len(u.addr):
+                min_clearance[nd.addr] = max(min_clearance.get(nd.addr, 0),
+                                             u.state["ell"])
+    return {"coverage": coverage, "blocked": blocked, "u_clearance": min_clearance}
+
+
+def walk_resolve_gamma(engine, node):
+    """(provider, inherited string): the deepest of the daughter's mother, the
+    previous daughter of its family and a qualifying frozen diagonalizer."""
+    req = node.req
+    path = engine.path_nodes(node.addr)
+    theta = next((nd for nd in path if nd.req == ReqMother(req.r, req.a)), None)
+    if theta is None:
+        raise dc.GammaUnresolved(f"daughter {node} has no mother")
+    v_theta = theta.state["v"]
+    for nd in reversed(path):
+        if nd is theta:
+            return nd, theta.state["sigma"]
+        if nd.req == ReqDaughter(req.r, req.n - 1, req.a):
+            alpha = node.addr[len(nd.addr)]
+            sig = nd.state.get("sig", {})
+            if alpha not in sig:
+                raise dc.GammaUnresolved(f"previous daughter {nd} lacks outcome {alpha}")
+            return nd, sig[alpha]
+        if (isinstance(nd.req, ReqU) and nd.state.get("frozen")
+                and node.addr[len(nd.addr)] == "1"):
+            i = nd.state.get("i")
+            if (req.a == 0 and i == v_theta) or (req.a == 1 and i is not None and i > v_theta):
+                stolen = nd.state["stolen"].get(theta.addr)
+                if stolen is None:
+                    raise dc.GammaUnresolved(f"frozen {nd} holds nothing for this mother")
+                return nd, stolen
+    raise dc.GammaUnresolved(f"no provider for {node}")
+
+
+def provider_runs():
+    from test_acceptance import DC_MODULUS
+
+    diagonal = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                           / "dc_diagonal.json").read_text(encoding="utf-8"))
+    return [("dc_diagonal@80", dict(diagonal, horizon=80), True),
+            ("DC_MODULUS@120", dict(DC_MODULUS, horizon=120), False)]
+
+
+@pytest.mark.parametrize("data, diagonalizes", [r[1:] for r in provider_runs()],
+                         ids=[r[0] for r in provider_runs()])
+def test_provider_lookups_agree_with_the_path_walks(data, diagonalizes, monkeypatch):
+    """At every typing the blocking report and the daughter coverage, and at
+    every daughter visit the inherited string, equal those of the walks."""
+    typing, resolve = dc.assign_type, dc.resolve_gamma
+    typed, providers = [], []
+
+    def checked_typing(engine, node, s):
+        assert dc.blocking_report(engine, node.addr) \
+            == walk_blocking_report(engine, node.addr), node
+        assert dc.daughter_coverage(engine, node.addr) \
+            == walk_daughter_coverage(engine, node.addr), node
+        typed.append(node)
+        return typing(engine, node, s)
+
+    def checked_gamma(engine, node):
+        gamma = resolve(engine, node)
+        provider, expected = walk_resolve_gamma(engine, node)
+        assert gamma == expected, node
+        providers.append(type(provider.req))
+        return gamma
+
+    monkeypatch.setattr(dc, "assign_type", checked_typing)
+    monkeypatch.setattr(dc, "resolve_gamma", checked_gamma)
+    run_stages(config_from_dict(data))
+    assert len(typed) > 500 and len(providers) > 2000
+    assert {ReqMother, ReqDaughter} <= set(providers)
+    assert (ReqU in providers) == diagonalizes

@@ -192,8 +192,10 @@ def reference_cc_allowed(engine, node):
 
 
 def reference_dc_allowed(engine, node):
+    from test_dc import walk_blocking_report
+
     on_path = {nd.req for nd in engine.path_nodes(node.addr)}
-    report = dc.blocking_report(engine, node.addr)
+    report = walk_blocking_report(engine, node.addr)
     u_cleared = all(report["coverage"][maddr] > ell
                     for maddr, ell in report["u_clearance"].items())
 
