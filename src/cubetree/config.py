@@ -59,11 +59,11 @@ def _path(where: str, key: str) -> str:
 
 
 def integer(value, key: str) -> int:
-    """value as an int; a ConfigError naming the key when it is not one."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    """value; a ConfigError naming the key unless it is a JSON integer (not a
+    float, a boolean or a string)."""
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def at_least(value, minimum: int, key: str) -> int:
@@ -259,7 +259,7 @@ def config_from_dict(data: dict, base_dir=None) -> RunConfig:
         phi=phi,
         functionals=functionals,
         witness_base=read_int(data, "witness_base", "", 1_000_000),
-        tp_threshold=read_int(tp, "threshold", "true_path", 3),
+        tp_threshold=at_least(tp.get("threshold", 3), 1, "true_path.threshold"),
         tp_window=None if window is None else at_least(window, 1, "true_path.window"),
         raw=canonical_json(data),
     )

@@ -49,19 +49,20 @@ class PhiPredicate:
     """Decidable two-argument predicate with declared intent on a finite range.
 
     Rules per position: ("until", s0) fails beyond s0; ("periodic", p) holds
-    cofinally; ("never",) / ("always",) as named.  Positions whose rule holds
-    cofinally form the declared target set Z.
+    at the multiples of p; ("never",) / ("always",) as named.  Positions whose
+    rule holds cofinally form the declared target set Z.
     """
 
     range_n: int
     rules: tuple[tuple[int, tuple], ...] = ()
     default: tuple = ("never",)
 
+    def __post_init__(self) -> None:
+        # The first rule given for a position is its rule.
+        object.__setattr__(self, "_rule_at", dict(reversed(self.rules)))
+
     def rule_for(self, n: int) -> tuple:
-        for m, rule in self.rules:
-            if m == n:
-                return rule
-        return self.default
+        return self._rule_at.get(n, self.default)
 
     def in_range(self, n: int) -> bool:
         return 0 <= n < self.range_n
@@ -77,6 +78,21 @@ class PhiPredicate:
             return s <= rule[1]
         if kind == "periodic":
             return s % rule[1] == 0
+        raise ValueError(f"unknown phi rule {kind!r}")
+
+    def fires_between(self, n: int, t: int, s: int) -> bool:
+        """Whether holds(n, q) for some stage q with t <= q < s."""
+        rule = self.rule_for(n)
+        kind = rule[0]
+        if kind == "never":
+            return False
+        if kind == "always":
+            return t < s
+        if kind == "until":
+            return t < s and t <= rule[1]
+        if kind == "periodic":
+            # The first multiple of the period at or after t.
+            return t < s and -(-t // rule[1]) * rule[1] < s
         raise ValueError(f"unknown phi rule {kind!r}")
 
     def declared_Z(self) -> frozenset[int]:
@@ -101,8 +117,14 @@ def phi_from_dict(data) -> PhiPredicate:
         raise ValueError(f"unknown phi rule kind {kind!r}")
 
     only_keys(as_object(data, "phi"), "phi", "range", "rules", "default")
-    # The keys of phi.rules are positions, so any integer is allowed.
-    positions = {integer(n, "phi.rules key"): d
+    def position(key) -> int:
+        # Any integer names a position.  JSON object keys are strings, so
+        # decimal text is read as its integer.
+        if isinstance(key, str) and key.removeprefix("-").isdecimal():
+            key = int(key)
+        return integer(key, "phi.rules key")
+
+    positions = {position(n): d
                  for n, d in as_object(data.get("rules", {}), "phi.rules").items()}
     rules = tuple((n, rule_of(d, f"phi.rules.{n}")) for n, d in sorted(positions.items()))
     default = rule_of(data["default"], "phi.default") if "default" in data else ("never",)
@@ -220,38 +242,15 @@ def ordering_iter(config):
         h += 1
 
 
-def daughter_coverage(engine: Engine, addr) -> dict[tuple[int, int], int]:
-    """Largest n of a daughter strictly below addr, per (slot, sort)."""
-    best: dict[tuple[int, int], int] = {}
-    for nd in engine.path_nodes(addr):
-        if isinstance(nd.req, ReqDaughter):
-            key = (nd.req.r, nd.req.a)
-            best[key] = max(best.get(key, 0), nd.req.n)
-    return best
-
-
-def frozen_us_on_path(engine: Engine, addr) -> list[Node]:
-    out = []
-    for nd in engine.path_nodes(addr):
-        if (
-            isinstance(nd.req, ReqU)
-            and nd.state.get("frozen")
-            and len(addr) > len(nd.addr)
-            and addr[len(nd.addr)] == "1"
-        ):
-            out.append(nd)
-    return out
-
-
-def blocking_report(engine: Engine, addr) -> dict:
-    """Blocking data visible from a candidate position: per-mother daughter
-    coverage, and the daughter types frozen diagonalizers rule out."""
-    mothers = [nd for nd in engine.path_nodes(addr) if isinstance(nd.req, ReqMother)]
-    covered = daughter_coverage(engine, addr)
-    coverage = {nd.addr: covered.get((nd.req.r, nd.req.a), 0) for nd in mothers}
+def blocking_report(engine: Engine) -> dict:
+    """Blocking data visible from the end of the current path: per-mother
+    daughter coverage, and the daughter types frozen diagonalizers rule out."""
+    path = engine.path
+    mothers = path.mothers
+    coverage = {nd.addr: path.coverage.get((nd.req.r, nd.req.a), 0) for nd in mothers}
     blocked: set[ReqDaughter] = set()
     min_clearance: dict[tuple, int] = {}
-    for u in frozen_us_on_path(engine, addr):
+    for u in path.frozen:
         blocked.update(u.state["blocks"])
         for nd in mothers:
             if len(nd.addr) < len(u.addr):
@@ -261,7 +260,7 @@ def blocking_report(engine: Engine, addr) -> dict:
 
 
 def assign_type(engine: Engine, node: Node, s: int) -> Requirement:
-    report = blocking_report(engine, node.addr)
+    report = blocking_report(engine)
     u_cleared = all(report["coverage"][maddr] > ell
                     for maddr, ell in report["u_clearance"].items())
 
@@ -306,38 +305,36 @@ def act_N_mother(engine: Engine, node: Node, s: int) -> str:
 
 
 def resolve_gamma(engine: Engine, node: Node) -> NatString:
-    """Largest provider below the daughter: its own mother, the previous
-    daughter of its family, or a frozen diagonalizer holding a stolen string
-    for its mother."""
+    """Deepest provider above the daughter on the current path: its own
+    mother, the previous daughter of its family, or a frozen diagonalizer
+    holding a stolen string for its mother."""
     req: ReqDaughter = node.req
-    path = engine.path_nodes(node.addr)
-    theta = next(
-        (nd for nd in path if nd.req == ReqMother(req.r, req.a)), None
-    )
+    path = engine.path
+    theta = path.by_req.get(ReqMother(req.r, req.a))
     if theta is None:
         raise GammaUnresolved(f"daughter {node} has no mother")
     v_theta = theta.state["v"]
-    for nd in reversed(path):
-        if nd is theta:
-            return theta.state["sigma"]
-        if nd.req == ReqDaughter(req.r, req.n - 1, req.a):
-            alpha = node.addr[len(nd.addr)]
-            sig = nd.state.get("sig", {})
-            if alpha not in sig:
-                raise GammaUnresolved(f"previous daughter {nd} lacks outcome {alpha}")
-            return sig[alpha]
-        if (
-            isinstance(nd.req, ReqU)
-            and nd.state.get("frozen")
-            and node.addr[len(nd.addr)] == "1"
-        ):
-            i = nd.state.get("i")
-            if (req.a == 0 and i == v_theta) or (req.a == 1 and i is not None and i > v_theta):
-                stolen = nd.state["stolen"].get(theta.addr)
-                if stolen is None:
-                    raise GammaUnresolved(f"frozen {nd} holds nothing for this mother")
-                return stolen
-    raise GammaUnresolved(f"no provider for {node}")
+    provider = theta
+    previous = path.by_req.get(ReqDaughter(req.r, req.n - 1, req.a))
+    if previous is not None and len(previous.addr) > len(provider.addr):
+        provider = previous
+    for u in path.frozen:
+        i = u.state["i"]
+        if (len(u.addr) > len(provider.addr)
+                and (i == v_theta if req.a == 0 else i > v_theta)):
+            provider = u
+    if provider is theta:
+        return theta.state["sigma"]
+    if provider is previous:
+        alpha = node.addr[len(previous.addr)]
+        sig = previous.state.get("sig", {})
+        if alpha not in sig:
+            raise GammaUnresolved(f"previous daughter {previous} lacks outcome {alpha}")
+        return sig[alpha]
+    stolen = provider.state["stolen"].get(theta.addr)
+    if stolen is None:
+        raise GammaUnresolved(f"frozen {provider} holds nothing for this mother")
+    return stolen
 
 
 def act_N_daughter(engine: Engine, node: Node, s: int) -> str:
@@ -354,7 +351,7 @@ def act_N_daughter(engine: Engine, node: Node, s: int) -> str:
             f"inherited string {format_string(gamma)} has length {len(gamma)}, wanted {req.n}"
         )
     phi: PhiPredicate = engine.cfg.phi
-    fired = any(phi.holds(req.n, q) for q in range(st["t"], s))
+    fired = phi.fires_between(req.n, st["t"], s)
     token = "i" if fired else str(st["k"])
     if token not in st["sig"]:
         st["sig"][token] = gamma + (s,)
@@ -369,17 +366,15 @@ def act_N_daughter(engine: Engine, node: Node, s: int) -> str:
 def act_U(engine: Engine, node: Node, s: int) -> str:
     st = node.state
     req: ReqU = node.req
-    path = engine.path_nodes(node.addr)
-    theta = next((nd for nd in path if nd.req == ReqMother(req.slot, 0)), None)
+    path = engine.path
+    theta = path.by_req.get(ReqMother(req.slot, 0))
     if theta is None:
         return "0"  # no matching mother below: never acts
     if "i" not in st:
         st["i"] = theta.state["v"]
         st["x"] = engine.alloc_witness()
         others = sorted(
-            (nd for nd in path
-             if isinstance(nd.req, ReqMother) and nd.req.a == 1
-             and nd.state["v"] < st["i"]),
+            (nd for nd in path.mothers if nd.req.a == 1 and nd.state["v"] < st["i"]),
             key=lambda nd: nd.state["v"],
         )
         st["C"] = [theta.addr] + [nd.addr for nd in others]
@@ -419,10 +414,9 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
             }
             st["ell"] = max(len(p) for p in oracle)
             blocks: set[ReqDaughter] = set()
-            covered = daughter_coverage(engine, node.addr)
             for psi_addr in st["C"]:
                 psi = engine.nodes[psi_addr]
-                low = covered.get((psi.req.r, psi.req.a), 0)
+                low = path.coverage.get((psi.req.r, psi.req.a), 0)
                 high = len(st["stolen"][psi_addr])
                 for n in range(low + 1, high):
                     blocks.add(ReqDaughter(psi.req.r, n, psi.req.a))
@@ -551,5 +545,5 @@ def modulus_check(
     if n in phi.declared_Z():
         return ModulusVerdict(False, True)
     bound = fi + gj
-    fired = any(phi.holds(n, s) for s in range(bound + 1, horizon + 1))
+    fired = phi.fires_between(n, bound + 1, horizon + 1)
     return ModulusVerdict(True, not fired)

@@ -138,6 +138,34 @@ class Node:
         return format_addr(self.addr)
 
 
+class PathIndex:
+    """The current stage path, kept as the stage loop descends: its nodes in
+    order, each node by its requirement, and what the two-sorted typing reads
+    off it (the mothers, the largest daughter n per (slot, sort), and the
+    frozen diagonalizers whose 1-outcome the path takes)."""
+
+    def __init__(self) -> None:
+        self.nodes: list[Node] = []
+        self.by_req: dict[Requirement, Node] = {}
+        self.mothers: list[Node] = []
+        self.coverage: dict[tuple[int, int], int] = {}
+        self.frozen: list[Node] = []
+
+    def push(self, node: Node, token: str) -> None:
+        req = node.req
+        self.nodes.append(node)
+        self.by_req[req] = node
+        if isinstance(req, ReqDaughter):
+            key = (req.r, req.a)
+            if req.n > self.coverage.get(key, 0):
+                self.coverage[key] = req.n
+        elif isinstance(req, ReqMother):
+            self.mothers.append(node)
+        elif isinstance(req, ReqU) and token == "1":
+            # A diagonalizer takes its 1-outcome only once it has frozen.
+            self.frozen.append(node)
+
+
 # ---------------------------------------------------------------------------
 # Engine.
 
@@ -160,8 +188,7 @@ class Engine:
         self._stage_touched: set[StringKey] = set()
         self.zprime: dict[int, int] = {}
         self._witness_next = config.witness_base
-        self._current_path: list[Node] = []
-        self._path_reqs: set[Requirement] = set()
+        self.path = PathIndex()
         if self.variant == "cc":
             from . import cc as strat
         elif self.variant == "dc":
@@ -220,7 +247,7 @@ class Engine:
         ancestors are the already-visited prefix of the current path, which
         avoids re-slicing addresses on deep trees."""
         depth = len(addr)
-        current = self._current_path
+        current = self.path.nodes
         if depth and len(current) >= depth and current[depth - 1].addr == addr[:-1]:
             return current[:depth]
         return [self.nodes[addr[:k]] for k in range(depth)]
@@ -228,8 +255,8 @@ class Engine:
     def grow(self, sigma: NatString, sort: int | None, stage: int,
              chooser: Node | None) -> None:
         sigma = tuple(sigma)
-        for part in sigma:
-            self.mention(part)
+        if sigma:
+            self.mention(max(sigma))
         ev = self.store.grow(sigma, sort, stage)
         self._stage_touched.add((sigma, sort))
         self.emit("grow", stage, sigma, sort, ev.pre_top)
@@ -267,7 +294,7 @@ class Engine:
     def first_fit(self, allowed=None) -> Requirement:
         """The first requirement of the priority order off the current path
         that `allowed` (if given) accepts; Idle once a finite order runs out."""
-        on_path = self._path_reqs
+        on_path = self.path.by_req
         for k in count():
             if k == len(self.ordering):
                 req = next(self._ordering_rest, None)
@@ -298,8 +325,7 @@ class Engine:
             for sigma in self.schedule.base_strings(s):
                 self._enter(sigma, s)
             addr: Addr = ()
-            self._current_path = []
-            self._path_reqs = set()
+            self.path = PathIndex()
             for depth in range(s + 1):
                 node = self.node_at(addr)
                 if node.req is None:
@@ -310,10 +336,9 @@ class Engine:
                 token = self.strat.act(self, node, s)
                 node.outcomes.append((s, token))
                 self.emit("outcome", s, node, token)
-                self._current_path.append(node)
-                self._path_reqs.add(node.req)
+                self.path.push(node, token)
                 addr = addr + (token,)
-            self._current_path = []
+            self.path = PathIndex()
             self.strat.act_G(self, s)
             for gen in self._generators:
                 if gen is not None:

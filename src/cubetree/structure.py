@@ -383,7 +383,14 @@ class Snapshot:
         return rows
 
     def dump_lines(self) -> list[str]:
-        return [f"{stage} {n} {format_elem(e)}" for stage, n, e in self.declarations()]
+        texts: dict[CubeElem, str] = {}
+        lines = []
+        for stage, n, e in self.declarations():
+            text = texts.get(e)
+            if text is None:
+                text = texts[e] = format_elem(e)
+            lines.append(f"{stage} {n} {text}")
+        return lines
 
 
 def snapshot_from_declarations(

@@ -357,6 +357,39 @@ def test_non_integer_names_its_key(tmp_path, capsys, data, key, value):
     assert capsys.readouterr().err == f"error: {key} must be an integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize("data, key, value", [
+    (dict(CC_CONFIG, horizon=12.7), "horizon", 12.7),
+    (dict(CC_CONFIG, horizon=True), "horizon", True),
+    (dict(CC_CONFIG, horizon="12"), "horizon", "12"),
+    (dict(CC_CONFIG, true_path={"threshold": 3, "window": True}), "true_path.window", True),
+    (dict(CC_CONFIG, true_path={"threshold": 2.5}), "true_path.threshold", 2.5),
+    (dict(DC_CONFIG, mothers=2.9), "mothers", 2.9),
+    (dict(DC_CONFIG, phi={"range": 8, "default": {"kind": "until", "s0": False}}),
+     "phi.default.s0", False),
+])
+def test_only_json_integers_are_integers(tmp_path, capsys, data, key, value):
+    """A float, a boolean or a string is not read as an integer, however
+    close it is to one."""
+    cfg = write_config(tmp_path, data)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be an integer, got {value!r}\n"
+
+
+def test_phi_rule_keys_read_decimal_text(tmp_path, capsys):
+    data = dict(DC_CONFIG, horizon=12, functionals=[],
+                phi={"range": 8, "rules": {"3": {"kind": "always"}, "-1": {"kind": "never"}}})
+    cfg = write_config(tmp_path, data)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("threshold", [0, -4])
+def test_true_path_threshold_below_one_exits_two(tmp_path, capsys, threshold):
+    cfg = write_config(tmp_path, dict(CC_CONFIG, true_path={"threshold": threshold}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err \
+        == f"error: true_path.threshold must be at least 1, got {threshold}\n"
+
+
 @pytest.mark.parametrize("data, key", [
     (dict(CC_CONFIG, univrse={"rate": 2}), "univrse"),
     (dict(CC_CONFIG, universe={"rte": 2}), "universe.rte"),

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import dc_config, faithful
 
@@ -27,6 +28,63 @@ def test_phi_rules():
     assert phi.holds(2, 9) and not phi.holds(2, 10)
     assert not phi.holds(5, 100)
     assert phi.declared_Z() == {2}
+
+
+# -- the closed-form predicate against the stage-by-stage scan ------------------
+
+@st.composite
+def rules_and_windows(draw):
+    """A phi rule and a window [t, s) whose ends sit on both sides of the
+    rule's threshold or period boundaries, t >= s and t = 0 included."""
+    rule = draw(st.one_of(
+        st.just(("never",)),
+        st.just(("always",)),
+        st.tuples(st.just("until"), st.integers(-3, 40)),
+        st.tuples(st.just("periodic"), st.integers(1, 12)),
+    ))
+    edge = rule[1] * draw(st.integers(0, 3)) if len(rule) > 1 else 0
+    t = draw(st.one_of(st.just(0), st.integers(max(0, edge - 2), max(0, edge + 2)),
+                       st.integers(0, 60)))
+    s = draw(st.one_of(st.integers(t - 3, t + 3), st.integers(0, 60),
+                       st.integers(max(0, edge - 2), max(0, edge + 2))))
+    return rule, t, s
+
+
+@given(rules_and_windows())
+@example((("until", 5), 5, 6))
+@example((("until", 5), 6, 9))
+@example((("periodic", 4), 1, 4))
+@example((("periodic", 4), 1, 5))
+@example((("periodic", 4), 4, 4))
+@example((("periodic", 4), 0, 1))
+@example((("always",), 3, 3))
+def test_fires_between_agrees_with_the_scan(case):
+    rule, t, s = case
+    phi = dc.PhiPredicate(4, rules=((2, rule),))
+    assert phi.fires_between(2, t, s) == any(phi.holds(2, q) for q in range(t, s))
+
+
+def reference_modulus_check(paths, i, j, n, phi, horizon):
+    """`modulus_check` with the predicate scanned stage by stage."""
+    if n in phi.declared_Z():
+        return dc.ModulusVerdict(False, True)
+    bound = paths.value(0, i, n) + paths.value(1, j, n)
+    fired = any(phi.holds(n, s) for s in range(bound + 1, horizon + 1))
+    return dc.ModulusVerdict(True, not fired)
+
+
+@given(rules_and_windows(), st.integers(0, 30), st.integers(0, 30))
+def test_modulus_check_agrees_with_the_scan(case, fi, gj):
+    rule, _t, horizon = case
+    phi = dc.PhiPredicate(5, rules=((3, rule),))
+    paths = dc.PathFamily({1: (1, 7, 7, fi)}, {2: (2, 7, 7, gj)})
+    assert dc.modulus_check(paths, 1, 2, 3, phi, horizon) \
+        == reference_modulus_check(paths, 1, 2, 3, phi, horizon)
+
+
+def test_first_rule_given_for_a_position_wins():
+    phi = dc.PhiPredicate(4, rules=((1, ("never",)), (1, ("always",))), default=("always",))
+    assert phi.rule_for(1) == ("never",) and phi.rule_for(2) == ("always",)
 
 
 def test_functionals_step_bounded_and_use_monotone():
@@ -340,7 +398,6 @@ def test_first_visit_with_empty_mother_set_takes_first_infinite(monkeypatch):
     engine.node_at(("o",)).req = ReqIdle()
     node = engine.node_at(("o", "o"))
     node.req = ReqM(0)
-    engine._current_path = []
     token = dc.act_M(engine, node, 1)
     assert token == "i0"
 
@@ -397,19 +454,27 @@ def reference_n_along(engine, addr, mother):
     return best
 
 
-def test_daughter_coverage_agrees_with_one_walk_per_mother():
+def test_daughter_coverage_agrees_with_one_walk_per_mother(monkeypatch):
+    """At every typing, the path index's coverage of each mother on the path
+    is the largest n one walk per mother finds."""
     data = json.loads((Path(__file__).resolve().parent.parent / "configs"
                        / "dc_diagonal.json").read_text(encoding="utf-8"))
-    result = run_stages(config_from_dict(dict(data, horizon=80)))
-    assert any(u.state.get("frozen") for u in nodes_of(result, ReqU))
+    typing = dc.assign_type
     compared = 0
-    for addr in result.nodes:
-        covered = dc.daughter_coverage(result, addr)
-        for mother in result.path_nodes(addr):
+
+    def checked_typing(engine, node, s):
+        nonlocal compared
+        covered = engine.path.coverage
+        for mother in engine.path_nodes(node.addr):
             if isinstance(mother.req, ReqMother):
                 assert covered.get((mother.req.r, mother.req.a), 0) \
-                    == reference_n_along(result, addr, mother)
+                    == reference_n_along(engine, node.addr, mother)
                 compared += 1
+        return typing(engine, node, s)
+
+    monkeypatch.setattr(dc, "assign_type", checked_typing)
+    result = run_stages(config_from_dict(dict(data, horizon=80)))
+    assert any(u.state.get("frozen") for u in nodes_of(result, ReqU))
     assert compared > 1000
 
 
@@ -417,7 +482,8 @@ def test_daughter_coverage_agrees_with_one_walk_per_mother():
 #
 # The walks below are the stage loop's former `resolve_gamma`,
 # `daughter_coverage`, `frozen_us_on_path` and `blocking_report`: each one
-# steps through every ancestor of the position it is asked about.
+# steps through every ancestor of the position it is asked about, where the
+# stage loop now reads the records of its path index.
 
 def walk_daughter_coverage(engine, addr):
     """Largest n of a daughter strictly below addr, per (slot, sort)."""
@@ -497,10 +563,8 @@ def test_provider_lookups_agree_with_the_path_walks(data, diagonalizes, monkeypa
     typed, providers = [], []
 
     def checked_typing(engine, node, s):
-        assert dc.blocking_report(engine, node.addr) \
-            == walk_blocking_report(engine, node.addr), node
-        assert dc.daughter_coverage(engine, node.addr) \
-            == walk_daughter_coverage(engine, node.addr), node
+        assert dc.blocking_report(engine) == walk_blocking_report(engine, node.addr), node
+        assert engine.path.coverage == walk_daughter_coverage(engine, node.addr), node
         typed.append(node)
         return typing(engine, node, s)
 
@@ -517,3 +581,42 @@ def test_provider_lookups_agree_with_the_path_walks(data, diagonalizes, monkeypa
     assert len(typed) > 500 and len(providers) > 2000
     assert {ReqMother, ReqDaughter} <= set(providers)
     assert (ReqU in providers) == diagonalizes
+
+
+# -- counted work of the stage loop against the trace ---------------------------
+
+def test_stage_loop_work_grows_with_the_trace(monkeypatch):
+    """On DC_MODULUS at h=100 and h=200 the loop never evaluates the
+    predicate stage by stage, and its counted work (one unit per visit plus
+    every node a path walk steps through) grows at most as trace^1.15,
+    fitted as in Goldsmith, Aiken & Wilkerson, FSE 2007.  Per-visit walks of
+    the path grow as trace^1.4 there."""
+    import math
+
+    from test_acceptance import DC_MODULUS
+
+    from cubetree.engine import Engine
+
+    def no_holds(self, n, s):
+        raise AssertionError("the stage loop evaluated PhiPredicate.holds")
+
+    path_nodes = Engine.path_nodes
+    stepped = 0
+
+    def counted_path_nodes(self, addr):
+        nonlocal stepped
+        nodes = path_nodes(self, addr)
+        stepped += len(nodes)
+        return nodes
+
+    monkeypatch.setattr(dc.PhiPredicate, "holds", no_holds)
+    monkeypatch.setattr(Engine, "path_nodes", counted_path_nodes)
+    work, events = [], []
+    for horizon in (100, 200):
+        stepped = 0
+        result = run_stages(config_from_dict(dict(DC_MODULUS, horizon=horizon)))
+        visits = sum(len(node.visits) for node in result.nodes.values())
+        work.append(visits + stepped)
+        events.append(len(result.trace))
+    exponent = math.log(work[1] / work[0]) / math.log(events[1] / events[0])
+    assert exponent <= 1.15, (work, events, exponent)
