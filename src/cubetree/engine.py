@@ -182,9 +182,11 @@ class Engine:
         self.trace: list[tuple] = []
         self.watermark = 0
         self.chosen: dict[StringKey, list[tuple[Addr, int]]] = {}
-        # Every string that has entered the slice, in ladder order, and when.
+        # Every string that has entered the slice, in ladder order, and when;
+        # and per stage, the strings entering then, in ladder order.
         self.universe: list[NatString] = []
         self.entered: dict[NatString, int] = {}
+        self._entering: dict[int, list[NatString]] = {}
         self._stage_touched: set[StringKey] = set()
         self.zprime: dict[int, int] = {}
         self._witness_next = config.witness_base
@@ -262,7 +264,9 @@ class Engine:
         self.emit("grow", stage, sigma, sort, ev.pre_top)
         if chooser is not None:
             records = self.chosen.setdefault((sigma, sort), [])
-            if not any(a == chooser.addr for a, _ in records):
+            # A chooser records its own address object, so identity settles
+            # the common case without comparing two deep addresses.
+            if not any(a is chooser.addr or a == chooser.addr for a, _ in records):
                 records.append((chooser.addr, stage))
                 self.emit("choose", stage, chooser, sigma, sort)
                 # Strings are chosen before birth, so this is their entry.
@@ -276,6 +280,7 @@ class Engine:
         if sigma not in self.entered:
             self.entered[sigma] = stage
             insort(self.universe, sigma, key=ladder_key)
+            insort(self._entering.setdefault(stage, []), sigma, key=ladder_key)
 
     def universe_strings(self, s: int) -> list[NatString]:
         """The stage-s slice of omega^{<omega} in ladder order."""
@@ -283,7 +288,7 @@ class Engine:
 
     def entering(self, s: int) -> list[NatString]:
         """The strings that enter the slice at stage s, in ladder order."""
-        return [t for t in self.universe if self.entered[t] == s]
+        return list(self._entering.get(s, ()))
 
     def keys_chosen_below(self, prefix: Addr) -> set[StringKey]:
         """The keys chosen by a strategy at prefix or below it."""

@@ -375,13 +375,6 @@ def test_only_json_integers_are_integers(tmp_path, capsys, data, key, value):
     assert capsys.readouterr().err == f"error: {key} must be an integer, got {value!r}\n"
 
 
-def test_phi_rule_keys_read_decimal_text(tmp_path, capsys):
-    data = dict(DC_CONFIG, horizon=12, functionals=[],
-                phi={"range": 8, "rules": {"3": {"kind": "always"}, "-1": {"kind": "never"}}})
-    cfg = write_config(tmp_path, data)
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-
-
 @pytest.mark.parametrize("threshold", [0, -4])
 def test_true_path_threshold_below_one_exits_two(tmp_path, capsys, threshold):
     cfg = write_config(tmp_path, dict(CC_CONFIG, true_path={"threshold": threshold}))
