@@ -116,7 +116,6 @@ def phi_from_dict(data) -> PhiPredicate:
             return (kind,)
         raise ValueError(f"unknown phi rule kind {kind!r}")
 
-    only_keys(as_object(data, "phi"), "phi", "range", "rules", "default")
     def position(key) -> int:
         # Any integer names a position.  JSON object keys are strings, so
         # decimal text is read as its integer.
@@ -124,6 +123,7 @@ def phi_from_dict(data) -> PhiPredicate:
             key = int(key)
         return integer(key, "phi.rules key")
 
+    only_keys(as_object(data, "phi"), "phi", "range", "rules", "default")
     positions = {position(n): d
                  for n, d in as_object(data.get("rules", {}), "phi.rules").items()}
     rules = tuple((n, rule_of(d, f"phi.rules.{n}")) for n, d in sorted(positions.items()))
