@@ -114,3 +114,158 @@ def test_responsibility_and_stability_pool_match_chosen_scans(variant, config, m
     run_stages(config)
     # Every case asks for links and leaves out some child chosen below ii.
     assert counts["visits"] and counts["links"] and counts["skipped"]
+
+
+# The copy matcher as it stood before it kept its state across visits: B
+# rebuilt from the universe by a scan of the choice records, the children
+# index rebuilt from B, and every bullet checked on every key of B.  The
+# state of each node lives in `shadow`, a dict per node address.
+
+def reference_children_index(pool):
+    index = {}
+    for key in pool:
+        sigma, sort = key
+        if sigma:
+            index.setdefault((sigma[:-1], sort), []).append(key)
+    for kids in index.values():
+        kids.sort()
+    return index
+
+
+def reference_chosen_below(engine, prefix):
+    return {key for key in engine.chosen if chosen_by_extension_of(engine, *key, prefix)}
+
+
+def reference_visit(engine, node, s, start, shadow, emit):
+    """One visit of the plain matcher; returns its token and its B."""
+    from cubetree.match import _fields
+    from cubetree.structure import sorts
+
+    st = shadow.setdefault(node.addr, {})
+    if "C" not in st:
+        st.update(C=start(engine, node), f={}, k0=0, k1=0, t=0, x_at_t={})
+    stream = engine.adversaries[node.req.index].stream
+    f = st["f"]
+    t, k0, k1 = st["t"], st["k0"], st["k1"]
+    excluded = reference_chosen_below(engine, node.addr + (str(k0),)) | set(st["C"])
+    B = [(sigma, sort) for sigma in engine.universe_strings(t)
+         for sort in sorts(engine.variant) if (sigma, sort) not in excluded]
+    emit("mstat", s, node, t, k0, k1, len(B))
+    for key in B:
+        if key not in f:
+            sigma, sort = key
+            n = engine.store.n_sigma(sigma, sort, t + 1)
+            x = stream.oldest_satisfying([("W", sigma, sort, HOLE), ("S", n, HOLE)], s)
+            if x is not None:
+                f[key] = x
+                emit("ftau", s, node, *_fields(key), x)
+    children = reference_children_index(B)
+    for key in B:
+        bullet = None
+        if key not in f:
+            bullet = 1
+        elif not stream.holds_within(("S", engine.store.n_sigma(*key, t + 1), f[key]), s):
+            bullet = 2
+        elif any(child not in f or not stream.holds_within(("P", f[key], f[child]), s)
+                 for child in children.get(key, ())):
+            bullet = 3
+        if bullet:
+            emit("mfail", s, node, *_fields(key), bullet)
+            return str(k0), B
+    D = set(B) - reference_chosen_below(engine, node.addr + ("ii",))
+    xs = {}
+    stable = True
+    for key in st["C"]:
+        sigma, sort = key
+        conjuncts = [("W", sigma, sort, HOLE)]
+        conjuncts += [("P", HOLE, f[child]) for child in children.get(key, ()) if child in D]
+        x = stream.oldest_satisfying(conjuncts, s)
+        xs[key] = x
+        emit("xtau", s, node, *_fields(key), x)
+        if x is None or x != st["x_at_t"].get(key):
+            stable = False
+    token = f"i{k1}" if stable else "ii"
+    st.update(x_at_t=xs, t=s, k0=k0 + 1)
+    if token == "ii":
+        st["k1"] = k1 + 1
+    return token, B
+
+
+def differential_configs():
+    import json
+    from pathlib import Path
+
+    from test_acceptance import CC_DEFECTIVE
+
+    from cubetree.config import config_from_dict
+
+    shipped = Path(__file__).resolve().parent.parent / "configs"
+
+    def load(name):
+        return json.loads((shipped / name).read_text())
+
+    return {
+        "cc_faithful@80": config_from_dict(dict(load("cc_faithful.json"), horizon=80)),
+        # The omitted label shows from stage 81 on.
+        "CC_DEFECTIVE@100": config_from_dict(dict(CC_DEFECTIVE, horizon=100)),
+        "dc_diagonal@50": config_from_dict(dict(load("dc_diagonal.json"), horizon=50)),
+    }
+
+
+@pytest.mark.parametrize("name", ["cc_faithful@80", "CC_DEFECTIVE@100", "dc_diagonal@50"])
+def test_matcher_agrees_with_the_plain_matcher_at_every_visit(name, monkeypatch):
+    """Beside each real visit, replay the plain matcher on its own state:
+    the same B, the same events (so the same first failing key and bullet),
+    the same token.  Every keys_chosen_below answer equals the scan of the
+    choice records.  A run of the plain matcher alone gives the same
+    trace."""
+    from cubetree.engine import Engine
+
+    config = differential_configs()[name]
+    module = cc if config.variant == "cc" else dc
+    hook_name = "compute_B" if config.variant == "cc" else "compute_B_pairs"
+    start = cc._tree_images if config.variant == "cc" else dc._c_pairs
+    real_act, real_hook = module.act_M, getattr(module, hook_name)
+    real_below = Engine.keys_chosen_below
+    shadow, seen = {}, {}
+    counts = {"visits": 0, "fails": 0, "below": 0, "below_fin": 0}
+
+    def checked_below(engine, prefix):
+        keys = real_below(engine, prefix)
+        assert keys == reference_chosen_below(engine, prefix), prefix
+        counts["below"] += 1
+        counts["below_fin"] += bool(keys) and prefix[-1] != "ii"
+        return keys
+
+    def captured_hook(engine, node, t, fin_token):
+        B = real_hook(engine, node, t, fin_token)
+        seen["B"] = list(B)
+        return B
+
+    def checked_act(engine, node, s):
+        events = []
+        ref_token, ref_B = reference_visit(engine, node, s, start, shadow,
+                                           lambda *ev: events.append(ev))
+        mark = len(engine.trace)
+        token = real_act(engine, node, s)
+        assert seen.pop("B") == ref_B, (s, str(node))
+        assert engine.trace[mark:] == events, (s, str(node))
+        assert token == ref_token, (s, str(node))
+        counts["visits"] += 1
+        counts["fails"] += events[-1][0] == "mfail"
+        return token
+
+    monkeypatch.setattr(Engine, "keys_chosen_below", checked_below)
+    monkeypatch.setattr(module, hook_name, captured_hook)
+    monkeypatch.setattr(module, "act_M", checked_act)
+    real = run_stages(config)
+    # Each case has failing visits, and some B leaves out keys chosen below
+    # the finite outcome.
+    assert counts["visits"] and counts["fails"] and counts["below_fin"], counts
+
+    shadow.clear()
+    monkeypatch.setattr(
+        module, "act_M",
+        lambda engine, node, s: reference_visit(engine, node, s, start, shadow, engine.emit)[0])
+    plain = run_stages(config)
+    assert real.trace_lines() == plain.trace_lines()
