@@ -180,8 +180,8 @@ def extract_isomorphism(
     stream = adv.stream
     horizon = result.horizon
     stalls: list[str] = []
-    f: dict[NatString, int] = {sigma: x for (sigma, _), x in node.state["f"].items()}
-    C = [sigma for sigma, _ in node.state["C"]]
+    f: dict[NatString, int] = {sigma: x for (sigma, _), x in node.state.f.items()}
+    C = [sigma for sigma, _ in node.state.C]
 
     # Closing sweep: strings enumerated by the copy that never entered the
     # responsibility set (late births) get the same search at full budget.
@@ -200,7 +200,7 @@ def extract_isomorphism(
     # Excluded strings, deepest first; the limit witness is the last recorded
     # stable value, the correction set J collects the broken links.
     for sigma in sorted(C, key=len, reverse=True):
-        x = node.state["x_at_t"].get((sigma, None))
+        x = node.state.x_at_t.get((sigma, None))
         if x is None:
             stalls.append(f"no limit witness for chosen {format_string(sigma)}")
             continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from itertools import count
+from typing import Any
 
 from .adversary import Adversary, FaithfulGenerator, stream_from_lines
 from .config import ConfigError
@@ -123,9 +124,13 @@ def format_addr(addr: Addr) -> str:
 class Node:
     addr: Addr
     req: Requirement | None = None
-    state: dict = field(default_factory=dict)
+    # A dict of named fields, or a typed record (the matcher's MatcherState).
+    state: Any = field(default_factory=dict)
     visits: list[int] = field(default_factory=list)
     outcomes: list[tuple[int, str]] = field(default_factory=list)
+    # Outcome token -> the keys chosen at or below addr + (token,), kept for
+    # the tokens keys_chosen_below has been asked about.
+    chosen_below: dict[str, set[StringKey]] | None = None
 
     def outcome_counts(self, window: int | None = None) -> dict[str, int]:
         tail = self.outcomes if window is None else self.outcomes[-window:]
@@ -269,6 +274,11 @@ class Engine:
             if not any(a is chooser.addr or a == chooser.addr for a, _ in records):
                 records.append((chooser.addr, stage))
                 self.emit("choose", stage, chooser, sigma, sort)
+                for anc in self.path_nodes(chooser.addr):
+                    if anc.chosen_below:
+                        keys = anc.chosen_below.get(chooser.addr[len(anc.addr)])
+                        if keys is not None:
+                            keys.add((sigma, sort))
                 # Strings are chosen before birth, so this is their entry.
                 self._enter(sigma, birth_stage(sigma))
 
@@ -291,7 +301,23 @@ class Engine:
         return list(self._entering.get(s, ()))
 
     def keys_chosen_below(self, prefix: Addr) -> set[StringKey]:
-        """The keys chosen by a strategy at prefix or below it."""
+        """The keys chosen by a strategy at prefix or below it.  The answer
+        for a nonempty prefix is kept on the parent node and grows with later
+        choices, so callers read it and must not change it."""
+        parent = self.nodes.get(prefix[:-1]) if prefix else None
+        if parent is None:
+            return self._scan_chosen_below(prefix)
+        if parent.chosen_below is None:
+            parent.chosen_below = {}
+        keys = parent.chosen_below.get(prefix[-1])
+        if keys is None:
+            # Choosers are visited nodes, so nothing is chosen below a
+            # prefix the stage loop has not reached.
+            keys = self._scan_chosen_below(prefix) if prefix in self.nodes else set()
+            parent.chosen_below[prefix[-1]] = keys
+        return keys
+
+    def _scan_chosen_below(self, prefix: Addr) -> set[StringKey]:
         n = len(prefix)
         return {key for key, records in self.chosen.items()
                 if any(a[:n] == prefix for a, _ in records)}

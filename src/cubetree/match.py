@@ -7,36 +7,130 @@ node's responsibility set B, checks the three bullet conditions on every
 string of B, and then takes the infinite outcome exactly when the stability
 witnesses of the starting set C (the strings chosen above the node) are
 unchanged since its last visit.  The variant supplies only C and B.
+
+The node keeps B and what it knows of B across visits, so a visit costs what
+changed since the last one.  f only grows and a fact's stamp is its first
+occurrence, so a key that passed the bullets keeps passing until
+n_sigma(key, t+1) changes, which needs a label on its empty-set vertex
+stamped in the stages t moved over, or a child of it enters B.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
+
 from .adversary import HOLE
 from .engine import Engine, Node
-from .structure import StringKey, sorts
+from .structure import StringKey, ladder_key, sorts
 
 
-def children_index(pool) -> dict[StringKey, list[StringKey]]:
-    """Parent key -> the sorted keys of the pool one symbol longer with the
-    same sort."""
-    index: dict[StringKey, list[StringKey]] = {}
-    for key in pool:
+@dataclass
+class MatcherState:
+    """A copy-matching node's state, created on its first visit.
+
+    C, f, k0, k1, t (the stage of the last passing visit) and x_at_t (the
+    stability witnesses then) are the strategy's own.  The rest is B as of
+    the stage B_t and the finite outcome fin it was last brought up to, with
+    `excluded`, the keys chosen below fin that it leaves out.
+    """
+
+    C: list[StringKey]
+    f: dict[StringKey, int] = field(default_factory=dict)
+    k0: int = 0
+    k1: int = 0
+    t: int = 0
+    x_at_t: dict[StringKey, int | None] = field(default_factory=dict)
+    # B in ladder order, and each key of B with its position in that order.
+    B: list[StringKey] = field(default_factory=list)
+    rank: dict[StringKey, tuple] = field(default_factory=dict)
+    # Parent key -> its children in B, sorted.
+    children: dict[StringKey, list[StringKey]] = field(default_factory=dict)
+    # The keys of B not known to pass the bullets, and a heap of them by
+    # rank (entries of keys no longer pending are dropped when popped).
+    pending: set[StringKey] = field(default_factory=set)
+    queue: list[tuple[tuple, StringKey]] = field(default_factory=list)
+    # The keys of B that f does not map, in B order.
+    unmapped: list[StringKey] = field(default_factory=list)
+    B_t: int = 0
+    fin: str | None = None
+    excluded: set[StringKey] = field(default_factory=set)
+    # n_sigma(key, B_t + 1) for the keys a visit has asked about.
+    n: dict[StringKey, int] = field(default_factory=dict)
+    # Keys the visits enumerated outside the bullet checks: a work count.
+    scanned: int = 0
+
+    def admit(self, key: StringKey) -> None:
+        sigma, sort = key
+        rank = (ladder_key(sigma), sort)
+        self.B.insert(bisect_left(self.B, rank, key=self.rank.__getitem__), key)
+        self.rank[key] = rank
+        if sigma:
+            parent = (sigma[:-1], sort)
+            insort(self.children.setdefault(parent, []), key)
+            self.mark(parent)
+        self.mark(key)
+        if key not in self.f:
+            self.unmapped.insert(
+                bisect_left(self.unmapped, rank, key=self.rank.__getitem__), key)
+
+    def evict(self, key: StringKey) -> None:
+        del self.B[bisect_left(self.B, self.rank[key], key=self.rank.__getitem__)]
+        del self.rank[key]
         sigma, sort = key
         if sigma:
-            index.setdefault((sigma[:-1], sort), []).append(key)
-    for kids in index.values():
-        kids.sort()
-    return index
+            self.children[(sigma[:-1], sort)].remove(key)
+        self.pending.discard(key)
+        if key not in self.f:
+            self.unmapped.remove(key)
+
+    def mark(self, key: StringKey) -> None:
+        """Queue a key of B for a bullet check; keys outside B are skipped."""
+        if key in self.rank and key not in self.pending:
+            self.pending.add(key)
+            heappush(self.queue, (self.rank[key], key))
 
 
 def responsibility_set(engine: Engine, node: Node, t: int, fin_token: str) -> list[StringKey]:
     """B: the stage-t universe minus the starting set C and the keys chosen
     at or below the finite outcome fin_token.  In the single-sorted variant
     C is every string an ancestor chose: only tree strategies choose, each
-    its own image."""
-    excluded = engine.keys_chosen_below(node.addr + (fin_token,)).union(node.state["C"])
-    return [(sigma, sort) for sigma in engine.universe_strings(t)
-            for sort in sorts(engine.variant) if (sigma, sort) not in excluded]
+    its own image.
+
+    Brings the node's B up to (t, fin_token) and returns it, in ladder order;
+    the list is the node's own.  t never goes down.  Keys that enter B, and
+    keys of B relabelled in stages B_t+1..t, are queued for a bullet check."""
+    st: MatcherState = node.state
+    start = set(st.C)
+    below = engine.keys_chosen_below(node.addr + (fin_token,))
+    if fin_token != st.fin or len(below) != len(st.excluded):
+        # A new finite outcome brings back what the old one left out; more
+        # choices below the same one only leave out more.
+        for key in st.excluded - below:
+            if key not in start and engine.entered[key[0]] <= st.B_t:
+                st.admit(key)
+        for key in below - st.excluded:
+            if key in st.rank:
+                st.evict(key)
+        st.scanned += len(st.excluded) + len(below)
+        st.fin, st.excluded = fin_token, set(below)
+    if t != st.B_t:
+        keys = sorts(engine.variant)
+        for stage in range(st.B_t + 1, t + 1):
+            for sigma in engine.entering(stage):
+                for sort in keys:
+                    key = (sigma, sort)
+                    if key not in start and key not in below:
+                        st.admit(key)
+                    st.scanned += 1
+            relabelled = engine.store.relabelled(stage)
+            for key in relabelled:
+                st.mark(key)
+            st.scanned += len(relabelled)
+        st.B_t = t
+        st.n = {}
+    return st.B
 
 
 def _fields(key: StringKey) -> tuple:
@@ -44,66 +138,81 @@ def _fields(key: StringKey) -> tuple:
     return key[:1] if key[1] is None else key
 
 
+def _n_sigma(engine: Engine, st: MatcherState, key: StringKey) -> int:
+    n = st.n.get(key)
+    if n is None:
+        n = st.n[key] = engine.store.n_sigma(*key, st.B_t + 1)
+    return n
+
+
 def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
     """One visit.  start(engine, node) gives the sorted starting set C on the
     first visit; responsibility(engine, node, t, fin_token) gives B."""
     st = node.state
-    if "C" not in st:
-        st["C"] = start(engine, node)
-        st["f"] = {}
-        st["k0"] = 0
-        st["k1"] = 0
-        st["t"] = 0
-        st["x_at_t"] = {}
+    if not isinstance(st, MatcherState):
+        st = node.state = MatcherState(start(engine, node))
     stream = engine.adversaries[node.req.index].stream
-    f = st["f"]
-    t, k0, k1 = st["t"], st["k0"], st["k1"]
+    f = st.f
+    t, k0, k1 = st.t, st.k0, st.k1
     B = responsibility(engine, node, t, str(k0))
     engine.emit("mstat", s, node, t, k0, k1, len(B))
-    for key in B:
-        if key not in f:
+    if st.unmapped:
+        unmapped = []
+        for key in st.unmapped:
             sigma, sort = key
-            n = engine.store.n_sigma(sigma, sort, t + 1)
+            n = _n_sigma(engine, st, key)
             x = stream.oldest_satisfying([("W", sigma, sort, HOLE), ("S", n, HOLE)], s)
-            if x is not None:
+            if x is None:
+                unmapped.append(key)
+            else:
                 f[key] = x
                 engine.emit("ftau", s, node, *_fields(key), x)
-    children = children_index(B)
-    for key in B:
-        bullet = _failing_bullet(engine, f, stream, children.get(key, ()), key, t, s)
-        if bullet:
-            engine.emit("mfail", s, node, *_fields(key), bullet)
-            return str(k0)
-    D = set(B) - engine.keys_chosen_below(node.addr + ("ii",))
+        st.scanned += len(st.unmapped)
+        st.unmapped = unmapped
+    # The first failing key in B order is the first failing pending key:
+    # every other key of B passed with the same n_sigma and children.
+    queue, pending = st.queue, st.pending
+    while queue:
+        key = queue[0][1]
+        if key in pending:
+            bullet = _failing_bullet(engine, st, stream, key, s)
+            if bullet:
+                engine.emit("mfail", s, node, *_fields(key), bullet)
+                return str(k0)
+            pending.remove(key)
+        heappop(queue)
+    # Links to children chosen below the infinite outcome are left out.
+    below_inf = engine.keys_chosen_below(node.addr + ("ii",))
     xs: dict[StringKey, int | None] = {}
     stable = True
-    for key in st["C"]:
+    for key in st.C:
         sigma, sort = key
         conjuncts = [("W", sigma, sort, HOLE)]
-        conjuncts += [("P", HOLE, f[child]) for child in children.get(key, ()) if child in D]
+        conjuncts += [("P", HOLE, f[child]) for child in st.children.get(key, ())
+                      if child not in below_inf]
         x = stream.oldest_satisfying(conjuncts, s)
         xs[key] = x
         engine.emit("xtau", s, node, *_fields(key), x)
-        if x is None or x != st["x_at_t"].get(key):
+        if x is None or x != st.x_at_t.get(key):
             stable = False
     token = f"i{k1}" if stable else "ii"
-    st["x_at_t"] = xs
-    st["t"] = s
-    st["k0"] = k0 + 1
+    st.x_at_t = xs
+    st.t = s
+    st.k0 = k0 + 1
     if token == "ii":
-        st["k1"] = k1 + 1
+        st.k1 = k1 + 1
     return token
 
 
-def _failing_bullet(engine, f, stream, children, key, t, s) -> int | None:
+def _failing_bullet(engine, st: MatcherState, stream, key, s) -> int | None:
     """The first bullet condition key fails: 1 unmapped, 2 top label
     missing on its image, 3 a child unmapped or not linked to it."""
+    f = st.f
     if key not in f:
         return 1
-    n = engine.store.n_sigma(*key, t + 1)
-    if not stream.holds_within(("S", n, f[key]), s):
+    if not stream.holds_within(("S", _n_sigma(engine, st, key), f[key]), s):
         return 2
-    for child in children:
+    for child in st.children.get(key, ()):
         if child not in f or not stream.holds_within(("P", f[key], f[child]), s):
             return 3
     return None

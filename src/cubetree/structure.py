@@ -246,6 +246,8 @@ class LabelStore:
     _direct: dict[CubeElem, dict[int, int]] = field(default_factory=dict)
     # Growth events and direct (stage, n, element) declarations, as recorded.
     _log: list[GrowEvent | tuple[int, int, CubeElem]] = field(default_factory=list)
+    # Stamp stage -> the growth events and empty-set elements declared then.
+    _on_empty: dict[int, list[GrowEvent | CubeElem]] = field(default_factory=dict)
 
     def _check_sort(self, sort: int | None) -> None:
         if sort not in sorts(self.variant):
@@ -263,6 +265,7 @@ class LabelStore:
         ev = GrowEvent(stage, -1 if pre is None else pre, sigma, sort)
         events.append(ev)
         self._log.append(ev)
+        self._on_empty.setdefault(stage, []).append(ev)
         return ev
 
     def declare(self, n: int, e: CubeElem, stage: int) -> bool:
@@ -272,7 +275,15 @@ class LabelStore:
             return False
         self._direct.setdefault(e, {})[n] = stage
         self._log.append((stage, n, e))
+        if not e.fset:
+            self._on_empty.setdefault(stage, []).append(e)
         return True
+
+    def relabelled(self, stage: int) -> list[StringKey]:
+        """The keys whose empty-set vertex got a label stamped at stage: the
+        only keys whose n_sigma(key, stage + 1) can differ from
+        n_sigma(key, stage)."""
+        return [(x.sigma, x.sort) for x in self._on_empty.get(stage, ())]
 
     def grows(self, sigma: NatString, sort: int | None) -> list[GrowEvent]:
         return self._grows.get((tuple(sigma), sort), [])
@@ -355,40 +366,64 @@ class Snapshot:
         order, then label index, then vertex order.
 
         Growth events declare contiguous label prefixes, so a cursor per
-        element makes the expansion linear in the output; sparse direct
-        declarations are tracked separately.
+        (string, vertex) makes the expansion linear in the output; sparse
+        direct declarations are tracked separately.  Strings are keyed by
+        (sigma, sort) and window vertices by index, and each element is
+        built once, when its first row is emitted.
         """
         rows: list[tuple[int, int, CubeElem]] = []
-        cursor: dict[CubeElem, int] = {}
-        sparse: set[tuple[int, CubeElem]] = set()
         window_f = sorted(self.fsets, key=lambda f: (len(f), tuple(sorted(f))))
         vertices = [frozenset(), *(f for f in window_f if f)]
+        slot_of = {f: v for v, f in enumerate(vertices)}
+        # (sigma, sort) -> per window vertex: labels emitted from growth
+        # events, and the element once built.
+        cursor: dict[StringKey, list[int]] = {}
+        elems: dict[StringKey, list[CubeElem | None]] = {}
+        # (sigma, sort) -> (n, vertex) of the direct declarations emitted; a
+        # vertex outside the window stands for itself.
+        sparse: dict[StringKey, set[tuple[int, int | frozenset[int]]]] = {}
         for ev in self.store.declaration_events():
             stage = ev[0]
             if stage > self.stage:
                 break
             if not isinstance(ev, GrowEvent):
                 _, n, e = ev
-                if n >= cursor.get(e, 0) and (n, e) not in sparse:
-                    sparse.add((n, e))
+                key = (e.sigma, e.sort)
+                v = slot_of.get(e.fset)
+                done = cursor[key][v] if v is not None and key in cursor else 0
+                mark = (n, e.fset if v is None else v)
+                seen = sparse.setdefault(key, set())
+                if n >= done and mark not in seen:
+                    seen.add(mark)
                     rows.append((stage, n, e))
                 continue
-            for f in vertices:
-                e = CubeElem(f, ev.sigma, ev.sort)
-                start, upto = cursor.get(e, 0), declared_by(ev, f)
+            key = (ev.sigma, ev.sort)
+            done = cursor.get(key)
+            if done is None:
+                done = cursor[key] = [0] * len(vertices)
+                elems[key] = [None] * len(vertices)
+            built = elems[key]
+            seen = sparse.get(key)
+            for v, f in enumerate(vertices):
+                start, upto = done[v], declared_by(ev, f)
                 if upto > start:
+                    e = built[v]
+                    if e is None:
+                        e = built[v] = CubeElem(f, ev.sigma, ev.sort)
                     rows.extend((stage, n, e) for n in range(start, upto)
-                                if (n, e) not in sparse)
-                    cursor[e] = upto
+                                if seen is None or (n, v) not in seen)
+                    done[v] = upto
         return rows
 
     def dump_lines(self) -> list[str]:
-        texts: dict[CubeElem, str] = {}
+        # Rows of one element share one object, so its text is cached by
+        # identity and no element is hashed per row.
+        texts: dict[int, str] = {}
         lines = []
         for stage, n, e in self.declarations():
-            text = texts.get(e)
+            text = texts.get(id(e))
             if text is None:
-                text = texts[e] = format_elem(e)
+                text = texts[id(e)] = format_elem(e)
             lines.append(f"{stage} {n} {text}")
         return lines
 

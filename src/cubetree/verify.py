@@ -604,7 +604,7 @@ def _recompute_B(result: RunResult, addr, stage: int, t: int, k0: int):
                 continue
             out.append((sigma, None))
     else:
-        cpairs = set(node.state.get("C", []))
+        cpairs = set(node.state.C)
         for sigma in result.universe_strings(t):
             for a in (0, 1):
                 if (sigma, a) in cpairs:

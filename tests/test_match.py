@@ -6,7 +6,8 @@ from conftest import cc_config, dc_config, faithful
 from cubetree import cc, dc
 from cubetree.adversary import HOLE, FactStream
 from cubetree.engine import run_stages
-from cubetree.match import children_index
+from cubetree.match import MatcherState
+from cubetree.structure import ladder_key
 
 
 def scan_children(pool, key):
@@ -24,11 +25,23 @@ cc_pools = st.sets(st.tuples(strings, st.none()), max_size=40)
 dc_pools = st.sets(st.tuples(strings, st.integers(0, 1)), max_size=40)
 
 
-@given(st.one_of(cc_pools, dc_pools), st.lists(st.tuples(strings, st.sampled_from([None, 0, 1]))))
-def test_children_index_matches_scan(pool, probes):
-    index = children_index(pool)
+@given(st.one_of(cc_pools, dc_pools), st.data(),
+       st.lists(st.tuples(strings, st.sampled_from([None, 0, 1]))))
+def test_children_index_matches_scan(pool, data, probes):
+    """Keys enter and leave a matcher's B in any order: its children index
+    equals the scan of B, and B stays in ladder order."""
+    state = MatcherState(C=[])
+    members = []
+    for key in data.draw(st.permutations(sorted(pool))):
+        state.admit(key)
+        members.append(key)
+        if data.draw(st.booleans()):
+            gone = members.pop(data.draw(st.integers(0, len(members) - 1)))
+            state.evict(gone)
     for key in list(pool) + probes:
-        assert index.get(key, []) == scan_children(pool, key)
+        assert state.children.get(key, []) == scan_children(members, key)
+    assert state.B == sorted(members, key=lambda k: (ladder_key(k[0]), k[1]))
+    assert set(state.unmapped) == set(members)
 
 
 # The plain responsibility formulas, one scan of each string's choosers, that
@@ -57,7 +70,7 @@ def reference_B(engine, node, t, fin_token):
 
 def reference_B_pairs(engine, node, t, fin_token):
     below_fin = node.addr + (fin_token,)
-    cpairs = set(node.state["C"])
+    cpairs = set(node.state.C)
     out = []
     for sigma in engine.universe_strings(t):
         for a in (0, 1):
@@ -103,7 +116,7 @@ def test_responsibility_and_stability_pool_match_chosen_scans(variant, config, m
             below_inf = node.addr + ("ii",)
             D = {key for key in B if not chosen_by_extension_of(engine, *key, below_inf)}
             kids = scan_children(B, conjuncts[0][1:3])
-            f = node.state["f"]
+            f = node.state.f
             assert conjuncts[1:] == [("P", HOLE, f[k]) for k in kids if k in D]
             counts["links"] += len(conjuncts) - 1
             counts["skipped"] += len(kids) - (len(conjuncts) - 1)
@@ -269,3 +282,73 @@ def test_matcher_agrees_with_the_plain_matcher_at_every_visit(name, monkeypatch)
         lambda engine, node, s: reference_visit(engine, node, s, start, shadow, engine.emit)[0])
     plain = run_stages(config)
     assert real.trace_lines() == plain.trace_lines()
+
+
+def test_matcher_work_grows_with_the_trace(monkeypatch):
+    """On CC_FAITHFUL at h=150 and h=300 the matchers' counted work (every
+    bullet check plus every key a visit enumerates outside them) grows at
+    most as trace^1.15, fitted as in Goldsmith, Aiken & Wilkerson, FSE 2007.
+    Checking every key of B on every visit grows as trace^1.24 there."""
+    import math
+
+    from test_acceptance import CC_FAITHFUL
+
+    from cubetree import match
+    from cubetree.config import config_from_dict
+
+    failing_bullet = match._failing_bullet
+    checks = 0
+
+    def counted_bullet(*args):
+        nonlocal checks
+        checks += 1
+        return failing_bullet(*args)
+
+    monkeypatch.setattr(match, "_failing_bullet", counted_bullet)
+    work, events = [], []
+    for horizon in (150, 300):
+        checks = 0
+        result = run_stages(config_from_dict(dict(CC_FAITHFUL, horizon=horizon)))
+        scanned = sum(node.state.scanned for node in result.nodes.values()
+                      if isinstance(node.state, MatcherState))
+        assert checks and scanned
+        work.append(checks + scanned)
+        events.append(len(result.trace))
+    exponent = math.log(work[1] / work[0]) / math.log(events[1] / events[0])
+    assert exponent <= 1.15, (work, events, exponent)
+
+
+def test_a_key_chosen_below_the_finite_outcome_leaves_B_and_comes_back():
+    """Fresh strings are born after the matcher's t, so in the sample runs
+    no key of B is ever chosen below its finite outcome; only a steal of an
+    older string can do that.  Choose keys of B there by hand: they leave B
+    and the children index, and a new finite outcome brings them back,
+    queued for a bullet check with their parents."""
+    from cubetree.engine import ReqM
+
+    result = run_stages(cc_config(horizon=40, adversaries=[faithful(delay=1)]))
+    node = next(nd for nd in result.nodes.values() if isinstance(nd.req, ReqM))
+    st = node.state
+    t, fin = st.B_t, st.fin
+    assert cc.compute_B(result, node, t, fin) == reference_B(result, node, t, fin)
+    leaf = max(st.B, key=lambda key: len(key[0]))
+    chosen = [leaf, (leaf[0][:-1], None)]
+    assert all(key in st.rank for key in chosen)
+    chooser = result.node_at(node.addr + (fin,))
+    for sigma, sort in chosen:
+        result.grow(sigma, sort, result.horizon, chooser=result.node_at(chooser.addr + ("o",)))
+    B = cc.compute_B(result, node, t, fin)
+    assert B == reference_B(result, node, t, fin)
+    assert not set(chosen) & set(B) and not set(chosen) & set(st.unmapped)
+    for key in B:
+        assert st.children.get(key, []) == scan_children(B, key)
+    st.pending.clear()
+    fin = str(int(fin) + 1)
+    B = cc.compute_B(result, node, t + 1, fin)
+    assert B == reference_B(result, node, t + 1, fin)
+    assert set(chosen) <= set(B)
+    for key in B:
+        assert st.children.get(key, []) == scan_children(B, key)
+    assert set(chosen) <= st.pending
+    above = (leaf[0][:-2], None)
+    assert above in st.pending or above not in st.rank
