@@ -56,8 +56,6 @@ class MatcherState:
     B_t: int = 0
     fin: str | None = None
     excluded: set[StringKey] = field(default_factory=set)
-    # n_sigma(key, B_t + 1) for the keys a visit has asked about.
-    n: dict[StringKey, int] = field(default_factory=dict)
     # Keys the visits enumerated outside the bullet checks: a work count.
     scanned: int = 0
 
@@ -129,20 +127,12 @@ def responsibility_set(engine: Engine, node: Node, t: int, fin_token: str) -> li
                 st.mark(key)
             st.scanned += len(relabelled)
         st.B_t = t
-        st.n = {}
     return st.B
 
 
 def _fields(key: StringKey) -> tuple:
     """A key's trace event fields: single-sorted events omit the sort."""
     return key[:1] if key[1] is None else key
-
-
-def _n_sigma(engine: Engine, st: MatcherState, key: StringKey) -> int:
-    n = st.n.get(key)
-    if n is None:
-        n = st.n[key] = engine.store.n_sigma(*key, st.B_t + 1)
-    return n
 
 
 def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
@@ -160,7 +150,7 @@ def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
         unmapped = []
         for key in st.unmapped:
             sigma, sort = key
-            n = _n_sigma(engine, st, key)
+            n = engine.store.n_sigma(sigma, sort, t + 1)
             x = stream.oldest_satisfying([("W", sigma, sort, HOLE), ("S", n, HOLE)], s)
             if x is None:
                 unmapped.append(key)
@@ -175,7 +165,7 @@ def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
     while queue:
         key = queue[0][1]
         if key in pending:
-            bullet = _failing_bullet(engine, st, stream, key, s)
+            bullet = _failing_bullet(engine, f, stream, st.children.get(key, ()), key, t, s)
             if bullet:
                 engine.emit("mfail", s, node, *_fields(key), bullet)
                 return str(k0)
@@ -204,15 +194,15 @@ def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
     return token
 
 
-def _failing_bullet(engine, st: MatcherState, stream, key, s) -> int | None:
+def _failing_bullet(engine, f, stream, children, key, t, s) -> int | None:
     """The first bullet condition key fails: 1 unmapped, 2 top label
     missing on its image, 3 a child unmapped or not linked to it."""
-    f = st.f
     if key not in f:
         return 1
-    if not stream.holds_within(("S", _n_sigma(engine, st, key), f[key]), s):
+    n = engine.store.n_sigma(*key, t + 1)
+    if not stream.holds_within(("S", n, f[key]), s):
         return 2
-    for child in st.children.get(key, ()):
+    for child in children:
         if child not in f or not stream.holds_within(("P", f[key], f[child]), s):
             return 3
     return None

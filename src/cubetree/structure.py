@@ -379,9 +379,8 @@ class Snapshot:
         # events, and the element once built.
         cursor: dict[StringKey, list[int]] = {}
         elems: dict[StringKey, list[CubeElem | None]] = {}
-        # (sigma, sort) -> (n, vertex) of the direct declarations emitted; a
-        # vertex outside the window stands for itself.
-        sparse: dict[StringKey, set[tuple[int, int | frozenset[int]]]] = {}
+        # (sigma, sort) -> (n, vertex) of the direct declarations emitted.
+        sparse: dict[StringKey, set[tuple[int, frozenset[int]]]] = {}
         for ev in self.store.declaration_events():
             stage = ev[0]
             if stage > self.stage:
@@ -391,10 +390,9 @@ class Snapshot:
                 key = (e.sigma, e.sort)
                 v = slot_of.get(e.fset)
                 done = cursor[key][v] if v is not None and key in cursor else 0
-                mark = (n, e.fset if v is None else v)
                 seen = sparse.setdefault(key, set())
-                if n >= done and mark not in seen:
-                    seen.add(mark)
+                if n >= done and (n, e.fset) not in seen:
+                    seen.add((n, e.fset))
                     rows.append((stage, n, e))
                 continue
             key = (ev.sigma, ev.sort)
@@ -411,7 +409,7 @@ class Snapshot:
                     if e is None:
                         e = built[v] = CubeElem(f, ev.sigma, ev.sort)
                     rows.extend((stage, n, e) for n in range(start, upto)
-                                if seen is None or (n, v) not in seen)
+                                if seen is None or (n, f) not in seen)
                     done[v] = upto
         return rows
 
