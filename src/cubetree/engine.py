@@ -187,6 +187,8 @@ class Engine:
         self.trace: list[tuple] = []
         self.watermark = 0
         self.chosen: dict[StringKey, list[tuple[Addr, int]]] = {}
+        # Whether some node keeps keys_chosen_below answers (Node.chosen_below).
+        self._kept_below = False
         # Every string that has entered the slice, in ladder order, and when;
         # and per stage, the strings entering then, in ladder order.
         self.universe: list[NatString] = []
@@ -274,7 +276,7 @@ class Engine:
             if not any(a is chooser.addr or a == chooser.addr for a, _ in records):
                 records.append((chooser.addr, stage))
                 self.emit("choose", stage, chooser, sigma, sort)
-                for anc in self.path_nodes(chooser.addr):
+                for anc in self.path_nodes(chooser.addr) if self._kept_below else ():
                     if anc.chosen_below:
                         keys = anc.chosen_below.get(chooser.addr[len(anc.addr)])
                         if keys is not None:
@@ -309,6 +311,7 @@ class Engine:
             return self._scan_chosen_below(prefix)
         if parent.chosen_below is None:
             parent.chosen_below = {}
+            self._kept_below = True
         keys = parent.chosen_below.get(prefix[-1])
         if keys is None:
             # Choosers are visited nodes, so nothing is chosen below a
