@@ -42,7 +42,7 @@ class MatcherState:
     k1: int = 0
     t: int = 0
     x_at_t: dict[StringKey, int | None] = field(default_factory=dict)
-    # B in ladder order, and each key of B with its position in that order.
+    # B in ladder order, and each key of B with its sort key in that order.
     B: list[StringKey] = field(default_factory=list)
     rank: dict[StringKey, tuple] = field(default_factory=dict)
     # Parent key -> its children in B, sorted.
