@@ -408,8 +408,8 @@ class Snapshot:
                     e = built[v]
                     if e is None:
                         e = built[v] = CubeElem(f, ev.sigma, ev.sort)
-                    rows.extend((stage, n, e) for n in range(start, upto)
-                                if seen is None or (n, f) not in seen)
+                    rows += [(stage, n, e) for n in range(start, upto)
+                             if seen is None or (n, f) not in seen]
                     done[v] = upto
         return rows
 
