@@ -276,11 +276,12 @@ class Engine:
             if not any(a is chooser.addr or a == chooser.addr for a, _ in records):
                 records.append((chooser.addr, stage))
                 self.emit("choose", stage, chooser, sigma, sort)
-                for anc in self.path_nodes(chooser.addr) if self._kept_below else ():
-                    if anc.chosen_below:
-                        keys = anc.chosen_below.get(chooser.addr[len(anc.addr)])
-                        if keys is not None:
-                            keys.add((sigma, sort))
+                if self._kept_below:
+                    for anc in self.path_nodes(chooser.addr):
+                        if anc.chosen_below:
+                            kept = anc.chosen_below.get(chooser.addr[len(anc.addr)])
+                            if kept is not None:
+                                kept.add((sigma, sort))
                 # Strings are chosen before birth, so this is their entry.
                 self._enter(sigma, birth_stage(sigma))
 
