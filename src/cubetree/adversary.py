@@ -407,7 +407,3 @@ def make_faithful_copy(
         gen.ingest(stage, ground.store, ground.universe_strings(stage),
                    touched.get(stage, set()))
     return gen.result()
-
-
-def make_defective_copy(ground, defect: Defect, **kwargs) -> Adversary:
-    return make_faithful_copy(ground, defects=(defect,), label="defective", **kwargs)

@@ -75,22 +75,25 @@ def act_G(engine: Engine, s: int) -> None:
         engine.declare_base(sigma, None, s)
 
 
+@dataclass
+class TreeState:
+    """A tree strategy's image string: its parent's image extended by a
+    fresh number, chosen on its first visit (the root's image is empty)."""
+
+    sigma: NatString
+
+
 def act_N(engine: Engine, node: Node, s: int) -> str:
     st = node.state
-    req: ReqN = node.req
-    if "sigma" not in st:
-        if req.pi == ():
-            st["sigma"] = ()
+    if st is None:
+        pi = node.req.pi
+        if pi == ():
+            st = node.state = TreeState(())
         else:
-            parent_req = ReqN(req.pi[:-1])
-            parent = next(
-                nd for nd in engine.path_nodes(node.addr) if nd.req == parent_req
-            )
-            if "sigma" not in parent.state:
-                raise RuntimeError("parent tree strategy has not chosen a string")
-            m = engine.fresh(s)
-            st["sigma"] = parent.state["sigma"] + (m,)
-    engine.grow(st["sigma"], None, s, chooser=node)
+            # The parent precedes pi in the priority order, so it is above.
+            parent = engine.path.by_req[ReqN(pi[:-1])]
+            st = node.state = TreeState(parent.state.sigma + (engine.fresh(s),))
+    engine.grow(st.sigma, None, s, chooser=node)
     return "o"
 
 
@@ -101,7 +104,7 @@ def compute_B(engine: Engine, node: Node, t: int, fin_token: str) -> list[String
 def _tree_images(engine: Engine, node: Node) -> list[StringKey]:
     """Starting set: the strings chosen by tree strategies above the node."""
     return sorted(
-        ((nd.state["sigma"], None) for nd in engine.path_nodes(node.addr)
+        ((nd.state.sigma, None) for nd in engine.path_nodes(node.addr)
          if isinstance(nd.req, ReqN)),
         key=lambda key: (len(key[0]), key[0]),
     )
@@ -140,8 +143,8 @@ def compute_Q(result: RunResult, tp_entries: list[TPEntry]) -> TreeQ:
     phi: dict[NatString, NatString] = {}
     for entry in tp_entries:
         node = result.nodes[entry.addr]
-        if isinstance(node.req, ReqN) and "sigma" in node.state:
-            phi[node.req.pi] = node.state["sigma"]
+        if isinstance(node.req, ReqN):
+            phi[node.req.pi] = node.state.sigma
     return TreeQ(phi)
 
 
@@ -175,13 +178,13 @@ def extract_isomorphism(
     )
     if entry is None:
         raise ExtractionStalled(f"no stable M{adv_index} node on the true path approximation")
-    node = result.nodes[entry.addr]
+    st = result.nodes[entry.addr].state
     adv = result.adversaries[adv_index]
     stream = adv.stream
     horizon = result.horizon
     stalls: list[str] = []
-    f: dict[NatString, int] = {sigma: x for (sigma, _), x in node.state.f.items()}
-    C = [sigma for sigma, _ in node.state.C]
+    f: dict[NatString, int] = {sigma: x for (sigma, _), x in st.f.items()}
+    C = [sigma for sigma, _ in st.C]
 
     # Closing sweep: strings enumerated by the copy that never entered the
     # responsibility set (late births) get the same search at full budget.
@@ -200,7 +203,7 @@ def extract_isomorphism(
     # Excluded strings, deepest first; the limit witness is the last recorded
     # stable value, the correction set J collects the broken links.
     for sigma in sorted(C, key=len, reverse=True):
-        x = node.state.x_at_t.get((sigma, None))
+        x = st.x_at_t.get((sigma, None))
         if x is None:
             stalls.append(f"no limit witness for chosen {format_string(sigma)}")
             continue

@@ -14,12 +14,13 @@ daughters.  Copy matching runs the shared strategy of `match` over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from . import match
 from .config import as_object, at_least, integer, only_keys, read_int, required
 from .engine import (
+    Addr,
     Engine,
     Node,
     ReqDaughter,
@@ -199,6 +200,47 @@ def functional_from_dict(data: dict, where: str) -> Functional:
 
 
 # ---------------------------------------------------------------------------
+# Strategy state: one record per requirement kind, built on the first visit.
+
+@dataclass
+class MotherState:
+    """A mother's fresh first value v; her string is (v,)."""
+
+    v: int
+
+    @property
+    def sigma(self) -> NatString:
+        return (self.v,)
+
+
+@dataclass
+class DaughterState:
+    """k counts the predicate's firings so far (the finite outcome is str(k)),
+    t is the stage of the last one, and sig holds the string defined for
+    each outcome token."""
+
+    k: int = 0
+    t: int = 0
+    sig: dict[str, NatString] = field(default_factory=dict)
+
+
+@dataclass
+class DiagonalizerState:
+    """i is the sort-0 mother value diagonalized against, x the private
+    witness, and C the addresses of the mothers whose strings it steals: that
+    mother, then the sort-1 mothers above with smaller values.  Freezing sets
+    `stolen` (mother address -> string), `ell` (the longest stolen length)
+    and `blocks` (the daughter types the steal rules out)."""
+
+    i: int
+    x: int
+    C: list[Addr]
+    stolen: dict[Addr, NatString] | None = None
+    ell: int = 0
+    blocks: set[ReqDaughter] = field(default_factory=set)
+
+
+# ---------------------------------------------------------------------------
 # Priority ordering and dynamic typing.
 
 def validate_config(config) -> None:
@@ -251,11 +293,11 @@ def blocking_report(engine: Engine) -> dict:
     blocked: set[ReqDaughter] = set()
     min_clearance: dict[tuple, int] = {}
     for u in path.frozen:
-        blocked.update(u.state["blocks"])
+        blocked.update(u.state.blocks)
         for nd in mothers:
             if len(nd.addr) < len(u.addr):
                 min_clearance[nd.addr] = max(min_clearance.get(nd.addr, 0),
-                                             u.state["ell"])
+                                             u.state.ell)
     return {"coverage": coverage, "blocked": blocked, "u_clearance": min_clearance}
 
 
@@ -297,10 +339,9 @@ def act_G(engine: Engine, s: int) -> None:
 
 def act_N_mother(engine: Engine, node: Node, s: int) -> str:
     st = node.state
-    if "v" not in st:
-        st["v"] = engine.fresh(s)
-        st["sigma"] = (st["v"],)
-    engine.grow(st["sigma"], node.req.a, s, chooser=node)
+    if st is None:
+        st = node.state = MotherState(engine.fresh(s))
+    engine.grow(st.sigma, node.req.a, s, chooser=node)
     return "o"
 
 
@@ -313,25 +354,22 @@ def resolve_gamma(engine: Engine, node: Node) -> NatString:
     theta = path.by_req.get(ReqMother(req.r, req.a))
     if theta is None:
         raise GammaUnresolved(f"daughter {node} has no mother")
-    v_theta = theta.state["v"]
+    v_theta = theta.state.v
     provider = theta
     previous = path.by_req.get(ReqDaughter(req.r, req.n - 1, req.a))
     if previous is not None and len(previous.addr) > len(provider.addr):
         provider = previous
     for u in path.frozen:
-        i = u.state["i"]
+        i = u.state.i
         if (len(u.addr) > len(provider.addr)
                 and (i == v_theta if req.a == 0 else i > v_theta)):
             provider = u
     if provider is theta:
-        return theta.state["sigma"]
+        return theta.state.sigma
     if provider is previous:
-        alpha = node.addr[len(previous.addr)]
-        sig = previous.state.get("sig", {})
-        if alpha not in sig:
-            raise GammaUnresolved(f"previous daughter {previous} lacks outcome {alpha}")
-        return sig[alpha]
-    stolen = provider.state["stolen"].get(theta.addr)
+        # The outcome the previous daughter took here; it defined its string.
+        return previous.state.sig[node.addr[len(previous.addr)]]
+    stolen = provider.state.stolen.get(theta.addr)
     if stolen is None:
         raise GammaUnresolved(f"frozen {provider} holds nothing for this mother")
     return stolen
@@ -340,10 +378,8 @@ def resolve_gamma(engine: Engine, node: Node) -> NatString:
 def act_N_daughter(engine: Engine, node: Node, s: int) -> str:
     st = node.state
     req: ReqDaughter = node.req
-    if "k" not in st:
-        st["k"] = 0
-        st["t"] = 0
-        st["sig"] = {}
+    if st is None:
+        st = node.state = DaughterState()
     gamma = resolve_gamma(engine, node)
     engine.emit("gamma", s, node, gamma, req.n)
     if len(gamma) != req.n:
@@ -351,15 +387,15 @@ def act_N_daughter(engine: Engine, node: Node, s: int) -> str:
             f"inherited string {format_string(gamma)} has length {len(gamma)}, wanted {req.n}"
         )
     phi: PhiPredicate = engine.cfg.phi
-    fired = phi.fires_between(req.n, st["t"], s)
-    token = "i" if fired else str(st["k"])
-    if token not in st["sig"]:
-        st["sig"][token] = gamma + (s,)
-        engine.emit("sigdef", s, node, token, st["sig"][token])
-    engine.grow(st["sig"][token], req.a, s, chooser=node)
+    fired = phi.fires_between(req.n, st.t, s)
+    token = "i" if fired else str(st.k)
+    if token not in st.sig:
+        st.sig[token] = gamma + (s,)
+        engine.emit("sigdef", s, node, token, st.sig[token])
+    engine.grow(st.sig[token], req.a, s, chooser=node)
     if fired:
-        st["k"] += 1
-        st["t"] = s
+        st.k += 1
+        st.t = s
     return token
 
 
@@ -370,23 +406,23 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
     theta = path.by_req.get(ReqMother(req.slot, 0))
     if theta is None:
         return "0"  # no matching mother below: never acts
-    if "i" not in st:
-        st["i"] = theta.state["v"]
-        st["x"] = engine.alloc_witness()
+    if st is None:
+        i = theta.state.v
         others = sorted(
-            (nd for nd in path.mothers if nd.req.a == 1 and nd.state["v"] < st["i"]),
-            key=lambda nd: nd.state["v"],
+            (nd for nd in path.mothers if nd.req.a == 1 and nd.state.v < i),
+            key=lambda nd: nd.state.v,
         )
-        st["C"] = [theta.addr] + [nd.addr for nd in others]
-    if st.get("frozen"):
-        for psi_addr in st["C"]:
+        st = node.state = DiagonalizerState(
+            i, engine.alloc_witness(), [theta.addr] + [nd.addr for nd in others])
+    if st.stolen is not None:
+        for psi_addr in st.C:
             sort = engine.nodes[psi_addr].req.a
-            engine.grow(st["stolen"][psi_addr], sort, s, chooser=node)
+            engine.grow(st.stolen[psi_addr], sort, s, chooser=node)
         return "1"
     functional: Functional = engine.cfg.functionals[req.e].functional
     below = node.addr + ("0",)
     candidates: list[list[tuple[int, tuple, str, NatString]]] = []
-    for psi_addr in st["C"]:
+    for psi_addr in st.C:
         psi = engine.nodes[psi_addr]
         want = (psi.req.r, psi.req.a)
         cands = []
@@ -397,7 +433,7 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
                 continue
             if nd.addr[: len(below)] != below:
                 continue
-            for token, string in sorted(nd.state.get("sig", {}).items()):
+            for token, string in sorted(nd.state.sig.items()):
                 cands.append((len(string), nd.addr, token, string))
         if not cands:
             return "0"
@@ -405,27 +441,21 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
         candidates.append(cands)
     for combo in product(*candidates):
         oracle = tuple(c[3] for c in combo)
-        halted, value, _use = functional.evaluate(oracle, st["x"], s)
+        halted, value, _use = functional.evaluate(oracle, st.x, s)
         if halted and value == 0:
-            st["frozen"] = True
-            st["frozen_at"] = s
-            st["stolen"] = {
-                psi_addr: combo[idx][3] for idx, psi_addr in enumerate(st["C"])
-            }
-            st["ell"] = max(len(p) for p in oracle)
-            blocks: set[ReqDaughter] = set()
-            for psi_addr in st["C"]:
+            st.stolen = {psi_addr: combo[idx][3] for idx, psi_addr in enumerate(st.C)}
+            st.ell = max(len(p) for p in oracle)
+            for psi_addr in st.C:
                 psi = engine.nodes[psi_addr]
                 low = path.coverage.get((psi.req.r, psi.req.a), 0)
-                high = len(st["stolen"][psi_addr])
+                high = len(st.stolen[psi_addr])
                 for n in range(low + 1, high):
-                    blocks.add(ReqDaughter(psi.req.r, n, psi.req.a))
-            st["blocks"] = blocks
-            engine.enumerate_witness(st["x"], s)
-            engine.emit("ufreeze", s, node, st["x"], st["ell"])
-            for psi_addr in st["C"]:
+                    st.blocks.add(ReqDaughter(psi.req.r, n, psi.req.a))
+            engine.enumerate_witness(st.x, s)
+            engine.emit("ufreeze", s, node, st.x, st.ell)
+            for psi_addr in st.C:
                 psi = engine.nodes[psi_addr]
-                engine.emit("usteal", s, node, psi, st["stolen"][psi_addr], psi.req.a)
+                engine.emit("usteal", s, node, psi, st.stolen[psi_addr], psi.req.a)
             return "1"
     return "0"
 
@@ -436,16 +466,13 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
 def _c_pairs(engine: Engine, node: Node) -> list[tuple[NatString, int]]:
     pairs: set[tuple[NatString, int]] = set()
     for nd in engine.path_nodes(node.addr):
-        if isinstance(nd.req, ReqMother) and "sigma" in nd.state:
-            pairs.add((nd.state["sigma"], nd.req.a))
+        if isinstance(nd.req, ReqMother):
+            pairs.add((nd.state.sigma, nd.req.a))
         elif isinstance(nd.req, ReqDaughter):
-            alpha = node.addr[len(nd.addr)]
-            sig = nd.state.get("sig", {})
-            if alpha in sig:
-                pairs.add((sig[alpha], nd.req.a))
-        elif isinstance(nd.req, ReqU) and nd.state.get("frozen") \
-                and node.addr[len(nd.addr)] == "1":
-            for psi_addr, string in nd.state["stolen"].items():
+            pairs.add((nd.state.sig[node.addr[len(nd.addr)]], nd.req.a))
+        elif isinstance(nd.req, ReqU) and node.addr[len(nd.addr)] == "1":
+            # A diagonalizer takes its 1-outcome only once it has frozen.
+            for psi_addr, string in nd.state.stolen.items():
                 pairs.add((string, engine.nodes[psi_addr].req.a))
     return sorted(pairs)
 
@@ -482,10 +509,7 @@ def extract_paths(result: RunResult, tp_entries: list[TPEntry]) -> PathFamily:
         node = result.nodes[entry.addr]
         if not isinstance(node.req, ReqMother):
             continue
-        v = node.state.get("v")
-        if v is None:
-            continue
-        pieces: list[NatString] = [node.state["sigma"]]
+        pieces: list[NatString] = [node.state.sigma]
         for other in tp_entries:
             nd = result.nodes[other.addr]
             if (
@@ -494,27 +518,21 @@ def extract_paths(result: RunResult, tp_entries: list[TPEntry]) -> PathFamily:
                 and len(other.addr) > len(entry.addr)
                 and other.addr[: len(entry.addr)] == entry.addr
                 and other.outcome is not None
-                and other.outcome in nd.state.get("sig", {})
             ):
-                pieces.append(nd.state["sig"][other.outcome])
+                pieces.append(nd.state.sig[other.outcome])
             if (
                 isinstance(nd.req, ReqU)
-                and nd.state.get("frozen")
                 and other.outcome == "1"
-                and node.addr in nd.state["stolen"]
+                and node.addr in nd.state.stolen
             ):
-                pieces.append(nd.state["stolen"][node.addr])
+                pieces.append(nd.state.stolen[node.addr])
         pieces.sort(key=len)
         for shorter, longer in zip(pieces, pieces[1:]):
             if longer[: len(shorter)] != shorter:
                 raise InconsistentPrefixes(
                     f"{format_string(shorter)} vs {format_string(longer)}"
                 )
-        prefix = pieces[-1]
-        if node.req.a == 0:
-            f[v] = prefix
-        else:
-            g[v] = prefix
+        (f if node.req.a == 0 else g)[node.state.v] = pieces[-1]
     return PathFamily(f, g)
 
 

@@ -103,16 +103,6 @@ def outcome_key(token: str) -> tuple[int, int]:
     return (2, -int(token))
 
 
-def strictly_left(a: Addr, b: Addr) -> bool:
-    """a lies strictly left of b (neither a prefix of the other, split left)."""
-    k = 0
-    while k < len(a) and k < len(b) and a[k] == b[k]:
-        k += 1
-    if k == len(a) or k == len(b):
-        return False
-    return outcome_key(a[k]) < outcome_key(b[k])
-
-
 def format_addr(addr: Addr) -> str:
     return "/" + "/".join(addr) if addr else "/"
 
@@ -124,13 +114,13 @@ def format_addr(addr: Addr) -> str:
 class Node:
     addr: Addr
     req: Requirement | None = None
-    # A dict of named fields, or a typed record (the matcher's MatcherState).
-    state: Any = field(default_factory=dict)
+    # The strategy's record, built by its act hook on the first visit: a
+    # cc.TreeState, dc.MotherState, dc.DaughterState, dc.DiagonalizerState
+    # or match.MatcherState.  None for Idle, and for a diagonalizer with no
+    # mother on its path.
+    state: Any = None
     visits: list[int] = field(default_factory=list)
     outcomes: list[tuple[int, str]] = field(default_factory=list)
-    # Outcome token -> the keys chosen at or below addr + (token,), kept for
-    # the tokens keys_chosen_below has been asked about.
-    chosen_below: dict[str, set[StringKey]] | None = None
 
     def outcome_counts(self, window: int | None = None) -> dict[str, int]:
         tail = self.outcomes if window is None else self.outcomes[-window:]
@@ -187,8 +177,10 @@ class Engine:
         self.trace: list[tuple] = []
         self.watermark = 0
         self.chosen: dict[StringKey, list[tuple[Addr, int]]] = {}
-        # Whether some node keeps keys_chosen_below answers (Node.chosen_below).
-        self._kept_below = False
+        # Matcher outcome prefix addr + (token,) -> the keys chosen at or
+        # below it.  A matcher's choosers are its descendants, which act only
+        # after its first visit, so each choice is filed as it is recorded.
+        self._below: dict[Addr, set[StringKey]] = {}
         # Every string that has entered the slice, in ladder order, and when;
         # and per stage, the strings entering then, in ladder order.
         self.universe: list[NatString] = []
@@ -276,12 +268,10 @@ class Engine:
             if not any(a is chooser.addr or a == chooser.addr for a, _ in records):
                 records.append((chooser.addr, stage))
                 self.emit("choose", stage, chooser, sigma, sort)
-                if self._kept_below:
-                    for anc in self.path_nodes(chooser.addr):
-                        if anc.chosen_below:
-                            kept = anc.chosen_below.get(chooser.addr[len(anc.addr)])
-                            if kept is not None:
-                                kept.add((sigma, sort))
+                for anc in self.path_nodes(chooser.addr):
+                    if isinstance(anc.req, ReqM):
+                        prefix = chooser.addr[:len(anc.addr) + 1]
+                        self._below.setdefault(prefix, set()).add((sigma, sort))
                 # Strings are chosen before birth, so this is their entry.
                 self._enter(sigma, birth_stage(sigma))
 
@@ -304,27 +294,10 @@ class Engine:
         return list(self._entering.get(s, ()))
 
     def keys_chosen_below(self, prefix: Addr) -> set[StringKey]:
-        """The keys chosen by a strategy at prefix or below it.  The answer
-        for a nonempty prefix is kept on the parent node and grows with later
-        choices, so callers read it and must not change it."""
-        parent = self.nodes.get(prefix[:-1]) if prefix else None
-        if parent is None:
-            return self._scan_chosen_below(prefix)
-        if parent.chosen_below is None:
-            parent.chosen_below = {}
-            self._kept_below = True
-        keys = parent.chosen_below.get(prefix[-1])
-        if keys is None:
-            # Choosers are visited nodes, so nothing is chosen below a
-            # prefix the stage loop has not reached.
-            keys = self._scan_chosen_below(prefix) if prefix in self.nodes else set()
-            parent.chosen_below[prefix[-1]] = keys
-        return keys
-
-    def _scan_chosen_below(self, prefix: Addr) -> set[StringKey]:
-        n = len(prefix)
-        return {key for key, records in self.chosen.items()
-                if any(a[:n] == prefix for a, _ in records)}
+        """The keys chosen at or below prefix, an outcome of a matcher.  The
+        set is the engine's own and grows with later choices, so callers read
+        it and must not change it."""
+        return self._below.get(prefix, set())
 
     def first_fit(self, allowed=None) -> Requirement:
         """The first requirement of the priority order off the current path

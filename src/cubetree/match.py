@@ -139,7 +139,7 @@ def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
     """One visit.  start(engine, node) gives the sorted starting set C on the
     first visit; responsibility(engine, node, t, fin_token) gives B."""
     st = node.state
-    if not isinstance(st, MatcherState):
+    if st is None:
         st = node.state = MatcherState(start(engine, node))
     stream = engine.adversaries[node.req.index].stream
     f = st.f

@@ -89,17 +89,6 @@ def format_elem(e: Elem) -> str:
     return f"{fpart}@{spart}{tail}"
 
 
-def parse_elem(text: str) -> Elem:
-    if text in ("u0", "u1"):
-        return UElem(int(text[1]))
-    m = re.fullmatch(r"\{([\d,]*)\}@(<[\d,]*>)(?:#([01]))?", text)
-    if not m:
-        raise ValueError(f"bad element token: {text!r}")
-    fbody, stext, sort = m.groups()
-    fset = frozenset(int(p) for p in fbody.split(",")) if fbody else frozenset()
-    return CubeElem(fset, parse_string(stext), None if sort is None else int(sort))
-
-
 # ---------------------------------------------------------------------------
 # Decidable relations W, E, P.
 

@@ -385,8 +385,8 @@ def check_labeling(result: RunResult, tp_entries: list[TPEntry],
     growing_on_path: set[tuple[NatString, int | None]] = set()
     for entry in tp_entries:
         node = result.nodes[entry.addr]
-        if isinstance(node.req, ReqN) and "sigma" in node.state:
-            growing_on_path.add((node.state["sigma"], None))
+        if isinstance(node.req, ReqN):
+            growing_on_path.add((node.state.sigma, None))
     if result.variant == "dc":
         # The root pairs are grown by the global strategy every stage.
         growing_on_path.update({((), 0), ((), 1)})

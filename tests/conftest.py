@@ -29,6 +29,12 @@ def dc_config(**overrides):
     return config_from_dict(data)
 
 
+def is_frozen(node):
+    """A diagonalizer that has frozen (one with no mother above holds no
+    record)."""
+    return node.state is not None and node.state.stolen is not None
+
+
 def faithful(delay=1, label="ident", **kw):
     spec = {"kind": "faithful", "label": label, "delay": delay}
     spec.update(kw)

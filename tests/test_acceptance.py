@@ -11,6 +11,8 @@ import time
 
 import pytest
 
+from conftest import is_frozen
+
 from cubetree import cc, dc
 from cubetree.config import config_from_dict
 from cubetree.cube import all_translations, enumerate_cube_automorphisms
@@ -311,19 +313,19 @@ def test_criterion_8_diagonalization(dc_diag):
     u_entry = next(
         e for e in entries
         if isinstance(result.nodes[e.addr].req, ReqU)
-        and result.nodes[e.addr].state.get("frozen")
+        and is_frozen(result.nodes[e.addr])
     )
     assert u_entry.outcome == "1"
     u_node = result.nodes[u_entry.addr]
-    x = u_node.state["x"]
+    x = u_node.state.x
     assert x in result.zprime
     paths = dc.extract_paths(result, entries)
     oracle = []
-    for psi_addr in u_node.state["C"]:
+    for psi_addr in u_node.state.C:
         psi = result.nodes[psi_addr]
-        prefix = (paths.f if psi.req.a == 0 else paths.g)[psi.state["v"]]
-        assert prefix[: len(u_node.state["stolen"][psi_addr])] == \
-            u_node.state["stolen"][psi_addr]
+        prefix = (paths.f if psi.req.a == 0 else paths.g)[psi.state.v]
+        stolen = u_node.state.stolen[psi_addr]
+        assert prefix[: len(stolen)] == stolen
         oracle.append(prefix)
     functional = result.cfg.functionals[u_node.req.e].functional
     halted, value, _use = functional.evaluate(tuple(oracle), x, steps=result.horizon)

@@ -212,14 +212,15 @@ def test_dc_copy_has_u_pair_and_links():
     assert adv.stream.holds_within(("P", u1, odd), 10**9)
 
 
-def test_make_defective_copy_from_run():
+def test_defective_copy_from_run():
     from conftest import cc_config
-    from cubetree.adversary import make_defective_copy, make_faithful_copy
+    from cubetree.adversary import make_faithful_copy
     from cubetree.engine import run_stages
 
     result = run_stages(cc_config(horizon=15))
     clean = make_faithful_copy(result, delay=1)
-    broken = make_defective_copy(result, Defect("omit_label", n=0, sigma=(0,)), delay=1)
+    broken = make_faithful_copy(result, defects=(Defect("omit_label", n=0, sigma=(0,)),),
+                                label="defective", delay=1)
     target = broken.to_copy[elem((), (0,))]
     assert clean.stream.holds_within(("S", 0, clean.to_copy[elem((), (0,))]), 10**9)
     assert not broken.stream.holds_within(("S", 0, target), 10**9)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import dc_config, faithful
+from conftest import dc_config, faithful, is_frozen
 
 from cubetree import dc
 from cubetree.config import config_from_dict
@@ -107,14 +107,14 @@ def test_functionals_step_bounded_and_use_monotone():
 def test_mothers_pick_increasing_fresh_values():
     result = run_stages(dc_config(horizon=20, mothers=2))
     mothers = sorted(nodes_of(result, ReqMother), key=lambda n: len(n.addr))
-    values = [n.state["v"] for n in mothers]
+    values = [n.state.v for n in mothers]
     assert values == sorted(values)
     assert len(set(values)) == len(values)
     assert all(v > 1 for v in values)
     # sort-1 mother of each slot activates first, so its value is smaller
     by_slot = {}
     for n in mothers:
-        by_slot.setdefault(n.req.r, {})[n.req.a] = n.state["v"]
+        by_slot.setdefault(n.req.r, {})[n.req.a] = n.state.v
     for slot, vals in by_slot.items():
         if 0 in vals and 1 in vals:
             assert vals[1] < vals[0]
@@ -125,8 +125,7 @@ def test_daughter_strings_extend_mother_chain():
     daughters = nodes_of(result, ReqDaughter)
     assert daughters
     for node in daughters:
-        for token, string in node.state.get("sig", {}).items():
-            assert len(string) == node.req.n + 1
+        assert set(map(len, node.state.sig.values())) == {node.req.n + 1}
         for ev in result.trace:
             if ev[0] == "gamma" and ev[2] is node:
                 assert len(ev[3]) == ev[4]
@@ -159,7 +158,7 @@ def test_daughter_settles_after_predicate_dies():
         assert tail and all(t == tail[0] != "i" for t in tail)
         # the settled string's appended stage exceeds the predicate bound
         if infs:
-            string = node.state["sig"][tail[0]]
+            string = node.state.sig[tail[0]]
             assert string[-1] > 6
 
 
@@ -187,15 +186,17 @@ def test_u_freezes_with_constant_zero_functional():
         functionals=[{"mother": 0, "round": 2, "kind": "constant", "value": 0}],
     )
     result = run_stages(config)
-    frozen = [n for n in nodes_of(result, ReqU) if n.state.get("frozen")]
+    frozen = [n for n in nodes_of(result, ReqU) if is_frozen(n)]
     assert frozen
     assert result.zprime
     for node in frozen:
-        freeze_stage = node.state["frozen_at"]
+        freeze_stage = next(ev[1] for ev in result.trace
+                            if ev[0] == "ufreeze" and ev[2] is node)
         after = [tok for s, tok in node.outcomes if s >= freeze_stage]
         assert after and all(t == "1" for t in after)
-        assert result.zprime[node.state["x"]] == freeze_stage
-        assert node.state["ell"] == max(len(p) for p in node.state["stolen"].values())
+        st = node.state
+        assert result.zprime[st.x] == freeze_stage
+        assert st.ell == max(len(p) for p in st.stolen.values())
 
 
 def test_frozen_u_blocks_and_daughters_inherit():
@@ -212,16 +213,16 @@ def test_frozen_u_blocks_and_daughters_inherit():
     u_entry = next(
         (e for e in entries
          if isinstance(result.nodes[e.addr].req, ReqU)
-         and result.nodes[e.addr].state.get("frozen")),
+         and is_frozen(result.nodes[e.addr])),
         None,
     )
     assert u_entry is not None and u_entry.outcome == "1"
     u_node = result.nodes[u_entry.addr]
     # stolen strings extend chains defined below the 0-outcome
-    for psi_addr, string in u_node.state["stolen"].items():
+    for psi_addr, string in u_node.state.stolen.items():
         assert len(string) >= 3
     # no blocked daughter type above the 1-outcome
-    blocked = u_node.state["blocks"]
+    blocked = u_node.state.blocks
     for node in nodes_of(result, ReqDaughter):
         if node.addr[: len(u_node.addr) + 1] == u_node.addr + ("1",):
             assert node.req not in blocked
@@ -230,7 +231,7 @@ def test_frozen_u_blocks_and_daughters_inherit():
     for node in nodes_of(result, ReqDaughter):
         if node.addr[: len(u_node.addr) + 1] != u_node.addr + ("1",):
             continue
-        for psi_addr, string in u_node.state["stolen"].items():
+        for psi_addr, string in u_node.state.stolen.items():
             psi = result.nodes[psi_addr]
             if (node.req.r, node.req.a) == (psi.req.r, psi.req.a) \
                     and node.req.n == len(string):
@@ -362,7 +363,7 @@ def test_second_diagonalizer_waits_for_clearance():
     result = run_stages(config)
     frozen_first = [
         n for n in nodes_of(result, ReqU)
-        if n.req.e == 0 and n.state.get("frozen")
+        if n.req.e == 0 and is_frozen(n)
     ]
     assert frozen_first
     second = [n for n in nodes_of(result, ReqU) if n.req.e == 1]
@@ -382,7 +383,7 @@ def test_second_diagonalizer_waits_for_clearance():
                      and node.addr[: len(d.addr)] == d.addr),
                     default=0,
                 )
-                assert cover > u.state["ell"], (node.addr, u.state["ell"], cover)
+                assert cover > u.state.ell, (node.addr, u.state.ell, cover)
 
 
 def test_first_visit_with_empty_mother_set_takes_first_infinite(monkeypatch):
@@ -432,9 +433,8 @@ def test_every_unblocked_type_reaches_the_true_path():
     blocked = set()
     for e in entries:
         node = result.nodes[e.addr]
-        if isinstance(node.req, ReqU) and node.state.get("frozen") \
-                and e.outcome == "1":
-            blocked |= node.state["blocks"]
+        if isinstance(node.req, ReqU) and is_frozen(node) and e.outcome == "1":
+            blocked |= node.state.blocks
     prefix = []
     it = dc.ordering_iter(config)
     for _ in range(18):
@@ -474,7 +474,7 @@ def test_daughter_coverage_agrees_with_one_walk_per_mother(monkeypatch):
 
     monkeypatch.setattr(dc, "assign_type", checked_typing)
     result = run_stages(config_from_dict(dict(data, horizon=80)))
-    assert any(u.state.get("frozen") for u in nodes_of(result, ReqU))
+    assert any(is_frozen(u) for u in nodes_of(result, ReqU))
     assert compared > 1000
 
 
@@ -497,7 +497,7 @@ def walk_daughter_coverage(engine, addr):
 
 def walk_frozen_us(engine, addr):
     return [nd for nd in engine.path_nodes(addr)
-            if isinstance(nd.req, ReqU) and nd.state.get("frozen")
+            if isinstance(nd.req, ReqU) and is_frozen(nd)
             and len(addr) > len(nd.addr) and addr[len(nd.addr)] == "1"]
 
 
@@ -508,11 +508,11 @@ def walk_blocking_report(engine, addr):
     blocked = set()
     min_clearance = {}
     for u in walk_frozen_us(engine, addr):
-        blocked.update(u.state["blocks"])
+        blocked.update(u.state.blocks)
         for nd in mothers:
             if len(nd.addr) < len(u.addr):
                 min_clearance[nd.addr] = max(min_clearance.get(nd.addr, 0),
-                                             u.state["ell"])
+                                             u.state.ell)
     return {"coverage": coverage, "blocked": blocked, "u_clearance": min_clearance}
 
 
@@ -524,21 +524,21 @@ def walk_resolve_gamma(engine, node):
     theta = next((nd for nd in path if nd.req == ReqMother(req.r, req.a)), None)
     if theta is None:
         raise dc.GammaUnresolved(f"daughter {node} has no mother")
-    v_theta = theta.state["v"]
+    v_theta = theta.state.v
     for nd in reversed(path):
         if nd is theta:
-            return nd, theta.state["sigma"]
+            return nd, theta.state.sigma
         if nd.req == ReqDaughter(req.r, req.n - 1, req.a):
             alpha = node.addr[len(nd.addr)]
-            sig = nd.state.get("sig", {})
+            sig = nd.state.sig
             if alpha not in sig:
                 raise dc.GammaUnresolved(f"previous daughter {nd} lacks outcome {alpha}")
             return nd, sig[alpha]
-        if (isinstance(nd.req, ReqU) and nd.state.get("frozen")
+        if (isinstance(nd.req, ReqU) and is_frozen(nd)
                 and node.addr[len(nd.addr)] == "1"):
-            i = nd.state.get("i")
-            if (req.a == 0 and i == v_theta) or (req.a == 1 and i is not None and i > v_theta):
-                stolen = nd.state["stolen"].get(theta.addr)
+            i = nd.state.i
+            if (req.a == 0 and i == v_theta) or (req.a == 1 and i > v_theta):
+                stolen = nd.state.stolen.get(theta.addr)
                 if stolen is None:
                     raise dc.GammaUnresolved(f"frozen {nd} holds nothing for this mother")
                 return nd, stolen

@@ -16,7 +16,6 @@ from cubetree.engine import (
     outcome_key,
     req_label,
     run_stages,
-    strictly_left,
     true_path_approx,
 )
 
@@ -29,13 +28,6 @@ def test_outcome_order():
     assert outcome_key("i") < outcome_key("2") < outcome_key("0")
     # diagonalizers: 1 < 0
     assert outcome_key("1") < outcome_key("0")
-
-
-def test_strictly_left():
-    assert strictly_left(("o", "ii"), ("o", "0"))
-    assert not strictly_left(("o",), ("o", "0"))  # prefix, not left
-    assert not strictly_left(("o", "0"), ("o", "0"))
-    assert strictly_left(("o", "1", "x"), ("o", "0"))
 
 
 def test_stage_loop_shape():
@@ -275,3 +267,51 @@ def test_universe_strings_match_the_slice_formula(data):
         assert result.entering(t) == [sigma for sigma in expected
                                       if sigma not in previous], t
         previous = set(expected)
+
+
+# -- typed strategy state -----------------------------------------------------------
+
+def state_runs():
+    from test_acceptance import DC_DIAG
+
+    return [
+        ("cc_faithful", shipped("cc_faithful.json")),
+        ("dc_diagonal@80", dict(DC_DIAGONAL, horizon=80)),
+        ("DC_DIAG", DC_DIAG),
+    ]
+
+
+@pytest.mark.parametrize("data", [d for _n, d in state_runs()],
+                         ids=[n for n, _d in state_runs()])
+def test_every_typed_node_holds_the_record_of_its_kind(data):
+    """The strategies read each other's records unguarded: every typed node
+    holds the record of its kind, save Idle nodes and diagonalizers with no
+    sort-0 mother of their slot above them, which hold none.  A diagonalizer
+    takes its 1-outcome exactly from the stage it freezes on."""
+    from cubetree.engine import ReqM, ReqMother, ReqN
+    from cubetree.match import MatcherState
+
+    records = {ReqN: cc.TreeState, ReqM: MatcherState, ReqMother: dc.MotherState,
+               ReqDaughter: dc.DaughterState, ReqU: dc.DiagonalizerState}
+    result = run_stages(config_from_dict(data))
+    freezes = {ev[2].addr: ev[1] for ev in result.trace if ev[0] == "ufreeze"}
+    held = set()
+    for node in result.nodes.values():
+        assert node.req is not None and node.visits, node
+        above = {result.nodes[node.addr[:k]].req for k in range(len(node.addr))}
+        if isinstance(node.req, ReqIdle) or (
+                isinstance(node.req, ReqU) and ReqMother(node.req.slot, 0) not in above):
+            assert node.state is None, node
+            assert all(token in ("o", "0") for _s, token in node.outcomes), node
+            continue
+        assert type(node.state) is records[type(node.req)], node
+        held.add(type(node.state))
+        if isinstance(node.req, ReqU):
+            froze = freezes.get(node.addr)
+            assert (node.state.stolen is not None) == (froze is not None), node
+            assert [token for _s, token in node.outcomes] == [
+                "1" if froze is not None and s >= froze else "0"
+                for s in node.visits], node
+    expected = ({cc.TreeState} if result.variant == "cc"
+                else {dc.MotherState, dc.DaughterState, dc.DiagonalizerState})
+    assert held == expected | ({MatcherState} if result.adversaries else set())

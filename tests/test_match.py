@@ -284,6 +284,26 @@ def test_matcher_agrees_with_the_plain_matcher_at_every_visit(name, monkeypatch)
     assert real.trace_lines() == plain.trace_lines()
 
 
+@pytest.mark.parametrize("name", ["cc_faithful@80", "dc_diagonal@50"])
+def test_chosen_below_index_files_exactly_the_matcher_outcomes(name):
+    """After a run the engine's chosen-below index holds one entry per
+    matcher outcome something was chosen below, and each entry equals the
+    scan of the choice records: no prefix of another kind of node is filed,
+    and no choice below a matcher is missed."""
+    from cubetree.engine import ReqM
+
+    result = run_stages(differential_configs()[name])
+    expected = {}
+    for node in result.nodes.values():
+        if isinstance(node.req, ReqM):
+            for token in {token for _s, token in node.outcomes}:
+                keys = reference_chosen_below(result, node.addr + (token,))
+                if keys:
+                    expected[node.addr + (token,)] = keys
+    assert expected
+    assert result._below == expected
+
+
 def test_matcher_work_grows_with_the_trace(monkeypatch):
     """On CC_FAITHFUL at h=150 and h=300 the matchers' counted work (every
     bullet check plus every key a visit enumerates outside them) grows at

@@ -14,7 +14,6 @@ from cubetree.structure import (
     holds_E,
     holds_P,
     holds_W,
-    parse_elem,
     snapshot_from_declarations,
     strings_of_width,
 )
@@ -22,14 +21,12 @@ from cubetree.verify import check_isomorphism
 
 
 def test_element_syntax_round_trip():
-    for e in (
-        elem((), ()),
-        elem({0, 2}, (1, 4)),
-        elem({3}, (0,), sort=1),
-        UElem(0),
-        UElem(1),
-    ):
-        assert parse_elem(format_elem(e)) == e
+    assert format_elem(elem((), ())) == "{}@<>"
+    assert format_elem(elem({2, 0}, (1, 4))) == "{0,2}@<1,4>"
+    assert format_elem(elem({3}, (0,), sort=1)) == "{3}@<0>#1"
+    assert format_elem(elem((), (), sort=0)) == "{}@<>#0"
+    assert format_elem(UElem(0)) == "u0"
+    assert format_elem(UElem(1)) == "u1"
 
 
 def test_holds_W():
