@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from cubetree.adversary import (
@@ -257,3 +258,162 @@ def test_next_symbol_index_matches_scan(batches, probes):
         gen._add_strings(sorted(batch - gen._strings))
         for sigma in [*gen._strings, *probes]:
             assert gen._next_symbols.get(sigma, []) == scan_next_symbols(gen._strings, sigma)
+
+
+# -- the generator against its plain reference ---------------------------------
+
+from bisect import insort  # noqa: E402
+
+from cubetree.structure import CubeElem, UElem, holds_P, ladder_key, sorts  # noqa: E402
+
+
+class ReferenceGenerator(FaithfulGenerator):
+    """The generator before it read the ground's stage record: it diffs the
+    stage's slice against the strings it has seen, is handed the keys grown
+    in the stage, and finds each label's stamp with one probe per label."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self._strings = set()
+        self._next_symbols = {}
+        self._fsets = []
+        self._next_label = {}
+
+    def _emit_labels(self, step, e, store, upto_stage):
+        n = self._next_label.get(e, 0)
+        while True:
+            stamp = store.label_stamp(n, e)
+            if stamp is None or stamp > upto_stage:
+                break
+            self._emit(step, ("S", n, self.adversary.to_copy[e]))
+            n += 1
+        self._next_label[e] = n
+
+    def ingest(self, stage, store, universe, touched):
+        step = stage + self.delay
+        sort_values = sorts(self.variant)
+        to_copy = self.adversary.to_copy
+        new_elems = []
+        if stage == 1 and self.variant == "dc":
+            new_elems.extend(UElem(k) for k in (0, 1))
+        new_strings = [t for t in universe if t not in self._strings]
+        fsets = self.schedule.fsets(stage)
+        new_fsets = [f for f in fsets if f not in self._fsets]
+        for sigma in (t for t in universe if t in self._strings) if new_fsets else ():
+            for f in new_fsets:
+                for sort in sort_values:
+                    new_elems.append(CubeElem(f, sigma, sort))
+        for sigma in new_strings:
+            for f in fsets:
+                for sort in sort_values:
+                    new_elems.append(CubeElem(f, sigma, sort))
+        self._add_strings(new_strings)
+        self._fsets = fsets
+
+        for e in new_elems:
+            self._alloc(e)
+        for e in new_elems:
+            if isinstance(e, CubeElem):
+                self._emit(step, ("W", e.sigma, e.sort, to_copy[e]))
+        for e in new_elems:
+            if not isinstance(e, CubeElem):
+                continue
+            x = to_copy[e]
+            for other in self._by_string.get((e.sigma, e.sort), []):
+                if other == e:
+                    continue
+                diff = other.fset ^ e.fset
+                if len(diff) == 1:
+                    i = next(iter(diff))
+                    y = to_copy[other]
+                    self._emit(step, ("E", i, x, y))
+                    self._emit(step, ("E", i, y, x))
+            for parent_sigma in (e.sigma[:-1],) if e.sigma else ():
+                for other in self._by_string.get((parent_sigma, e.sort), []):
+                    if holds_P(other, e):
+                        self._emit(step, ("P", to_copy[other], x))
+            for j in self._next_symbols.get(e.sigma, ()):
+                for other in self._by_string.get((e.sigma + (j,), e.sort), []):
+                    if holds_P(e, other):
+                        self._emit(step, ("P", x, to_copy[other]))
+            if self.variant == "dc":
+                for k in (0, 1):
+                    u = UElem(k)
+                    if u in to_copy and holds_P(u, e):
+                        self._emit(step, ("P", to_copy[u], x))
+        for e in new_elems:
+            if isinstance(e, CubeElem):
+                self._emit_labels(step, e, store, stage)
+        for key in sorted(touched, key=lambda k: (ladder_key(k[0]), -1 if k[1] is None else k[1])):
+            for e in self._by_string.get(key, []):
+                self._emit_labels(step, e, store, stage)
+
+    def _add_strings(self, strings):
+        self._strings.update(strings)
+        for t in strings:
+            if t:
+                insort(self._next_symbols.setdefault(t[:-1], []), t[-1])
+
+
+ENGINE_RUNS = ["cc_faithful@80", "CC_DEFECTIVE@100", "dc_diagonal@50"]
+
+
+@pytest.mark.parametrize("name", ENGINE_RUNS)
+def test_live_copies_match_the_reference_generator_at_every_stage(name, monkeypatch):
+    """Beside each live copy, the reference generator ingests the same stage
+    from the slice and the keys grown in it; after every stage both copies
+    hold the same facts in the same order and the same element numbering."""
+    from test_match import differential_configs
+
+    from cubetree.engine import Engine
+
+    config = differential_configs()[name]
+    engine = Engine(config)
+    grown: dict[int, set] = {}
+    store_grow = engine.store.grow
+
+    def recording_grow(sigma, sort, stage):
+        grown.setdefault(stage, set()).add((tuple(sigma), sort))
+        return store_grow(sigma, sort, stage)
+
+    monkeypatch.setattr(engine.store, "grow", recording_grow)
+    refs = {}
+    for spec in config.adversaries:
+        refs[spec.label] = ReferenceGenerator(
+            config.variant, config.universe, spec.permutation, spec.delay,
+            spec.defects, spec.label)
+    live_ingest = FaithfulGenerator.ingest
+    stages = []
+
+    def checked_ingest(self, stage, *args):
+        live_ingest(self, stage, *args)
+        ref = refs[self.adversary.label]
+        ref.ingest(stage, engine.store, engine.universe_strings(stage), grown.get(stage, set()))
+        assert ref.adversary.stream.to_lines() == self.adversary.stream.to_lines(), stage
+        assert ref.adversary.to_copy == self.adversary.to_copy, stage
+        stages.append(stage)
+
+    monkeypatch.setattr(FaithfulGenerator, "ingest", checked_ingest)
+    engine.run()
+    assert stages == [s for s in range(1, config.horizon + 1) for _ in refs]
+    assert all(len(ref.adversary.stream) for ref in refs.values())
+
+
+@pytest.mark.parametrize("name", ENGINE_RUNS)
+def test_labels_on_every_window_element_form_a_prefix_stamped_in_order(name):
+    """The generator reads one top label per element: on every element of
+    the final window the labels are S_0..S_{k-1}, and their stamps never
+    decrease in n."""
+    from test_match import differential_configs
+
+    from cubetree.engine import run_stages
+
+    result = run_stages(differential_configs()[name])
+    store = result.store
+    elements = result.snapshot().elements()
+    assert any(len(store.labels(e)) > 1 for e in elements)
+    for e in elements:
+        labels = store.labels(e)
+        assert labels == list(range(len(labels))), e
+        stamps = [store.label_stamp(n, e) for n in labels]
+        assert stamps == sorted(stamps), e

@@ -139,6 +139,25 @@ def test_gen_adversary_then_run_from_file(tmp_path):
 SHIPPED_CC = Path(__file__).resolve().parents[1] / "configs" / "cc_faithful.json"
 
 
+def test_extract_isomorphism_of_a_fact_file_copy_walks_copy_edges(tmp_path):
+    """A fact-file adversary has no ground truth, so the excluded strings are
+    placed by walking the copy's edges; the written map is pinned."""
+    import hashlib
+
+    facts = tmp_path / "copy.facts"
+    assert main(["gen-adversary", "--config", str(SHIPPED_CC), "--out", str(facts),
+                 "--delay", "2", "--block", "4", "--shift", "1"]) == 0
+    data = json.loads(SHIPPED_CC.read_text(encoding="utf-8"))
+    data["adversaries"] = [{"kind": "file", "path": "copy.facts"}]
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "iso.json"
+    assert main(["extract", "--config", str(cfg), "--target", "isomorphism",
+                 "--adversary", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["stalls"] == ["no witness for <3>"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ba4a873a4b5312566438340fbbb181b78ff0198f82b7f967ce15b89e1684d699")
+
+
 @pytest.mark.parametrize("index", ["5", "-1"])
 def test_extract_adversary_out_of_range_exits_two(tmp_path, capsys, index):
     assert main([
