@@ -20,7 +20,6 @@ from itertools import takewhile
 from .structure import (
     CubeElem,
     Elem,
-    GrowEvent,
     NatString,
     StringKey,
     UElem,
@@ -216,20 +215,20 @@ class Adversary:
     to_ground: dict[int, Elem] = field(default_factory=dict)
     to_copy: dict[Elem, int] = field(default_factory=dict)
     delay: int = 0
-    permutation: PermSpec | None = None
 
 
 class FaithfulGenerator:
     """Incrementally enumerates the ground structure as a fact stream.
 
-    ingest(stage, ...) must be called once per ground stage in order, after
-    the stage's declarations are final.  Elements enter in a canonical
-    ladder: the u pair first (two-sorted variant), then per stage the newly
-    visible strings crossed with the vertex support window, strings ordered
-    by (birth, length, lex) and vertices by (size, lex).  Label facts are
-    emitted with stamp max(declaration stage, visibility stage) plus delay;
-    labels on any one element are emitted in index order, which matches the
-    contiguous way the construction declares them.
+    ingest(stage, ground) must be called once per ground stage in order,
+    after the stage's declarations are final; the ground is a running or a
+    finished engine, read up to the stage.  Elements enter in a canonical
+    ladder: the u pair first (two-sorted variant), then per stage the strings
+    entering the slice crossed with the vertex support window, strings
+    ordered by (birth, length, lex) and vertices by (size, lex).  Label facts
+    are emitted with stamp max(declaration stage, visibility stage) plus
+    delay; labels on any one element are emitted in index order, which
+    matches the contiguous way the construction declares them.
     """
 
     def __init__(
@@ -246,11 +245,8 @@ class FaithfulGenerator:
         self.permutation = permutation
         self.delay = delay
         self.defects = tuple(defects)
-        self.adversary = Adversary(
-            FactStream(), label=label, delay=delay, permutation=permutation
-        )
+        self.adversary = Adversary(FactStream(), label=label, delay=delay)
         self._by_string: dict[StringKey, list[CubeElem]] = {}
-        self._strings: set[NatString] = set()
         self._next_symbols: dict[NatString, list[int]] = {}  # parent -> sorted j
         self._fsets: list = []
         self._next_label: dict[CubeElem, int] = {}
@@ -293,36 +289,33 @@ class FaithfulGenerator:
                     return
         self.adversary.stream.append(step, fact)
 
-    def _emit_labels(self, step: int, e: CubeElem, store, upto_stage: int) -> None:
-        n = self._next_label.get(e, 0)
-        while True:
-            stamp = store.label_stamp(n, e)
-            if stamp is None or stamp > upto_stage:
-                break
-            self._emit(step, ("S", n, self.adversary.to_copy[e]))
-            n += 1
-        self._next_label[e] = n
+    def _emit_labels(self, step: int, e: CubeElem, store, stage: int) -> None:
+        """Emit e's labels stamped by stage that are not out yet.  On every
+        vertex the labels are a prefix S_0, S_1, ... whose stamps never
+        decrease in n, so the top label stamped by stage bounds them."""
+        top = store.top_label(e, before=stage + 1)
+        end = 0 if top is None else top + 1
+        x = self.adversary.to_copy[e]
+        for n in range(self._next_label.get(e, 0), end):
+            self._emit(step, ("S", n, x))
+        self._next_label[e] = end
 
-    def ingest(
-        self,
-        stage: int,
-        store,
-        universe: list[NatString],
-        touched: set[StringKey],
-    ) -> None:
-        """Reveal stage's new elements and declarations.  `universe` is the
-        stage's slice in ladder order; `touched` holds the strings that grew
-        this stage, and only their old elements get fresh labels."""
+    def ingest(self, stage: int, ground) -> None:
+        """Reveal the ground's stage: the strings entering its slice (final
+        once the stage ends, since a chosen string enters at its birth, after
+        the stage that chose it) and the labels stamped in it.  Only the keys
+        the store relabelled in the stage get fresh labels on old elements."""
         step = stage + self.delay
+        store = ground.store
         sort_values = sorts(self.variant)
         to_copy = self.adversary.to_copy
         new_elems: list[Elem] = []
         if stage == 1 and self.variant == "dc":
             new_elems.extend(UElem(k) for k in (0, 1))
-        new_strings = [t for t in universe if t not in self._strings]
+        new_strings = ground.entering(stage)
         fsets = self.schedule.fsets(stage)
         new_fsets = [f for f in fsets if f not in self._fsets]
-        for sigma in (t for t in universe if t in self._strings) if new_fsets else ():
+        for sigma in ground.universe_strings(stage - 1) if new_fsets else ():
             for f in new_fsets:
                 for sort in sort_values:
                     new_elems.append(CubeElem(f, sigma, sort))
@@ -366,23 +359,22 @@ class FaithfulGenerator:
                     u = UElem(k)
                     if u in to_copy and holds_P(u, e):
                         self._emit(step, ("P", to_copy[u], x))
-        # Label backlog for new elements, fresh declarations for touched strings.
+        # Label backlog for new elements, fresh declarations for relabelled
+        # keys.  A key relabelled by a direct declaration is a string entering
+        # this stage, whose backlog already holds it.
         for e in new_elems:
             if isinstance(e, CubeElem):
                 self._emit_labels(step, e, store, stage)
-        for key in sorted(touched, key=lambda k: (ladder_key(k[0]), -1 if k[1] is None else k[1])):
+        relabelled = set(store.relabelled(stage))
+        for key in sorted(relabelled, key=lambda k: (ladder_key(k[0]), -1 if k[1] is None else k[1])):
             for e in self._by_string.get(key, []):
                 self._emit_labels(step, e, store, stage)
 
     def _add_strings(self, strings) -> None:
         """Make strings visible, keeping the next-symbol index."""
-        self._strings.update(strings)
         for t in strings:
             if t:
                 insort(self._next_symbols.setdefault(t[:-1], []), t[-1])
-
-    def result(self) -> Adversary:
-        return self.adversary
 
 
 def make_faithful_copy(
@@ -397,13 +389,6 @@ def make_faithful_copy(
     gen = FaithfulGenerator(
         ground.variant, ground.schedule, permutation, delay, defects, label
     )
-    # The strings that grew at each stage, off the store's log.  A direct
-    # declaration is S_0 on a string entering the universe: its backlog has it.
-    touched: dict[int, set[StringKey]] = {}
-    for ev in ground.store.declaration_events():
-        if isinstance(ev, GrowEvent):
-            touched.setdefault(ev.stage, set()).add((ev.sigma, ev.sort))
     for stage in range(1, ground.horizon + 1):
-        gen.ingest(stage, ground.store, ground.universe_strings(stage),
-                   touched.get(stage, set()))
-    return gen.result()
+        gen.ingest(stage, ground)
+    return gen.adversary

@@ -162,14 +162,14 @@ def extract_isomorphism(
     result: RunResult,
     tp_entries: list[TPEntry],
     adv_index: int,
-    mode: str = "ground",
 ) -> ExtractedMap:
     """Build the copy-side isomorphism from a matched adversary run.
 
     Starts from the strategy's partial map, completes late-born strings by
     the same witness search at full budget, extends over the strategy's
     excluded strings (ground truth supplies the limit witness and the finite
-    correction set; "optimistic" mode walks copy edges instead), and then
+    correction set; a copy without it, read from a fact file, walks copy
+    edges instead), and then
     extends over nonempty vertices by edge search.
     """
     entry = next(
@@ -213,7 +213,7 @@ def extract_isomorphism(
             if len(child) == len(sigma) + 1 and child[: len(sigma)] == sigma
             and not stream.holds_within(("P", x, f[child]), horizon)
         )
-        if mode == "ground" and adv.to_ground:
+        if adv.to_ground:
             ge = adv.to_ground.get(x)
             if not isinstance(ge, CubeElem) or ge.sigma != sigma:
                 stalls.append(f"ground witness mismatch at {format_string(sigma)}")

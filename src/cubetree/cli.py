@@ -94,7 +94,7 @@ def run_suite(result: RunResult, suite: str) -> verify_mod.Report:
         if result.variant != "cc":
             return report
         for idx, adv in enumerate(result.adversaries):
-            if not adv.to_ground or adv.permutation is None:
+            if not adv.to_ground:
                 continue
             try:
                 extracted = cc_mod.extract_isomorphism(result, entries, idx)

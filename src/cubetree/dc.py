@@ -403,9 +403,9 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
     st = node.state
     req: ReqU = node.req
     path = engine.path
-    theta = path.by_req.get(ReqMother(req.slot, 0))
-    if theta is None:
-        return "0"  # no matching mother below: never acts
+    # The mother precedes every diagonalizer of her slot in the priority
+    # order, so she is above.
+    theta = path.by_req[ReqMother(req.slot, 0)]
     if st is None:
         i = theta.state.v
         others = sorted(

@@ -116,8 +116,7 @@ class Node:
     req: Requirement | None = None
     # The strategy's record, built by its act hook on the first visit: a
     # cc.TreeState, dc.MotherState, dc.DaughterState, dc.DiagonalizerState
-    # or match.MatcherState.  None for Idle, and for a diagonalizer with no
-    # mother on its path.
+    # or match.MatcherState.  None for Idle only.
     state: Any = None
     visits: list[int] = field(default_factory=list)
     outcomes: list[tuple[int, str]] = field(default_factory=list)
@@ -186,7 +185,6 @@ class Engine:
         self.universe: list[NatString] = []
         self.entered: dict[NatString, int] = {}
         self._entering: dict[int, list[NatString]] = {}
-        self._stage_touched: set[StringKey] = set()
         self.zprime: dict[int, int] = {}
         self._witness_next = config.witness_base
         self.path = PathIndex()
@@ -202,7 +200,7 @@ class Engine:
         self.ordering: list[Requirement] = []
         self._ordering_rest = strat.ordering_iter(config)
         self.adversaries: list[Adversary] = []
-        self._generators: list[FaithfulGenerator | None] = []
+        self._generators: list[FaithfulGenerator] = []
         for spec in config.adversaries:
             if spec.kind == "faithful":
                 gen = FaithfulGenerator(
@@ -214,10 +212,9 @@ class Engine:
                     label=spec.label,
                 )
                 self._generators.append(gen)
-                self.adversaries.append(gen.result())
+                self.adversaries.append(gen.adversary)
             elif spec.kind == "file":
                 stream = stream_from_lines(spec.lines, spec.path)
-                self._generators.append(None)
                 self.adversaries.append(Adversary(stream, label=spec.label))
             else:
                 raise ConfigError(f"unknown adversary kind {spec.kind!r}")
@@ -259,7 +256,6 @@ class Engine:
         if sigma:
             self.mention(max(sigma))
         ev = self.store.grow(sigma, sort, stage)
-        self._stage_touched.add((sigma, sort))
         self.emit("grow", stage, sigma, sort, ev.pre_top)
         if chooser is not None:
             records = self.chosen.setdefault((sigma, sort), [])
@@ -349,9 +345,7 @@ class Engine:
             self.path = PathIndex()
             self.strat.act_G(self, s)
             for gen in self._generators:
-                if gen is not None:
-                    gen.ingest(s, self.store, self.universe_strings(s), self._stage_touched)
-            self._stage_touched = set()
+                gen.ingest(s, self)
         return self
 
     # -- the finished run ---------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 NatString = tuple[int, ...]
 
@@ -233,10 +233,9 @@ class LabelStore:
     variant: str = "cc"  # "cc" | "dc"
     _grows: dict[StringKey, list[GrowEvent]] = field(default_factory=dict)
     _direct: dict[CubeElem, dict[int, int]] = field(default_factory=dict)
-    # Growth events and direct (stage, n, element) declarations, as recorded.
-    _log: list[GrowEvent | tuple[int, int, CubeElem]] = field(default_factory=list)
-    # Stamp stage -> the growth events and empty-set elements declared then.
-    _on_empty: dict[int, list[GrowEvent | CubeElem]] = field(default_factory=dict)
+    # Stamp stage -> the growth events and direct (stage, n, element)
+    # declarations stamped then, as recorded.
+    _log: dict[int, list[GrowEvent | tuple[int, int, CubeElem]]] = field(default_factory=dict)
 
     def _check_sort(self, sort: int | None) -> None:
         if sort not in sorts(self.variant):
@@ -253,8 +252,7 @@ class LabelStore:
         pre = self.top_label(CubeElem(frozenset(), sigma, sort))
         ev = GrowEvent(stage, -1 if pre is None else pre, sigma, sort)
         events.append(ev)
-        self._log.append(ev)
-        self._on_empty.setdefault(stage, []).append(ev)
+        self._log.setdefault(stage, []).append(ev)
         return ev
 
     def declare(self, n: int, e: CubeElem, stage: int) -> bool:
@@ -263,16 +261,16 @@ class LabelStore:
         if self.label_stamp(n, e) is not None:
             return False
         self._direct.setdefault(e, {})[n] = stage
-        self._log.append((stage, n, e))
-        if not e.fset:
-            self._on_empty.setdefault(stage, []).append(e)
+        self._log.setdefault(stage, []).append((stage, n, e))
         return True
 
     def relabelled(self, stage: int) -> list[StringKey]:
         """The keys whose empty-set vertex got a label stamped at stage: the
         only keys whose n_sigma(key, stage + 1) can differ from
         n_sigma(key, stage)."""
-        return [(x.sigma, x.sort) for x in self._on_empty.get(stage, ())]
+        return [(ev.sigma, ev.sort) if isinstance(ev, GrowEvent) else (ev[2].sigma, ev[2].sort)
+                for ev in self._log.get(stage, ())
+                if isinstance(ev, GrowEvent) or not ev[2].fset]
 
     def grows(self, sigma: NatString, sort: int | None) -> list[GrowEvent]:
         return self._grows.get((tuple(sigma), sort), [])
@@ -324,9 +322,10 @@ class LabelStore:
             )
         return top
 
-    def declaration_events(self) -> list[GrowEvent | tuple[int, int, CubeElem]]:
+    def declaration_events(self) -> Iterator[GrowEvent | tuple[int, int, CubeElem]]:
         """The growth events and direct declarations by stage, ties as recorded."""
-        return sorted(self._log, key=itemgetter(0))
+        for stage in sorted(self._log):
+            yield from self._log[stage]
 
 
 # ---------------------------------------------------------------------------

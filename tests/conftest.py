@@ -30,9 +30,9 @@ def dc_config(**overrides):
 
 
 def is_frozen(node):
-    """A diagonalizer that has frozen (one with no mother above holds no
+    """A diagonalizer that has frozen (every typed node but Idle holds its
     record)."""
-    return node.state is not None and node.state.stolen is not None
+    return node.state.stolen is not None
 
 
 def faithful(delay=1, label="ident", **kw):

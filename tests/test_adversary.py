@@ -113,6 +113,8 @@ def tiny_ground(variant="cc", horizon=6):
     g.horizon = horizon
     g.store = store
     g.universe_strings = sched.base_strings
+    g.entering = lambda s: [t for t in sched.base_strings(s)
+                            if t not in sched.base_strings(s - 1)]
     for s in range(1, horizon + 1):
         for sort in sorts:
             store.grow((), sort, s)
@@ -254,10 +256,12 @@ words = st.lists(st.integers(0, 4), max_size=4).map(tuple)
 @given(st.lists(st.sets(words, max_size=12), max_size=6), st.lists(words, max_size=8))
 def test_next_symbol_index_matches_scan(batches, probes):
     gen = FaithfulGenerator("cc", UniverseSchedule())
+    visible = set()
     for batch in batches:
-        gen._add_strings(sorted(batch - gen._strings))
-        for sigma in [*gen._strings, *probes]:
-            assert gen._next_symbols.get(sigma, []) == scan_next_symbols(gen._strings, sigma)
+        gen._add_strings(sorted(batch - visible))
+        visible |= batch
+        for sigma in [*visible, *probes]:
+            assert gen._next_symbols.get(sigma, []) == scan_next_symbols(visible, sigma)
 
 
 # -- the generator against its plain reference ---------------------------------
@@ -417,3 +421,36 @@ def test_labels_on_every_window_element_form_a_prefix_stamped_in_order(name):
         assert labels == list(range(len(labels))), e
         stamps = [store.label_stamp(n, e) for n in labels]
         assert stamps == sorted(stamps), e
+
+
+def test_ingest_never_probes_a_label_stamp(monkeypatch):
+    """Counted work, not time: on CC_FAITHFUL at h=150 the copies read one
+    top label per element and no per-label stamp.  The store itself still
+    probes stamps outside ingest, so the count does reach the store."""
+    from test_acceptance import CC_FAITHFUL
+
+    from cubetree.config import config_from_dict
+    from cubetree.engine import run_stages
+
+    ingest, label_stamp = FaithfulGenerator.ingest, LabelStore.label_stamp
+    inside = False
+    probes = {False: 0, True: 0}
+
+    def counted_ingest(self, stage, ground):
+        nonlocal inside
+        inside = True
+        try:
+            ingest(self, stage, ground)
+        finally:
+            inside = False
+
+    def counted_stamp(self, *args, **kw):
+        probes[inside] += 1
+        return label_stamp(self, *args, **kw)
+
+    monkeypatch.setattr(FaithfulGenerator, "ingest", counted_ingest)
+    monkeypatch.setattr(LabelStore, "label_stamp", counted_stamp)
+    result = run_stages(config_from_dict(dict(CC_FAITHFUL, horizon=150)))
+    assert all(len(adv.stream) for adv in result.adversaries)
+    assert probes[True] == 0, probes
+    assert probes[False] > 0

@@ -162,10 +162,9 @@ def test_daughter_settles_after_predicate_dies():
             assert string[-1] > 6
 
 
-def test_u_idles_without_matching_mother():
-    # functional bound to a mother slot that never sits below it: make the
-    # diagonalizer's round early enough that its mother is always below; to
-    # exercise the idle case, bind to slot 1 with only 1 mother configured.
+def test_u_with_a_never_halting_functional_keeps_outcome_zero():
+    # A functional that never halts gives the diagonalizer nothing to steal:
+    # it keeps its 0-outcome and enumerates no witness.
     config = dc_config(
         horizon=25,
         mothers=1,
