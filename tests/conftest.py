@@ -30,8 +30,7 @@ def dc_config(**overrides):
 
 
 def is_frozen(node):
-    """A diagonalizer that has frozen (every typed node but Idle holds its
-    record)."""
+    """A diagonalizer that has frozen (only Idle nodes hold no record)."""
     return node.state.stolen is not None
 
 

@@ -1,3 +1,5 @@
+from bisect import insort
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +13,16 @@ from cubetree.adversary import (
     parse_fact_line,
     stream_from_lines,
 )
-from cubetree.structure import LabelStore, UniverseSchedule, elem
+from cubetree.structure import (
+    CubeElem,
+    LabelStore,
+    UElem,
+    UniverseSchedule,
+    elem,
+    holds_P,
+    ladder_key,
+    sorts,
+)
 
 
 def small_stream():
@@ -265,10 +276,6 @@ def test_next_symbol_index_matches_scan(batches, probes):
 
 
 # -- the generator against its plain reference ---------------------------------
-
-from bisect import insort  # noqa: E402
-
-from cubetree.structure import CubeElem, UElem, holds_P, ladder_key, sorts  # noqa: E402
 
 
 class ReferenceGenerator(FaithfulGenerator):
