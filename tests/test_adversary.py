@@ -80,6 +80,56 @@ def test_oldest_satisfying_tie_breaks_to_smaller():
     assert got == 4
 
 
+def reference_oldest_satisfying(stream, conjuncts, budget):
+    """The query as it stood: the W conjunct's witnesses (else every element
+    of age within the budget) sorted by (age, x) on each call, and every
+    conjunct checked, the W one too."""
+    pool = None
+    for c in conjuncts:
+        if c[0] == "W" and c[3] is HOLE:
+            pool = stream.witnesses_W(c[1], c[2], budget)
+            break
+    if pool is None:
+        pool = stream.elements(budget)
+    pool = sorted(set(pool), key=lambda x: (stream.age(x), x))
+    for x in pool:
+        if all(stream.holds_within(tuple(x if p is HOLE else p for p in c), budget)
+               for c in conjuncts):
+            return x
+    return None
+
+
+ids = st.integers(0, 7)
+sigmas = st.sampled_from([(), (0,), (1,), (0, 2)])
+file_facts = st.one_of(
+    st.tuples(st.just("W"), sigmas, st.none(), ids),
+    st.tuples(st.just("S"), st.integers(0, 2), ids),
+    st.tuples(st.just("E"), st.integers(0, 1), ids, ids),
+    st.tuples(st.just("P"), ids, ids),
+)
+holed = st.one_of(
+    st.tuples(st.just("S"), st.integers(0, 2), st.just(HOLE)),
+    st.tuples(st.just("E"), st.integers(0, 1), st.just(HOLE), ids),
+    st.tuples(st.just("P"), st.just(HOLE), ids),
+    st.tuples(st.just("P"), ids, st.just(HOLE)),
+)
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), file_facts), max_size=40),
+       st.lists(st.tuples(sigmas, st.lists(holed, max_size=3), st.integers(0, 10)),
+                min_size=1, max_size=6))
+def test_oldest_satisfying_matches_the_reference_on_fact_file_streams(rows, queries):
+    """Fact-file-like streams: any fact may name an element before its W
+    fact does, ids come in any order, and facts repeat."""
+    stream = FactStream()
+    for step, fact in sorted(rows, key=lambda r: r[0]):
+        stream.append(step, fact)
+    for sigma, rest, budget in queries:
+        conjuncts = [("W", sigma, None, HOLE), *rest]
+        assert (stream.oldest_satisfying(conjuncts, budget)
+                == reference_oldest_satisfying(stream, conjuncts, budget))
+
+
 def test_fact_line_round_trip():
     lines = [
         "3 W <1,4> - 0",

@@ -158,3 +158,34 @@ def test_dimension_two_needs_single_sorted_snapshot():
     result = run_stages(dc_config(horizon=6))
     with pytest.raises(VariantMismatch):
         cc.extend_to_dimension_two(result.snapshot())
+
+
+def test_extraction_corrects_a_perturbed_limit_witness_by_its_copy_edges():
+    """The correction set J of an excluded string: with the limit witness of
+    <> moved to {j}@<>, for a child symbol j of <> that f maps and that is
+    inside the vertex window, J = {j}, and the extraction walks back to the
+    unperturbed map, on the generated copy and on its fact-file twin."""
+    from test_verify import shipped_config
+
+    from cubetree.adversary import Adversary, stream_from_lines
+
+    result = run_stages(shipped_config("cc_faithful.json", 80))
+    entries = true_path_approx(result, threshold=3)
+    entry = next(e for e in entries if e.label == "M0" and e.outcome is not None)
+    st = result.nodes[entry.addr].state
+    adv = result.adversaries[0]
+    twin = Adversary(stream_from_lines(adv.stream.to_lines()), adv.label, delay=adv.delay)
+    plain = cc.extract_isomorphism(result, entries, 0)
+    assert plain.stalls == []
+    assert ((), None) in st.C
+    width = result.schedule.f_width(result.horizon)
+    j = min(key[0][0] for key in st.f if len(key[0]) == 1 and key[0][0] < width)
+    moved = adv.to_copy[elem({j}, ())]
+    st.x_at_t[((), None)] = moved
+    for copy in (adv, twin):
+        result.adversaries[0] = copy
+        got = cc.extract_isomorphism(result, entries, 0)
+        assert got.stalls == [], copy is twin
+        assert got.source_to_copy == plain.source_to_copy
+        assert got.f_tau == plain.f_tau
+        assert got.f_tau[()] != moved

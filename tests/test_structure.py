@@ -244,3 +244,25 @@ def test_snapshot_dump_lines():
     lines = snap.dump_lines()
     assert lines[0] == "1 0 {}@<>"
     assert "3 0 {0}@<>" in lines
+
+
+@pytest.mark.parametrize("name, horizon, outside, total",
+                         [("cc_faithful.json", 80, 15, 1124), ("dc_diagonal.json", 40, 65, 1405)])
+def test_dump_rows_outside_the_window_are_on_strings_chosen_before_birth(
+        name, horizon, outside, total):
+    """The dump filters rows by stage and vertex window only, so a string
+    chosen before its birth stage has rows before it enters `strings`.  The
+    keys of those rows are exactly the chosen keys whose string enters after
+    the snapshot's stage."""
+    from test_verify import shipped_config
+
+    from cubetree.engine import run_stages
+
+    result = run_stages(shipped_config(name, horizon))
+    snap = result.snapshot()
+    rows = snap.declarations()
+    window = set(snap.strings)
+    keys = [(e.sigma, e.sort) for _stage, _n, e in rows]
+    late = [key for key in keys if key not in window]
+    assert (len(late), len(rows)) == (outside, total)
+    assert set(late) == {key for key in result.chosen if result.entered[key[0]] > snap.stage}

@@ -581,6 +581,70 @@ def test_true_facts_are_the_generated_copy_facts(name, horizon):
     assert mapped == generated
 
 
+def reference_true_facts(elems, labels):
+    """`true_facts` as it stood with its own index: a pass over all of
+    `elems` first, then per cube element W, S, E to each neighbour and P
+    from each parent (the u pair for a sort-0 root)."""
+    by_string = {}
+    us = []
+    for x, e in enumerate(elems):
+        if isinstance(e, UElem):
+            us.append(x)
+        else:
+            by_string.setdefault((e.sigma, e.sort), {})[e.fset] = x
+    colors = sorted(set().union(*(f for group in by_string.values() for f in group)))
+    for x, e in enumerate(elems):
+        if isinstance(e, UElem):
+            continue
+        yield ("W", e.sigma, e.sort, x)
+        for n in labels(e):
+            yield ("S", n, x)
+        group = by_string[(e.sigma, e.sort)]
+        for i in colors:
+            y = group.get(e.fset ^ {i})
+            if y is not None:
+                yield ("E", i, x, y)
+        parents = by_string.get((e.sigma[:-1], e.sort), {}).values() if e.sigma else us
+        for y in parents:
+            if holds_P(elems[y], e):
+                yield ("P", y, x)
+
+
+def element_lists():
+    """(name, elements, labels): the built-automorphism snapshots and two
+    run snapshots, the u pair first in the two-sorted variant, and one copy's
+    enumeration order, where parents may come after their children."""
+    from cubetree.adversary import make_faithful_copy
+
+    def listed(snap):
+        return ([UElem(0), UElem(1)] if snap.variant == "dc" else []) + snap.elements()
+
+    cases = [(f"built {k}", listed(snap), snap.labels)
+             for k, (snap, _maps) in enumerate(built_automorphism_cases())]
+    for name, horizon in [("cc_faithful.json", 60), ("dc_diagonal.json", 30)]:
+        snap = run_stages(shipped_config(name, horizon)).snapshot()
+        cases.append((f"{name}@{horizon}", listed(snap), snap.labels))
+    result = run_stages(shipped_config("cc_faithful.json", 60))
+    copy = make_faithful_copy(result, delay=1)
+    order = [copy.to_ground[x] for x in copy.stream.elements(61)]
+    cases.append(("enumeration order", order, result.snapshot().labels))
+    return cases
+
+
+def test_true_facts_are_the_reference_facts_each_once():
+    from cubetree.verify import true_facts
+
+    late_parents = 0
+    for name, elems, labels in element_lists():
+        facts = list(true_facts(elems, labels))
+        assert len(facts) == len(set(facts)), name
+        assert set(facts) == set(reference_true_facts(elems, labels)), name
+        if name == "enumeration order":
+            late_parents = sum(1 for f in facts if f[0] == "P" and f[1] > f[2])
+    # The copy's order reaches the facts from a parent that comes later.
+    assert late_parents == 142
+
+
 def stream_mutations(extracted):
     """The extracted map, that map with the images of two elements swapped,
     and that map with one element sent to another's image."""
