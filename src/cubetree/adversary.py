@@ -14,6 +14,7 @@ structure they are building.  Defective variants drop designated facts.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import takewhile
 
@@ -90,7 +91,7 @@ class FactStream:
 
     _first: dict[Fact, int] = field(default_factory=dict)  # fact -> step, in order
     _age: dict[int, int] = field(default_factory=dict)
-    _w_index: dict[tuple, list[int]] = field(default_factory=dict)
+    _w_index: dict[tuple, list[int]] = field(default_factory=dict)  # (age, x) order
     _e_index: dict[tuple[int, int], list[tuple[int, int]]] = field(default_factory=dict)
 
     def append(self, step: int, fact: Fact) -> None:
@@ -102,7 +103,9 @@ class FactStream:
         for x in fact[FACT_ARG0[fact[0]]:]:
             self._age.setdefault(x, step)
         if fact[0] == "W":
-            self._w_index.setdefault((fact[1], fact[2]), []).append(fact[3])
+            # An element's age is set by its first mention, at latest this one.
+            insort(self._w_index.setdefault((fact[1], fact[2]), []), fact[3],
+                   key=lambda x: (self._age[x], x))
         elif fact[0] == "E":
             self._e_index.setdefault((fact[1], fact[2]), []).append((step, fact[3]))
 
@@ -137,17 +140,11 @@ class FactStream:
 
     def oldest_satisfying(self, conjuncts: list[Fact], budget: int) -> int | None:
         """Oldest x (earliest first mention, ties to smaller x) satisfying a
-        conjunction of positive facts with None marking the unknown slot."""
-        pool: list[int] | None = None
-        for c in conjuncts:
-            if c[0] == "W" and c[3] is HOLE:
-                pool = self.witnesses_W(c[1], c[2], budget)
-                break
-        if pool is None:
-            pool = [x for x, a in self._age.items() if a <= budget]
-        pool = sorted(set(pool), key=lambda x: (self._age[x], x))
-        for x in pool:
-            if all(self.holds_within(_instantiate(c, x), budget) for c in conjuncts):
+        conjunction of positive facts with HOLE marking the unknown slot.  The
+        first conjunct is a W fact on HOLE; its witnesses come in that order."""
+        (_, sigma, sort, _), rest = conjuncts[0], conjuncts[1:]
+        for x in self.witnesses_W(sigma, sort, budget):
+            if all(self.holds_within(_instantiate(c, x), budget) for c in rest):
                 return x
         return None
 
@@ -217,6 +214,59 @@ class Adversary:
     delay: int = 0
 
 
+class Incidence:
+    """The E and P relation among the elements added so far.
+
+    Cube elements are filed under their (sigma, sort) key in the order
+    added, each key with the sorted last symbols of its child keys; the u
+    pair, if present, is added before any cube element.  `ids` names the
+    elements and may be shared with a copy's `to_copy`.
+    """
+
+    def __init__(self, ids: dict[Elem, int] | None = None) -> None:
+        self.ids = {} if ids is None else ids
+        self.by_key: dict[StringKey, list[CubeElem]] = {}
+        self.children: dict[StringKey, list[int]] = {}
+        self.us: list[UElem] = []
+
+    def add(self, e: Elem, x: int) -> None:
+        self.ids[e] = x
+        if isinstance(e, UElem):
+            self.us.append(e)
+            return
+        group = self.by_key.get((e.sigma, e.sort))
+        if group is None:
+            group = self.by_key[(e.sigma, e.sort)] = []
+            if e.sigma:
+                insort(self.children.setdefault((e.sigma[:-1], e.sort), []), e.sigma[-1])
+        group.append(e)
+
+    def links(self, e: CubeElem) -> Iterator[Fact]:
+        """The facts between cube element e and the elements added so far: E
+        both ways to each neighbour on e's key, P from each parent, P to each
+        child, then P from the u pair."""
+        ids = self.ids
+        x = ids[e]
+        for other in self.by_key[(e.sigma, e.sort)]:
+            diff = other.fset ^ e.fset
+            if len(diff) == 1:
+                (i,) = diff
+                y = ids[other]
+                yield ("E", i, x, y)
+                yield ("E", i, y, x)
+        if e.sigma:
+            for other in self.by_key.get((e.sigma[:-1], e.sort), ()):
+                if holds_P(other, e):
+                    yield ("P", ids[other], x)
+        for j in self.children.get((e.sigma, e.sort), ()):
+            for other in self.by_key[(e.sigma + (j,), e.sort)]:
+                if holds_P(e, other):
+                    yield ("P", x, ids[other])
+        for u in self.us:
+            if holds_P(u, e):
+                yield ("P", ids[u], x)
+
+
 class FaithfulGenerator:
     """Incrementally enumerates the ground structure as a fact stream.
 
@@ -246,19 +296,14 @@ class FaithfulGenerator:
         self.delay = delay
         self.defects = tuple(defects)
         self.adversary = Adversary(FactStream(), label=label, delay=delay)
-        self._by_string: dict[StringKey, list[CubeElem]] = {}
-        self._next_symbols: dict[NatString, list[int]] = {}  # parent -> sorted j
-        self._fsets: list = []
+        self.index = Incidence(self.adversary.to_copy)
         self._next_label: dict[CubeElem, int] = {}
         self._frozen = False
 
-    def _alloc(self, e: Elem) -> int:
+    def _alloc(self, e: Elem) -> None:
         x = self.permutation.apply(len(self.adversary.to_ground))
         self.adversary.to_ground[x] = e
-        self.adversary.to_copy[e] = x
-        if isinstance(e, CubeElem):
-            self._by_string.setdefault((e.sigma, e.sort), []).append(e)
-        return x
+        self.index.add(e, x)
 
     def _emit(self, step: int, fact: Fact) -> None:
         if self._frozen:
@@ -308,73 +353,39 @@ class FaithfulGenerator:
         step = stage + self.delay
         store = ground.store
         sort_values = sorts(self.variant)
-        to_copy = self.adversary.to_copy
         new_elems: list[Elem] = []
         if stage == 1 and self.variant == "dc":
             new_elems.extend(UElem(k) for k in (0, 1))
-        new_strings = ground.entering(stage)
         fsets = self.schedule.fsets(stage)
-        new_fsets = [f for f in fsets if f not in self._fsets]
-        for sigma in ground.universe_strings(stage - 1) if new_fsets else ():
-            for f in new_fsets:
+        before = self.schedule.fsets(stage - 1)  # the vertex window only grows
+        widened = [f for f in fsets if f not in before]
+        for sigma in ground.universe_strings(stage - 1) if widened else ():
+            for f in widened:
                 for sort in sort_values:
                     new_elems.append(CubeElem(f, sigma, sort))
-        for sigma in new_strings:
+        for sigma in ground.entering(stage):
             for f in fsets:
                 for sort in sort_values:
                     new_elems.append(CubeElem(f, sigma, sort))
-        self._add_strings(new_strings)
-        self._fsets = fsets
-
+        # The whole batch is filed before any links are read, so a link
+        # inside the batch comes out twice and the stream keeps the first.
         for e in new_elems:
             self._alloc(e)
-        for e in new_elems:
-            if isinstance(e, CubeElem):
-                self._emit(step, ("W", e.sigma, e.sort, to_copy[e]))
-        # Structural facts touching the new elements.
-        for e in new_elems:
-            if not isinstance(e, CubeElem):
-                continue
-            x = to_copy[e]
-            for other in self._by_string.get((e.sigma, e.sort), []):
-                if other == e:
-                    continue
-                diff = other.fset ^ e.fset
-                if len(diff) == 1:
-                    i = next(iter(diff))
-                    y = to_copy[other]
-                    self._emit(step, ("E", i, x, y))
-                    self._emit(step, ("E", i, y, x))
-            for parent_sigma in (e.sigma[:-1],) if e.sigma else ():
-                for other in self._by_string.get((parent_sigma, e.sort), []):
-                    if holds_P(other, e):
-                        self._emit(step, ("P", to_copy[other], x))
-            # Links to already-visible children of the new element.
-            for j in self._next_symbols.get(e.sigma, ()):
-                for other in self._by_string.get((e.sigma + (j,), e.sort), []):
-                    if holds_P(e, other):
-                        self._emit(step, ("P", x, to_copy[other]))
-            if self.variant == "dc":
-                for k in (0, 1):
-                    u = UElem(k)
-                    if u in to_copy and holds_P(u, e):
-                        self._emit(step, ("P", to_copy[u], x))
+        cube = [e for e in new_elems if isinstance(e, CubeElem)]
+        for e in cube:
+            self._emit(step, ("W", e.sigma, e.sort, self.adversary.to_copy[e]))
+        for e in cube:
+            for fact in self.index.links(e):
+                self._emit(step, fact)
         # Label backlog for new elements, fresh declarations for relabelled
         # keys.  A key relabelled by a direct declaration is a string entering
         # this stage, whose backlog already holds it.
-        for e in new_elems:
-            if isinstance(e, CubeElem):
-                self._emit_labels(step, e, store, stage)
+        for e in cube:
+            self._emit_labels(step, e, store, stage)
         relabelled = set(store.relabelled(stage))
         for key in sorted(relabelled, key=lambda k: (ladder_key(k[0]), -1 if k[1] is None else k[1])):
-            for e in self._by_string.get(key, []):
+            for e in self.index.by_key.get(key, []):
                 self._emit_labels(step, e, store, stage)
-
-    def _add_strings(self, strings) -> None:
-        """Make strings visible, keeping the next-symbol index."""
-        for t in strings:
-            if t:
-                insort(self._next_symbols.setdefault(t[:-1], []), t[-1])
 
 
 def make_faithful_copy(

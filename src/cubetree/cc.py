@@ -167,10 +167,10 @@ def extract_isomorphism(
 
     Starts from the strategy's partial map, completes late-born strings by
     the same witness search at full budget, extends over the strategy's
-    excluded strings (ground truth supplies the limit witness and the finite
-    correction set; a copy without it, read from a fact file, walks copy
-    edges instead), and then
-    extends over nonempty vertices by edge search.
+    excluded strings (from the limit witness, along the copy's E edges of
+    each color in the finite correction set), and then extends over nonempty
+    vertices by edge search.  It reads the copy alone, never its ground
+    truth, so a generated copy and its fact file give the same map.
     """
     entry = next(
         (e for e in tp_entries
@@ -179,8 +179,7 @@ def extract_isomorphism(
     if entry is None:
         raise ExtractionStalled(f"no stable M{adv_index} node on the true path approximation")
     st = result.nodes[entry.addr].state
-    adv = result.adversaries[adv_index]
-    stream = adv.stream
+    stream = result.adversaries[adv_index].stream
     horizon = result.horizon
     stalls: list[str] = []
     f: dict[NatString, int] = {sigma: x for (sigma, _), x in st.f.items()}
@@ -213,29 +212,14 @@ def extract_isomorphism(
             if len(child) == len(sigma) + 1 and child[: len(sigma)] == sigma
             and not stream.holds_within(("P", x, f[child]), horizon)
         )
-        if adv.to_ground:
-            ge = adv.to_ground.get(x)
-            if not isinstance(ge, CubeElem) or ge.sigma != sigma:
-                stalls.append(f"ground witness mismatch at {format_string(sigma)}")
-                continue
-            target = CubeElem(ge.fset ^ frozenset(J), sigma, ge.sort)
-            y = adv.to_copy.get(target)
+        y = x
+        for j in J:
+            y = _edge_step(stream, j, y, horizon)
             if y is None:
-                stalls.append(f"corrected witness not enumerated at {format_string(sigma)}")
-                continue
-            f[sigma] = y
+                stalls.append(f"edge walk stalled at {format_string(sigma)} color {j}")
+                break
         else:
-            y = x
-            ok = True
-            for j in J:
-                nxt = _edge_step(stream, j, y, horizon)
-                if nxt is None:
-                    stalls.append(f"edge walk stalled at {format_string(sigma)} color {j}")
-                    ok = False
-                    break
-                y = nxt
-            if ok:
-                f[sigma] = y
+            f[sigma] = y
 
     mapping: dict[CubeElem, int] = {}
     for sigma, x in f.items():

@@ -350,8 +350,10 @@ class Snapshot:
         return self.store.labels(e, upto=self.stage)
 
     def declarations(self) -> list[tuple[int, int, CubeElem]]:
-        """Expanded (stamp, n, element) rows within the window, in event
-        order, then label index, then vertex order.
+        """Expanded (stamp, n, element) rows stamped by the snapshot's stage
+        on the window's vertices, in event order, then label index, then
+        vertex order.  Rows are not filtered by `strings`: a string chosen
+        before its birth stage has rows here before it enters the window.
 
         Growth events declare contiguous label prefixes, so a cursor per
         (string, vertex) makes the expansion linear in the output; sparse

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .adversary import FACT_ARG0, Adversary, Fact, FactStream
+from .adversary import FACT_ARG0, Adversary, Fact, FactStream, Incidence
 from .engine import (
     ReqM,
     ReqN,
@@ -27,7 +27,6 @@ from .structure import (
     Elem,
     NatString,
     Snapshot,
-    StringKey,
     UElem,
     UndefinedLabel,
     format_elem,
@@ -263,33 +262,18 @@ def ideal_tree_snapshot(
 # Isomorphism checking.
 
 def true_facts(elems: list[Elem], labels: Callable[[CubeElem], Iterable[int]]) -> Iterator[Fact]:
-    """The W, S, E and P facts that hold among `elems`, each element named
-    by its index there.  Per cube element in order: W, then S_n for each n
-    in `labels(e)`, then E to each neighbour in `elems`, then P from each
-    parent in `elems` (the u pair for a sort-0 root)."""
-    by_string: dict[StringKey, dict[frozenset[int], int]] = {}
-    us = []
+    """The W, S, E and P facts that hold among `elems`, each once, each
+    element named by its index there; the u pair, if present, comes first.
+    Per cube element in order: W, then S_n for each n in `labels(e)`, then
+    its links to the elements before it (`Incidence.links`)."""
+    index = Incidence()
     for x, e in enumerate(elems):
-        if isinstance(e, UElem):
-            us.append(x)
-        else:
-            by_string.setdefault((e.sigma, e.sort), {})[e.fset] = x
-    colors = sorted(set().union(*(f for group in by_string.values() for f in group)))
-    for x, e in enumerate(elems):
-        if isinstance(e, UElem):
-            continue
-        yield ("W", e.sigma, e.sort, x)
-        for n in labels(e):
-            yield ("S", n, x)
-        group = by_string[(e.sigma, e.sort)]
-        for i in colors:
-            y = group.get(e.fset ^ {i})
-            if y is not None:
-                yield ("E", i, x, y)
-        parents = by_string.get((e.sigma[:-1], e.sort), {}).values() if e.sigma else us
-        for y in parents:
-            if holds_P(elems[y], e):
-                yield ("P", y, x)
+        index.add(e, x)
+        if isinstance(e, CubeElem):
+            yield ("W", e.sigma, e.sort, x)
+            for n in labels(e):
+                yield ("S", n, x)
+            yield from index.links(e)
 
 
 def _map_fact(fact: Fact, m) -> Fact | None:

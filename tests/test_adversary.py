@@ -8,6 +8,7 @@ from cubetree.adversary import (
     Defect,
     FactStream,
     FaithfulGenerator,
+    Incidence,
     PermSpec,
     make_faithful_copy,
     parse_fact_line,
@@ -120,11 +121,14 @@ holed = st.one_of(
                 min_size=1, max_size=6))
 def test_oldest_satisfying_matches_the_reference_on_fact_file_streams(rows, queries):
     """Fact-file-like streams: any fact may name an element before its W
-    fact does, ids come in any order, and facts repeat."""
+    fact does, ids come in any order, and facts repeat.  The W index keeps
+    its witnesses in (age, x) order."""
     stream = FactStream()
     for step, fact in sorted(rows, key=lambda r: r[0]):
         stream.append(step, fact)
     for sigma, rest, budget in queries:
+        xs = stream.witnesses_W(sigma, None, budget)
+        assert xs == sorted(xs, key=lambda x: (stream.age(x), x))
         conjuncts = [("W", sigma, None, HOLE), *rest]
         assert (stream.oldest_satisfying(conjuncts, budget)
                 == reference_oldest_satisfying(stream, conjuncts, budget))
@@ -305,8 +309,9 @@ def test_faithful_ground_truth_is_isomorphism_at_any_horizon():
 
 
 def scan_next_symbols(strings, sigma):
-    """The scan the generator's index replaces: the sorted last symbols of
-    the visible strings one symbol longer than sigma that extend it."""
+    """The scan the incidence index's children replace: the sorted last
+    symbols of the visible strings one symbol longer than sigma that extend
+    it."""
     return sorted({t[len(sigma)] for t in strings
                    if len(t) == len(sigma) + 1 and t[: len(sigma)] == sigma})
 
@@ -316,13 +321,14 @@ words = st.lists(st.integers(0, 4), max_size=4).map(tuple)
 
 @given(st.lists(st.sets(words, max_size=12), max_size=6), st.lists(words, max_size=8))
 def test_next_symbol_index_matches_scan(batches, probes):
-    gen = FaithfulGenerator("cc", UniverseSchedule())
+    index = Incidence()
     visible = set()
     for batch in batches:
-        gen._add_strings(sorted(batch - visible))
+        for t in sorted(batch - visible):
+            index.add(elem((), t), len(index.ids))
         visible |= batch
         for sigma in [*visible, *probes]:
-            assert gen._next_symbols.get(sigma, []) == scan_next_symbols(visible, sigma)
+            assert index.children.get((sigma, None), []) == scan_next_symbols(visible, sigma)
 
 
 # -- the generator against its plain reference ---------------------------------
@@ -336,9 +342,17 @@ class ReferenceGenerator(FaithfulGenerator):
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
         self._strings = set()
+        self._by_string = {}
         self._next_symbols = {}
         self._fsets = []
         self._next_label = {}
+
+    def _alloc(self, e):
+        x = self.permutation.apply(len(self.adversary.to_ground))
+        self.adversary.to_ground[x] = e
+        self.adversary.to_copy[e] = x
+        if isinstance(e, CubeElem):
+            self._by_string.setdefault((e.sigma, e.sort), []).append(e)
 
     def _emit_labels(self, step, e, store, upto_stage):
         n = self._next_label.get(e, 0)
@@ -511,3 +525,38 @@ def test_ingest_never_probes_a_label_stamp(monkeypatch):
     assert all(len(adv.stream) for adv in result.adversaries)
     assert probes[True] == 0, probes
     assert probes[False] > 0
+
+
+def test_oldest_satisfying_never_sorts(monkeypatch):
+    """Counted work, not time: on CC_FAITHFUL at h=150 the witness query
+    reads the W index in its kept order and sorts nothing."""
+    import builtins
+
+    from test_acceptance import CC_FAITHFUL
+
+    from cubetree import adversary
+    from cubetree.config import config_from_dict
+    from cubetree.engine import run_stages
+
+    query = FactStream.oldest_satisfying
+    inside = False
+    calls = {"query": 0, "sorted": 0}
+
+    def counted_query(self, conjuncts, budget):
+        nonlocal inside
+        calls["query"] += 1
+        inside = True
+        try:
+            return query(self, conjuncts, budget)
+        finally:
+            inside = False
+
+    def counted_sorted(*args, **kw):
+        calls["sorted"] += inside
+        return builtins.sorted(*args, **kw)
+
+    monkeypatch.setattr(FactStream, "oldest_satisfying", counted_query)
+    monkeypatch.setattr(adversary, "sorted", counted_sorted, raising=False)
+    run_stages(config_from_dict(dict(CC_FAITHFUL, horizon=150)))
+    assert calls["query"] > 0
+    assert calls["sorted"] == 0, calls
