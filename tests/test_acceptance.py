@@ -14,6 +14,7 @@ import pytest
 from conftest import is_frozen
 
 from cubetree import cc, dc
+from cubetree.cli import write_artifacts
 from cubetree.config import config_from_dict
 from cubetree.cube import all_translations, enumerate_cube_automorphisms
 from cubetree.engine import ReqU, req_label, run_stages, true_path_approx
@@ -346,13 +347,13 @@ def test_criterion_9_determinism(tmp_path, cc_faithful, cc_defective, dc_modulus
         "dc_modulus": (DC_MODULUS, dc_modulus),
         "dc_diag": (DC_DIAG, dc_diag),
     }.items():
-        first = tmp_path / f"{name}.trace"
-        first.write_bytes(("\n".join(result.trace_lines()) + "\n").encode())
+        first, second = tmp_path / name, tmp_path / f"{name}.rerun"
+        write_artifacts(result, first)
         rerun = run_stages(config_from_dict(json.loads(json.dumps(data))))
-        second = tmp_path / f"{name}.trace2"
-        second.write_bytes(("\n".join(rerun.trace_lines()) + "\n").encode())
-        assert first.read_bytes() == second.read_bytes(), name
-        assert result.snapshot().dump_lines() == rerun.snapshot().dump_lines()
+        write_artifacts(rerun, second)
+        for artifact in ("trace.log", "snapshot.log", "meta.json"):
+            assert (first / artifact).read_bytes() == (second / artifact).read_bytes(), (
+                name, artifact)
 
 
 # ---------------------------------------------------------------------------

@@ -489,3 +489,73 @@ def test_defect_sort_of_the_variant_is_kept():
     assert config_from_dict(data).adversaries[0].defects[0].sort == 1
     assert config_from_dict(_with_defect(CC_CONFIG, kind="omit_label", n=0, sigma=[],
                                          sort=None)).adversaries[0].defects[0].sort is None
+
+
+# -- chunked artifacts ----------------------------------------------------------
+
+SHIPPED_DC = SHIPPED_CC.parent / "dc_diagonal.json"
+
+
+@pytest.fixture(scope="module", params=[(SHIPPED_CC, 80), (SHIPPED_DC, 40)],
+                ids=["cc_faithful@80", "dc_diagonal@40"])
+def sample_run(request):
+    from cubetree.config import config_from_dict
+    from cubetree.engine import run_stages
+
+    path, horizon = request.param
+    data = json.loads(path.read_text(encoding="utf-8"))
+    return run_stages(config_from_dict(dict(data, horizon=horizon)))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, "trace length"])
+def test_chunked_artifacts_are_the_joined_lines(tmp_path, monkeypatch, sample_run, chunk):
+    """Whatever the chunk size, and so wherever its boundaries fall, each
+    written text file is its lines joined whole."""
+    lines = len(sample_run.trace) if chunk == "trace length" else chunk
+    monkeypatch.setattr(cli, "CHUNK_LINES", lines, raising=False)
+    cli.write_artifacts(sample_run, tmp_path)
+    assert (tmp_path / "trace.log").read_bytes() == (
+        "\n".join(sample_run.trace_lines()) + "\n").encode()
+    assert (tmp_path / "snapshot.log").read_bytes() == (
+        "\n".join(sample_run.snapshot().dump_lines()) + "\n").encode()
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_gen_adversary_file_is_the_joined_fact_lines(tmp_path, monkeypatch, chunk):
+    from cubetree.adversary import make_faithful_copy
+    from cubetree.config import config_from_dict
+    from cubetree.engine import run_stages
+
+    monkeypatch.setattr(cli, "CHUNK_LINES", chunk, raising=False)
+    facts = tmp_path / "copy.facts"
+    assert main(["gen-adversary", "--config", str(write_config(tmp_path, CC_CONFIG)),
+                 "--out", str(facts), "--delay", "2"]) == 0
+    adv = make_faithful_copy(run_stages(config_from_dict(CC_CONFIG)), delay=2)
+    assert facts.read_bytes() == ("\n".join(adv.stream.to_lines()) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", ["trace.log", "snapshot.log"])
+@pytest.mark.parametrize("damage", ["one byte inside a chunk", "cut at a chunk end"])
+def test_replay_reports_damage_at_any_chunk_position(tmp_path, monkeypatch, capsys,
+                                                     name, damage):
+    monkeypatch.setattr(cli, "CHUNK_LINES", 3, raising=False)
+    cfg = write_config(tmp_path, CC_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / name
+    data = path.read_bytes()
+    # Byte offsets of each line start; chunk 2 holds lines 3, 4 and 5.
+    starts = [0]
+    for line in data.split(b"\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    assert len(starts) > 8
+    if damage == "one byte inside a chunk":
+        at = (starts[4] + starts[5]) // 2
+        data = data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+    else:
+        data = data[:starts[6]]
+    path.write_bytes(data)
+    capsys.readouterr()
+    assert main(["replay", "--config", str(cfg), "--trace", str(out)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [f"{name} differs", "replay DIFFERS"]

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import cc_config, faithful
 
@@ -13,6 +14,7 @@ from cubetree.engine import (
     ReqIdle,
     ReqU,
     check_left_kill,
+    format_addr,
     outcome_key,
     req_label,
     run_stages,
@@ -312,3 +314,99 @@ def test_every_typed_node_holds_the_record_of_its_kind(data):
     expected = ({cc.TreeState} if result.variant == "cc"
                 else {dc.MotherState, dc.DaughterState, dc.DiagonalizerState})
     assert held == expected | ({MatcherState} if result.adversaries else set())
+
+
+# -- left-kill against its first form and requirement labels ---------------------
+
+def reference_check_left_kill(stage_paths):
+    """check_left_kill as first written: each parent's children keyed by a
+    copy of the parent's address, and dead addresses built as
+    parent + (token,)."""
+    dead = set()
+    children = {}
+    for stage, path in stage_paths:
+        for addr in path:
+            if addr in dead:
+                return False, f"stage {stage}: visited {format_addr(addr)} after a left neighbor"
+            if addr:
+                parent, token = addr[:-1], addr[-1]
+                seen = children.setdefault(parent, set())
+                for other in seen:
+                    if other != token and outcome_key(other) > outcome_key(token):
+                        dead.add(parent + (other,))
+                seen.add(token)
+    return True, None
+
+
+def sample_runs():
+    return [
+        ("cc_faithful@80", dict(shipped("cc_faithful.json"), horizon=80)),
+        ("dc_diagonal@40", dict(DC_DIAGONAL, horizon=40)),
+    ]
+
+
+@pytest.fixture(scope="module", params=[d for _n, d in sample_runs()],
+                ids=[n for n, _d in sample_runs()])
+def sample_run(request):
+    return run_stages(config_from_dict(request.param))
+
+
+def test_left_kill_matches_the_reference_on_generated_paths(sample_run):
+    """On a run's own stage paths, on copies of them (equal addresses that are
+    not the run's objects), and with an early stage replayed after the last
+    one, which revisits killed nodes."""
+    paths = sample_run.stage_paths()
+    copied = [(stage, [tuple(list(a)) for a in path]) for stage, path in paths]
+    assert check_left_kill(paths) == reference_check_left_kill(paths) == (True, None)
+    assert check_left_kill(copied) == reference_check_left_kill(copied)
+    failed = 0
+    for _stage, path in paths[::7]:
+        replayed = paths + [(sample_run.horizon + 1, path)]
+        verdict = check_left_kill(replayed)
+        assert verdict == reference_check_left_kill(replayed)
+        failed += not verdict[0]
+    assert failed
+
+
+def test_left_kill_matches_the_reference_on_a_path_that_skips_a_level():
+    # Stage 2 reaches ("0", "1") without visiting ("0",): it still kills its
+    # right sibling ("0", "0"), which stage 3 then revisits.
+    skipping = [
+        (1, [(), ("0", "0")]),
+        (2, [("0", "1")]),
+        (3, [(), ("0",), ("0", "0")]),
+    ]
+    ok, locus = check_left_kill(skipping)
+    assert (ok, locus) == reference_check_left_kill(skipping)
+    assert not ok and "stage 3" in locus
+
+
+TOKENS = ("ii", "i0", "i1", "o", "0", "1", "2")
+addresses = st.lists(st.sampled_from(TOKENS), max_size=4).map(tuple)
+# A tree walk visits every prefix of its deepest address, root first.
+walks = st.lists(st.sampled_from(TOKENS), max_size=5).map(
+    lambda tokens: [tuple(tokens[:k]) for k in range(len(tokens) + 1)])
+stage_paths = st.lists(st.tuples(st.integers(1, 20),
+                                 walks | st.lists(addresses, max_size=6)),
+                       max_size=10)
+
+
+@given(stage_paths)
+def test_left_kill_matches_the_reference_on_arbitrary_paths(paths):
+    assert check_left_kill(paths) == reference_check_left_kill(paths)
+
+
+@pytest.mark.parametrize("data", [d for _n, d in state_runs()],
+                         ids=[n for n, _d in state_runs()])
+def test_typed_and_visit_events_carry_the_requirement_label(data):
+    result = run_stages(config_from_dict(data))
+    events = 0
+    for ev in result.trace:
+        if ev[0] in ("typed", "visit"):
+            events += 1
+            assert ev[3] == req_label(ev[2].req), ev
+    assert events > len(result.nodes)
+    entries = true_path_approx(result, threshold=result.cfg.tp_threshold,
+                               window=result.cfg.tp_window)
+    for entry in entries:
+        assert entry.label == req_label(result.nodes[entry.addr].req)
