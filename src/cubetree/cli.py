@@ -14,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import cc as cc_mod
@@ -27,6 +28,10 @@ from .structure import GrowOutOfOrder, UndefinedLabel, VariantMismatch, format_e
 from .verify import InvariantBroken
 
 VERSION = "0.1.0"
+
+# Lines per text chunk: the artifacts and fact files are formatted, written
+# and compared one chunk at a time, so no whole file is held in memory.
+CHUNK_LINES = 1024
 
 INTERNAL_ERRORS = (GammaUnresolved, GrowOutOfOrder, InconsistentPrefixes, InvariantBroken,
                    UndefinedLabel, VariantMismatch)
@@ -51,24 +56,57 @@ def _tp_summary(entries) -> list[dict]:
     ]
 
 
+def _chunks(blocks):
+    """One text chunk per block of lines, each line ended by a newline; no
+    lines at all make one empty line."""
+    empty = True
+    for lines in blocks:
+        empty = False
+        yield "\n".join(lines) + "\n"
+    if empty:
+        yield "\n"
+
+
 def artifact_texts(result: RunResult):
-    """(file name, text) of each artifact of a run, built one at a time."""
-    yield "trace.log", "\n".join(result.trace_lines()) + "\n"
-    yield "snapshot.log", "\n".join(result.snapshot().dump_lines()) + "\n"
+    """(file name, text chunks) of each artifact of a run.  Each chunk is
+    formatted as it is read: CHUNK_LINES trace events or snapshot rows, and
+    meta.json whole."""
+    yield "trace.log", _chunks(result.trace_lines(lo, lo + CHUNK_LINES)
+                               for lo in range(0, len(result.trace), CHUNK_LINES))
+    snap = result.snapshot()
+    rows, texts = snap.declarations(), {}
+    yield "snapshot.log", _chunks(
+        iter(lambda: snap.dump_lines(islice(rows, CHUNK_LINES), texts), []))
     meta = {
         "version": VERSION,
         "config": json.loads(result.cfg.raw),
         "true_path": _tp_summary(_tp(result)),
         "witnesses": dict(sorted(result.zprime.items())),
     }
-    yield "meta.json", json.dumps(meta, sort_keys=True, indent=1) + "\n"
+    yield "meta.json", [json.dumps(meta, sort_keys=True, indent=1) + "\n"]
+
+
+def _write_chunks(path: Path, chunks) -> None:
+    """The one writer of the CLI's text files."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+
+
+def _same_chunks(path: Path, chunks) -> bool:
+    """Whether the file holds exactly the chunks' bytes, read one chunk's
+    span at a time."""
+    with open(path, "rb") as fh:
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            if fh.read(len(data)) != data:
+                return False
+        return not fh.read(1)
 
 
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in artifact_texts(result):
-        (out_dir / name).write_text(text, encoding="utf-8")
-        del text  # free one file's text before the next one is built
+    for name, chunks in artifact_texts(result):
+        _write_chunks(out_dir / name, chunks)
 
 
 def cmd_run(args) -> int:
@@ -185,7 +223,7 @@ def cmd_extract(args) -> int:
         }
     else:
         raise ConfigError(f"unknown extraction target {args.target!r}")
-    out.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    _write_chunks(out, [json.dumps(data, sort_keys=True, indent=1) + "\n"])
     print(f"wrote {out}")
     if args.target == "isomorphism" and data["stalls"]:
         print(f"warning: {len(data['stalls'])} extraction stalls", file=sys.stderr)
@@ -197,8 +235,8 @@ def cmd_replay(args) -> int:
     result = run_stages(config)
     base = Path(args.trace)
     ok = True
-    for name, text in artifact_texts(result):
-        if (base / name).read_text(encoding="utf-8") != text:
+    for name, chunks in artifact_texts(result):
+        if not _same_chunks(base / name, chunks):
             ok = False
             print(f"{name} differs")
     print("replay identical" if ok else "replay DIFFERS")
@@ -222,9 +260,9 @@ def cmd_gen_adversary(args) -> int:
         perm = PermSpec("block_rotate", args.block, args.shift)
     adv = make_faithful_copy(result, permutation=perm, delay=delay,
                              defects=defects)
-    Path(args.out).write_text(
-        "\n".join(adv.stream.to_lines()) + "\n", encoding="utf-8"
-    )
+    lines = iter(adv.stream.to_lines())
+    _write_chunks(Path(args.out),
+                  _chunks(iter(lambda: list(islice(lines, CHUNK_LINES)), [])))
     print(f"wrote {args.out} ({len(adv.stream)} facts)")
     return 0
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, islice
+from operator import eq
 from typing import Any
 
 from .adversary import Adversary, FaithfulGenerator, stream_from_lines
@@ -114,6 +115,9 @@ def format_addr(addr: Addr) -> str:
 class Node:
     addr: Addr
     req: Requirement | None = None
+    # req_label(req), built once when the node is typed: the trace's typed
+    # and visit events and the true path share it.
+    label: str = ""
     # The strategy's record, built by its act hook on the first visit: a
     # cc.TreeState, dc.MotherState, dc.DaughterState, dc.DiagonalizerState
     # or match.MatcherState.  None for Idle only.
@@ -334,9 +338,10 @@ class Engine:
                 node = self.node_at(addr)
                 if node.req is None:
                     node.req = self.strat.assign_type(self, node, s)
-                    self.emit("typed", s, node, req_label(node.req))
+                    node.label = req_label(node.req)
+                    self.emit("typed", s, node, node.label)
                 node.visits.append(s)
-                self.emit("visit", s, node, req_label(node.req))
+                self.emit("visit", s, node, node.label)
                 token = self.strat.act(self, node, s)
                 node.outcomes.append((s, token))
                 self.emit("outcome", s, node, token)
@@ -362,8 +367,11 @@ class Engine:
             tuple(self.schedule.fsets(stage)),
         )
 
-    def trace_lines(self) -> list[str]:
-        return [format_event(ev) for ev in self.trace]
+    def trace_lines(self, lo: int = 0, hi: int | None = None) -> list[str]:
+        """The text lines of the trace events [lo:hi].  Each node's address
+        text is built once per call."""
+        texts: dict[int, str] = {}
+        return [format_event(ev, texts) for ev in self.trace[lo:hi]]
 
     def stage_paths(self) -> list[tuple[int, list[Addr]]]:
         """Visited node addresses per stage, in visit order."""
@@ -385,13 +393,20 @@ def run_stages(config) -> RunResult:
     return Engine(config).run()
 
 
-def format_event(ev: tuple) -> str:
+def format_event(ev: tuple, texts: dict[int, str]) -> str:
+    """One trace line.  `texts` caches node address texts by identity, so a
+    node's deep address is joined once, not at every event naming it."""
     parts = []
     for p in ev:
         if isinstance(p, tuple):
             parts.append(format_string(p))
         elif p is None:
             parts.append("-")
+        elif isinstance(p, Node):
+            text = texts.get(id(p))
+            if text is None:
+                text = texts[id(p)] = format_addr(p.addr)
+            parts.append(text)
         else:
             parts.append(str(p))
     return " ".join(parts)
@@ -430,7 +445,7 @@ def true_path_approx(result: RunResult, threshold: int = 3,
         counts = node.outcome_counts(win)
         qualifying = [t for t, c in counts.items() if c >= threshold]
         chosen = min(qualifying, key=outcome_key) if qualifying else None
-        entries.append(TPEntry(addr, req_label(node.req), chosen,
+        entries.append(TPEntry(addr, node.label, chosen,
                                len(node.visits), counts))
         if chosen is None:
             break
@@ -443,20 +458,40 @@ def true_path_approx(result: RunResult, threshold: int = 3,
 
 def check_left_kill(stage_paths: list[tuple[int, list[Addr]]]) -> tuple[bool, str | None]:
     """True when no node is visited again after a node strictly to its left
-    has been visited in between."""
+    has been visited in between.  Only the address objects given are kept:
+    none is sliced or copied."""
     dead: set[Addr] = set()
-    children: dict[Addr, set[str]] = {}
+    # The visited tree by token: a slot is [the address it was visited as, or
+    # None for a level a path skipped; its children's slots by token].
+    root: dict[str, list] = {}
     for stage, path in stage_paths:
         # Each stage path extends one token at a time, so a dead subtree is
         # always entered through its root and the membership test suffices.
+        # `kids` holds the children of the previous address `prev`, which is
+        # the parent: a known child is told by identity, a new one by its
+        # tokens.  A hand-made path that skips a level finds the parent's
+        # slot from the root.
+        prev, kids = None, root
         for addr in path:
             if addr in dead:
                 return False, f"stage {stage}: visited {format_addr(addr)} after a left neighbor"
-            if addr:
-                parent, token = addr[:-1], addr[-1]
-                seen = children.setdefault(parent, set())
-                for other in seen:
-                    if other != token and outcome_key(other) > outcome_key(token):
-                        dead.add(parent + (other,))
-                seen.add(token)
+            if not addr:
+                prev, kids = addr, root
+                continue
+            token = addr[-1]
+            if not (prev is not None and len(prev) + 1 == len(addr) and (
+                    (slot := kids.get(token)) is not None and slot[0] is addr
+                    or all(map(eq, prev, addr)))):
+                kids = root
+                for step in islice(addr, len(addr) - 1):
+                    kids = kids.setdefault(step, [None, {}])[1]
+            slot = kids.get(token)
+            if slot is None:
+                slot = kids[token] = [addr, {}]
+            elif slot[0] is None:
+                slot[0] = addr
+            for other, (sibling, _) in kids.items():
+                if sibling is not None and other != token and outcome_key(other) > outcome_key(token):
+                    dead.add(sibling)
+            prev, kids = addr, slot[1]
     return True, None

@@ -349,11 +349,12 @@ class Snapshot:
     def labels(self, e: CubeElem) -> list[int]:
         return self.store.labels(e, upto=self.stage)
 
-    def declarations(self) -> list[tuple[int, int, CubeElem]]:
+    def declarations(self) -> Iterator[tuple[int, int, CubeElem]]:
         """Expanded (stamp, n, element) rows stamped by the snapshot's stage
         on the window's vertices, in event order, then label index, then
-        vertex order.  Rows are not filtered by `strings`: a string chosen
-        before its birth stage has rows here before it enters the window.
+        vertex order, yielded as they are expanded.  Rows are not filtered
+        by `strings`: a string chosen before its birth stage has rows here
+        before it enters the window.
 
         Growth events declare contiguous label prefixes, so a cursor per
         (string, vertex) makes the expansion linear in the output; sparse
@@ -361,7 +362,6 @@ class Snapshot:
         (sigma, sort) and window vertices by index, and each element is
         built once, when its first row is emitted.
         """
-        rows: list[tuple[int, int, CubeElem]] = []
         window_f = sorted(self.fsets, key=lambda f: (len(f), tuple(sorted(f))))
         vertices = [frozenset(), *(f for f in window_f if f)]
         slot_of = {f: v for v, f in enumerate(vertices)}
@@ -383,7 +383,7 @@ class Snapshot:
                 seen = sparse.setdefault(key, set())
                 if n >= done and (n, e.fset) not in seen:
                     seen.add((n, e.fset))
-                    rows.append((stage, n, e))
+                    yield stage, n, e
                 continue
             key = (ev.sigma, ev.sort)
             done = cursor.get(key)
@@ -398,17 +398,20 @@ class Snapshot:
                     e = built[v]
                     if e is None:
                         e = built[v] = CubeElem(f, ev.sigma, ev.sort)
-                    rows += [(stage, n, e) for n in range(start, upto)
-                             if seen is None or (n, f) not in seen]
+                    for n in range(start, upto):
+                        if seen is None or (n, f) not in seen:
+                            yield stage, n, e
                     done[v] = upto
-        return rows
 
-    def dump_lines(self) -> list[str]:
-        # Rows of one element share one object, so its text is cached by
-        # identity and no element is hashed per row.
-        texts: dict[int, str] = {}
+    def dump_lines(self, rows=None, texts: dict[int, str] | None = None) -> list[str]:
+        """The text lines of `rows`, declarations() rows, all of them by
+        default.  Rows of one element share one object, so its text is cached
+        by identity in `texts` and no element is hashed per row; a caller
+        formatting one declarations() run in blocks passes one cache for all
+        of them, as the run keeps every element it yielded alive."""
+        texts = {} if texts is None else texts
         lines = []
-        for stage, n, e in self.declarations():
+        for stage, n, e in self.declarations() if rows is None else rows:
             text = texts.get(id(e))
             if text is None:
                 text = texts[id(e)] = format_elem(e)

@@ -559,3 +559,41 @@ def test_replay_reports_damage_at_any_chunk_position(tmp_path, monkeypatch, caps
     assert main(["replay", "--config", str(cfg), "--trace", str(out)]) == 1
     printed = capsys.readouterr().out.splitlines()
     assert printed == [f"{name} differs", "replay DIFFERS"]
+
+
+# Horizons of the benchmark's cc_match and dc_modulus workloads, which run
+# these configs.
+BENCHMARK_RUNS = {"CC_FAITHFUL": 200, "DC_MODULUS": 150}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_RUNS))
+def test_export_and_trace_checks_stay_below_a_third_of_the_bytes_written(tmp_path, name):
+    """Counted memory gate: the peak allocated while writing the artifacts,
+    and while checking the trace invariants, each stays below a third of the
+    bytes written.  Building an artifact whole costs about twice its bytes,
+    and a copied address per node costs about as much as the trace text."""
+    import tracemalloc
+
+    import test_acceptance
+    from cubetree.config import config_from_dict
+    from cubetree.engine import run_stages
+    from cubetree.verify import check_trace_invariants
+
+    data = dict(getattr(test_acceptance, name), horizon=BENCHMARK_RUNS[name])
+    result = run_stages(config_from_dict(data))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for step, call in (("write_artifacts", lambda: cli.write_artifacts(result, tmp_path)),
+                           ("check_trace_invariants", lambda: check_trace_invariants(result))):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            outcome = call()
+            peaks[step] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert outcome.ok
+    written = sum(path.stat().st_size for path in tmp_path.iterdir())
+    assert written > 5_000_000
+    assert peaks["write_artifacts"] < written / 3, (peaks, written)
+    assert peaks["check_trace_invariants"] < written / 3, (peaks, written)

@@ -368,20 +368,21 @@ def test_left_kill_matches_the_reference_on_generated_paths(sample_run):
     assert failed
 
 
-def test_left_kill_matches_the_reference_on_a_path_that_skips_a_level():
+@pytest.mark.parametrize("skipping", [
     # Stage 2 reaches ("0", "1") without visiting ("0",): it still kills its
     # right sibling ("0", "0"), which stage 3 then revisits.
-    skipping = [
-        (1, [(), ("0", "0")]),
-        (2, [("0", "1")]),
-        (3, [(), ("0",), ("0", "0")]),
-    ]
+    [(1, [(), ("0", "0")]), (2, [("0", "1")]), (3, [(), ("0",), ("0", "0")])],
+    # In stage 2, ("1", "1") follows ("0",), one level up but not its parent.
+    [(1, [(), ("1",), ("1", "0")]), (2, [(), ("0",), ("1", "1")]),
+     (3, [(), ("1",), ("1", "0")])],
+])
+def test_left_kill_matches_the_reference_on_a_path_that_skips_a_level(skipping):
     ok, locus = check_left_kill(skipping)
     assert (ok, locus) == reference_check_left_kill(skipping)
     assert not ok and "stage 3" in locus
 
 
-TOKENS = ("ii", "i0", "i1", "o", "0", "1", "2")
+TOKENS = ("ii", "i0", "0", "1")
 addresses = st.lists(st.sampled_from(TOKENS), max_size=4).map(tuple)
 # A tree walk visits every prefix of its deepest address, root first.
 walks = st.lists(st.sampled_from(TOKENS), max_size=5).map(
@@ -399,14 +400,20 @@ def test_left_kill_matches_the_reference_on_arbitrary_paths(paths):
 @pytest.mark.parametrize("data", [d for _n, d in state_runs()],
                          ids=[n for n, _d in state_runs()])
 def test_typed_and_visit_events_carry_the_requirement_label(data):
+    """Each node's label is built once, when it is typed: its typed and visit
+    events and its true-path entry hold that one string."""
     result = run_stages(config_from_dict(data))
     events = 0
     for ev in result.trace:
         if ev[0] in ("typed", "visit"):
             events += 1
             assert ev[3] == req_label(ev[2].req), ev
+            assert ev[3] is ev[2].label
     assert events > len(result.nodes)
+    for node in result.nodes.values():
+        assert node.label == req_label(node.req), node
     entries = true_path_approx(result, threshold=result.cfg.tp_threshold,
                                window=result.cfg.tp_window)
     for entry in entries:
         assert entry.label == req_label(result.nodes[entry.addr].req)
+        assert entry.label is result.nodes[entry.addr].label

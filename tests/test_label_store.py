@@ -167,7 +167,7 @@ def test_label_queries_match_scan(variant, n_strings, steps):
     for b in range(0, last + 2):
         strings = tuple((sigma, sort) for sigma in STRINGS[:n_strings])
         snap = Snapshot(variant, b, store, strings, tuple(FSETS))
-        assert snap.declarations() == ref.declarations(b, FSETS)
+        assert list(snap.declarations()) == ref.declarations(b, FSETS)
 
 
 def test_grow_at_a_lower_stage_raises():

@@ -185,8 +185,8 @@ def test_snapshot_monotone_views():
     late = Snapshot("cc", 9, store, tuple(strings), tuple(fsets))
     assert early.labels(elem((), (5,))) == [0, 1]
     assert late.labels(elem((), (5,))) == [0, 1, 2]
-    for stamp, n, e in early.declarations():
-        assert (stamp, n, e) in late.declarations()
+    for stamp, n, e in list(early.declarations()):
+        assert (stamp, n, e) in list(late.declarations())
 
 
 def test_variant_checks():
@@ -260,7 +260,7 @@ def test_dump_rows_outside_the_window_are_on_strings_chosen_before_birth(
 
     result = run_stages(shipped_config(name, horizon))
     snap = result.snapshot()
-    rows = snap.declarations()
+    rows = list(snap.declarations())
     window = set(snap.strings)
     keys = [(e.sigma, e.sort) for _stage, _n, e in rows]
     late = [key for key in keys if key not in window]

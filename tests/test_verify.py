@@ -527,7 +527,7 @@ def with_declarations(snap, rows):
 def mutated_targets(snap):
     """The snapshot missing its last declaration, and with S_1 added on the
     empty vertex of an off-tree border string (which carries S_0 alone)."""
-    rows = snap.declarations()
+    rows = list(snap.declarations())
     border = next(CubeElem(frozenset(), sigma, sort) for sigma, sort in snap.strings
                   if snap.labels(CubeElem(frozenset(), sigma, sort)) == [0])
     extra = (rows[-1][0], 1, border)
