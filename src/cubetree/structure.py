@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 NatString = tuple[int, ...]
 
@@ -403,7 +403,8 @@ class Snapshot:
                             yield stage, n, e
                     done[v] = upto
 
-    def dump_lines(self, rows=None, texts: dict[int, str] | None = None) -> list[str]:
+    def dump_lines(self, rows: Iterable[tuple[int, int, CubeElem]] | None = None,
+                   texts: dict[int, str] | None = None) -> list[str]:
         """The text lines of `rows`, declarations() rows, all of them by
         default.  Rows of one element share one object, so its text is cached
         by identity in `texts` and no element is hashed per row; a caller

@@ -397,12 +397,10 @@ def test_left_kill_matches_the_reference_on_arbitrary_paths(paths):
     assert check_left_kill(paths) == reference_check_left_kill(paths)
 
 
-@pytest.mark.parametrize("data", [d for _n, d in state_runs()],
-                         ids=[n for n, _d in state_runs()])
-def test_typed_and_visit_events_carry_the_requirement_label(data):
+def test_typed_and_visit_events_carry_the_requirement_label(sample_run):
     """Each node's label is built once, when it is typed: its typed and visit
     events and its true-path entry hold that one string."""
-    result = run_stages(config_from_dict(data))
+    result = sample_run
     events = 0
     for ev in result.trace:
         if ev[0] in ("typed", "visit"):
