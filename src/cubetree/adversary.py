@@ -164,7 +164,9 @@ def stream_from_lines(lines, source: str = "fact lines") -> FactStream:
             try:
                 rows.append(parse_fact_line(line))
             except ValueError as exc:
-                raise ValueError(f"{source}, line {k}: {exc}") from None
+                from .config import ConfigError  # deferred: config imports this module
+
+                raise ConfigError(f"{source}, line {k}: {exc}") from None
     rows.sort(key=lambda r: r[0])
     stream = FactStream()
     for step, fact in rows:

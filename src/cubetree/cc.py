@@ -40,11 +40,6 @@ class ExtractionStalled(RuntimeError):
     pass
 
 
-def validate_config(config) -> None:
-    if config.tree is None or not config.tree.nodes:
-        raise ValueError("cc runs need a nonempty input tree")
-
-
 def ordering_iter(config):
     """Priority order: the root requirement first, then tree nodes in
     shortlex order dovetailed with the per-adversary requirements."""

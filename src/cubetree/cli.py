@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     except INTERNAL_ERRORS as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError, or a config that is not JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

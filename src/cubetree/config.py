@@ -4,12 +4,16 @@ Configs are plain JSON so runs are reproducible from a single file.  Strings
 of naturals appear as JSON arrays of ints.  The canonical echo written into
 run metadata is the parsed config re-serialized with sorted keys, so a rerun
 from the same file is byte-identical.
+
+The format is one table per object kind: a key maps to (reader, default), or
+to (reader, REQUIRED), and a reader takes the value and the key's full name.
+Checks across keys, default labels and fact-file lines follow the tables.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .adversary import Defect, PermSpec
 from .structure import UniverseSchedule, sorts
@@ -54,8 +58,43 @@ class RunConfig:
     raw: str = "{}"
 
 
-def _path(where: str, key: str) -> str:
-    return f"{where}.{key}" if where else key
+REQUIRED = object()  # the default of a key that must be given
+
+
+def read_fields(data, where: str, table: dict) -> dict:
+    """Each key of table -> its value in the JSON object data, read by the
+    key's reader, or the key's default when data lacks it."""
+    prefix = f"{where}." if where else ""
+    for key in as_object(data, where):
+        if key not in table:
+            raise ConfigError(f"{prefix}{key} is not a known key")
+    fields = {}
+    for key, (read, default) in table.items():
+        if key in data:
+            fields[key] = read(data[key], prefix + key)
+        elif default is REQUIRED:
+            raise ConfigError(f"{prefix}{key} is required")
+        else:
+            fields[key] = default
+    return fields
+
+
+def read_kind(noun: str, tables: dict, build, default=REQUIRED):
+    """The reader of JSON objects whose "kind", or default, names the table
+    in tables that reads their other keys; build takes the fields."""
+    def read(data, where: str):
+        kind = as_object(data, where).get("kind", default)
+        if kind is REQUIRED:
+            raise ConfigError(f"{where}.kind is required")
+        if not isinstance(kind, str) or kind not in tables:
+            raise ConfigError(f"unknown {noun} kind {kind!r}")
+        rest = {key: value for key, value in data.items() if key != "kind"}
+        return build(kind=kind, **read_fields(rest, where, tables[kind]))
+    return read
+
+
+def as_given(value, key: str):
+    return value
 
 
 def integer(value, key: str) -> int:
@@ -74,17 +113,10 @@ def at_least(value, minimum: int, key: str) -> int:
     return n
 
 
-def required(data: dict, key: str, where: str):
-    """data[key]; a ConfigError naming where.key when the key is missing."""
-    if key not in data:
-        raise ConfigError(f"{_path(where, key)} is required")
-    return data[key]
-
-
-def read_int(data: dict, key: str, where: str, default: int | None = None) -> int:
-    """data[key] as an int: required when there is no default."""
-    value = required(data, key, where) if default is None else data.get(key, default)
-    return integer(value, _path(where, key))
+def string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def as_object(data, where: str) -> dict:
@@ -108,167 +140,153 @@ def naturals(data, where: str) -> tuple[int, ...]:
     return tuple(data)
 
 
-def only_keys(data: dict, where: str, *keys: str) -> None:
-    """A ConfigError naming the first key of data that its parser does not read."""
-    for key in data:
-        if key not in keys:
-            raise ConfigError(f"{_path(where, key)} is not a known key")
+def period(data, where: str) -> tuple[int, ...]:
+    if not naturals(data, where):
+        raise ConfigError(f"{where} must be a nonempty array of naturals, got {data!r}")
+    return tuple(data)
+
+
+def phi_rules(data, where: str) -> tuple[tuple[int, tuple], ...]:
+    positions = {}
+    for n, rule in as_object(data, where).items():
+        # Any integer names a position; JSON keys are strings, so decimal text is read.
+        if isinstance(n, str) and n.removeprefix("-").isdecimal():
+            n = int(n)
+        positions[integer(n, f"{where} key")] = rule
+    return tuple((n, phi_rule(rule, f"{where}.{n}")) for n, rule in sorted(positions.items()))
+
+
+def floor(minimum: int):
+    """The reader of integers at least minimum."""
+    return lambda value, key: at_least(value, minimum, key)
+
+
+def optional(read):
+    """The reader of null, or of what read reads."""
+    return lambda value, key: None if value is None else read(value, key)
+
+
+def array_of(read):
+    """The reader of JSON arrays whose entries read reads, as a tuple."""
+    return lambda value, key: tuple(read(v, f"{key}[{i}]")
+                                    for i, v in enumerate(as_list(value, key)))
+
+
+def fields_of(table: dict, build):
+    """The reader of JSON objects that table reads; build takes the fields."""
+    return lambda value, key: build(**read_fields(value, key, table))
+
+
+def _phi(range, rules, default):
+    from .dc import PhiPredicate  # deferred: dc pulls in the engine
+    return PhiPredicate(range, rules, default)
+
+
+def _functional(kind, mother, round, **fields) -> FuncSpec:
+    from .dc import Functional  # deferred: dc pulls in the engine
+    return FuncSpec(mother, round, Functional(kind, **fields))
+
+
+UNIVERSE = {"rate": (floor(1), 1), "cap": (optional(floor(1)), 4),
+            "f_rate": (floor(1), 1), "f_cap": (floor(0), 2)}
+BRANCH = {"prefix": (naturals, REQUIRED), "period": (period, REQUIRED)}
+TREE = {"nodes": (array_of(naturals), ()),
+        "branches": (array_of(fields_of(BRANCH, lambda prefix, period: (prefix, period))), ())}
+TRUE_PATH = {"threshold": (floor(1), 3), "window": (optional(floor(1)), None)}
+
+PERMUTATIONS = {"identity": {},
+                "block_rotate": {"block": (floor(1), REQUIRED), "shift": (integer, REQUIRED)}}
+DEFECTS = {
+    "omit_label": {"n": (integer, REQUIRED), "sigma": (naturals, REQUIRED),
+                   "sort": (as_given, None)},
+    "break_p": {"sigma": (naturals, REQUIRED), "j": (integer, REQUIRED), "sort": (as_given, None)},
+    "freeze_after": {"step": (integer, REQUIRED)},
+}
+ADVERSARIES = {
+    "faithful": {"label": (string, None),
+                 "permutation": (read_kind("permutation", PERMUTATIONS, PermSpec, "identity"),
+                                 PermSpec()),
+                 "delay": (floor(0), 1),
+                 "defects": (array_of(read_kind("defect", DEFECTS, Defect)), ())},
+    "file": {"label": (string, None), "path": (string, REQUIRED)},
+}
+
+PHI_RULES = {"until": {"s0": (integer, REQUIRED)}, "periodic": {"period": (floor(1), REQUIRED)},
+             "never": {}, "always": {}}
+phi_rule = read_kind("phi rule", PHI_RULES, lambda kind, **fields: (kind, *fields.values()))
+PHI = {"range": (floor(0), REQUIRED), "rules": (phi_rules, ()), "default": (phi_rule, ("never",))}
+SLOT = {"mother": (floor(0), REQUIRED), "round": (integer, REQUIRED)}
+FUNCTIONALS = {
+    "constant": {**SLOT, "value": (integer, 0)},
+    "length_threshold": {**SLOT, "value": (integer, 0), "min_len": (floor(0), REQUIRED)},
+    "bit_probe": {**SLOT, "coord": (floor(0), 0), "pos": (floor(0), 0), "modulus": (floor(1), 2)},
+    "never": SLOT,
+}
+
+# The top level: the shared keys and the keys of the config's variant.
+SHARED = {
+    "variant": (as_given, REQUIRED),
+    "horizon": (floor(1), REQUIRED),
+    "universe": (fields_of(UNIVERSE, UniverseSchedule), UniverseSchedule()),
+    "adversaries": (array_of(read_kind("adversary", ADVERSARIES, AdvSpec, "faithful")), ()),
+    "true_path": (fields_of(TRUE_PATH, lambda threshold, window: (threshold, window)), (3, None)),
+}
+VARIANTS = {
+    "cc": {"tree": (fields_of(TREE, tree_from_lists), REQUIRED)},
+    "dc": {"mothers": (floor(1), 2),
+           "phi": (fields_of(PHI, _phi), REQUIRED),
+           "functionals": (array_of(read_kind("functional", FUNCTIONALS, _functional)), ()),
+           "witness_base": (floor(0), 1_000_000)},
+}
 
 
 def canonical_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def parse_permutation(data, where: str) -> PermSpec:
-    if data is None:
-        return PermSpec()
-    kind = as_object(data, where).get("kind", "identity")
-    if kind == "identity":
-        only_keys(data, where, "kind")
-        return PermSpec()
-    if kind == "block_rotate":
-        only_keys(data, where, "kind", "block", "shift")
-        return PermSpec("block_rotate",
-                        at_least(required(data, "block", where), 1, f"{where}.block"),
-                        read_int(data, "shift", where))
-    raise ConfigError(f"unknown permutation kind {kind!r}")
+def read_text(path) -> str:
+    """The text of the file at path; a ConfigError naming path if it is unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in path, or text not UTF-8
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"cannot read {path}: {reason}") from None
 
 
-def parse_sort(data: dict, where: str, variant: str) -> int | None:
-    """data["sort"]: absent, null or a sort of the variant."""
-    sort = data.get("sort")
-    if sort is not None and (type(sort) is not int or sort not in sorts(variant)):
-        valid = ["null", *(str(a) for a in sorts(variant) if a is not None)]
-        raise ConfigError(f"{where}.sort must be {' or '.join(valid)} in a {variant} "
-                          f"config, got {sort!r}")
-    return sort
-
-
-def parse_defect(data, where: str, variant: str) -> Defect:
-    kind = required(as_object(data, where), "kind", where)
-    if kind == "omit_label":
-        only_keys(data, where, "kind", "n", "sigma", "sort")
-        return Defect(
-            "omit_label",
-            n=read_int(data, "n", where),
-            sigma=naturals(required(data, "sigma", where), f"{where}.sigma"),
-            sort=parse_sort(data, where, variant),
-        )
-    if kind == "break_p":
-        only_keys(data, where, "kind", "sigma", "j", "sort")
-        return Defect(
-            "break_p",
-            sigma=naturals(required(data, "sigma", where), f"{where}.sigma"),
-            j=read_int(data, "j", where),
-            sort=parse_sort(data, where, variant),
-        )
-    if kind == "freeze_after":
-        only_keys(data, where, "kind", "step")
-        return Defect("freeze_after", step=read_int(data, "step", where))
-    raise ConfigError(f"unknown defect kind {kind!r}")
-
-
-def parse_adversary(data, index: int, base_dir, variant: str) -> AdvSpec:
-    where = f"adversaries[{index}]"
-    kind = as_object(data, where).get("kind", "faithful")
-    label = data.get("label", f"adv{index}")
-    if kind == "faithful":
-        only_keys(data, where, "kind", "label", "permutation", "delay", "defects")
-        return AdvSpec(
-            kind="faithful",
-            label=label,
-            permutation=parse_permutation(data.get("permutation"), f"{where}.permutation"),
-            delay=at_least(data.get("delay", 1), 0, f"{where}.delay"),
-            defects=tuple(parse_defect(d, f"{where}.defects[{j}]", variant) for j, d
-                          in enumerate(as_list(data.get("defects", []), f"{where}.defects"))),
-        )
-    if kind == "file":
-        only_keys(data, where, "kind", "label", "path")
-        path = required(data, "path", where)
-        full = path if base_dir is None else str(base_dir / path)
-        with open(full, "r", encoding="utf-8") as fh:
-            lines = tuple(fh.read().splitlines())
-        return AdvSpec(kind="file", label=label, lines=lines, path=path)
-    raise ConfigError(f"unknown adversary kind {kind!r}")
-
-
-def parse_universe(data) -> UniverseSchedule:
-    if data is None:
-        return UniverseSchedule()
-    only_keys(as_object(data, "universe"), "universe", "rate", "cap", "f_rate", "f_cap")
-    cap = data.get("cap", 4)
-    return UniverseSchedule(
-        rate=at_least(data.get("rate", 1), 1, "universe.rate"),
-        cap=None if cap is None else integer(cap, "universe.cap"),
-        f_rate=at_least(data.get("f_rate", 1), 1, "universe.f_rate"),
-        f_cap=read_int(data, "f_cap", "universe", 2),
-    )
-
-
-def parse_tree(data) -> TestTree | None:
-    if data is None:
-        return None
-    only_keys(as_object(data, "tree"), "tree", "nodes", "branches")
-    nodes = [naturals(n, f"tree.nodes[{i}]")
-             for i, n in enumerate(as_list(data.get("nodes", []), "tree.nodes"))]
-    branches = []
-    for i, b in enumerate(as_list(data.get("branches", []), "tree.branches")):
-        where = f"tree.branches[{i}]"
-        only_keys(as_object(b, where), where, "prefix", "period")
-        branches.append((naturals(required(b, "prefix", where), f"{where}.prefix"),
-                         naturals(required(b, "period", where), f"{where}.period")))
-    return tree_from_lists(nodes, branches)
-
-
-def parse_functional(data, where: str) -> FuncSpec:
-    from . import dc  # deferred: dc pulls in the engine
-
-    as_object(data, where)
-    rest = {k: v for k, v in data.items() if k not in ("mother", "round")}
-    return FuncSpec(
-        mother=read_int(data, "mother", where),
-        round=read_int(data, "round", where),
-        functional=dc.functional_from_dict(rest, where),
-    )
+def _in_context(spec: AdvSpec, index: int, variant: str, base_dir) -> AdvSpec:
+    """spec, its defect sorts checked, with its label and its fact file's lines."""
+    for j, d in enumerate(spec.defects):
+        if d.sort is not None and (type(d.sort) is not int or d.sort not in sorts(variant)):
+            valid = ["null", *(str(a) for a in sorts(variant) if a is not None)]
+            raise ConfigError(f"adversaries[{index}].defects[{j}].sort must be "
+                              f"{' or '.join(valid)} in a {variant} config, got {d.sort!r}")
+    lines = spec.lines
+    if spec.kind == "file":
+        path = spec.path if base_dir is None else base_dir / spec.path
+        lines = tuple(read_text(path).splitlines())
+    return replace(spec, label=f"adv{index}" if spec.label is None else spec.label, lines=lines)
 
 
 def config_from_dict(data: dict, base_dir=None) -> RunConfig:
-    from . import dc  # deferred: dc pulls in the engine
-
-    only_keys(as_object(data, "config"), "", "variant", "horizon", "universe", "adversaries",
-              "tree", "mothers", "phi", "functionals", "witness_base", "true_path")
-    variant = data.get("variant")
+    variant = as_object(data, "config").get("variant")
     if variant not in ("cc", "dc"):
         raise ConfigError(f"variant must be 'cc' or 'dc', got {variant!r}")
-    horizon = at_least(data.get("horizon", 0), 1, "horizon")
-    adversaries = tuple(parse_adversary(d, i, base_dir, variant) for i, d
-                        in enumerate(as_list(data.get("adversaries", []), "adversaries")))
-    tp = as_object(data.get("true_path", {}), "true_path")
-    only_keys(tp, "true_path", "threshold", "window")
-    window = tp.get("window")
-    phi = dc.phi_from_dict(data["phi"]) if "phi" in data else None
-    functionals = tuple(parse_functional(d, f"functionals[{i}]") for i, d
-                        in enumerate(as_list(data.get("functionals", []), "functionals")))
-    return RunConfig(
-        variant=variant,
-        horizon=horizon,
-        universe=parse_universe(data.get("universe")),
-        adversaries=adversaries,
-        tree=parse_tree(data.get("tree")),
-        mothers=read_int(data, "mothers", "", 2),
-        phi=phi,
-        functionals=functionals,
-        witness_base=read_int(data, "witness_base", "", 1_000_000),
-        tp_threshold=at_least(tp.get("threshold", 3), 1, "true_path.threshold"),
-        tp_window=None if window is None else at_least(window, 1, "true_path.window"),
-        raw=canonical_json(data),
-    )
+    fields = read_fields(data, "", {**SHARED, **VARIANTS[variant]})
+    fields["adversaries"] = tuple(_in_context(spec, i, variant, base_dir)
+                                  for i, spec in enumerate(fields["adversaries"]))
+    for i, spec in enumerate(fields.get("functionals", ())):
+        if spec.mother >= fields["mothers"]:
+            raise ConfigError(f"functionals[{i}].mother must be below mothers, got {spec.mother}")
+        if spec.round <= spec.mother:
+            raise ConfigError(f"functionals[{i}].round must be above its mother, got {spec.round}")
+    tp_threshold, tp_window = fields.pop("true_path")
+    return RunConfig(**fields, tp_threshold=tp_threshold, tp_window=tp_window,
+                     raw=canonical_json(data))
 
 
 def load_config(path) -> RunConfig:
     from pathlib import Path
 
     p = Path(path)
-    with open(p, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return config_from_dict(data, base_dir=p.parent)
+    return config_from_dict(json.loads(read_text(p)), base_dir=p.parent)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import match
-from .config import as_object, at_least, integer, only_keys, read_int, required
 from .engine import (
     Addr,
     Engine,
@@ -103,35 +102,6 @@ class PhiPredicate:
         )
 
 
-def phi_from_dict(data) -> PhiPredicate:
-    def rule_of(d, key: str) -> tuple:
-        kind = required(as_object(d, key), "kind", key)
-        if kind == "until":
-            only_keys(d, key, "kind", "s0")
-            return ("until", read_int(d, "s0", key))
-        if kind == "periodic":
-            only_keys(d, key, "kind", "period")
-            return ("periodic", at_least(required(d, "period", key), 1, f"{key}.period"))
-        if kind in ("never", "always"):
-            only_keys(d, key, "kind")
-            return (kind,)
-        raise ValueError(f"unknown phi rule kind {kind!r}")
-
-    def position(key) -> int:
-        # Any integer names a position.  JSON object keys are strings, so
-        # decimal text is read as its integer.
-        if isinstance(key, str) and key.removeprefix("-").isdecimal():
-            key = int(key)
-        return integer(key, "phi.rules key")
-
-    only_keys(as_object(data, "phi"), "phi", "range", "rules", "default")
-    positions = {position(n): d
-                 for n, d in as_object(data.get("rules", {}), "phi.rules").items()}
-    rules = tuple((n, rule_of(d, f"phi.rules.{n}")) for n, d in sorted(positions.items()))
-    default = rule_of(data["default"], "phi.default") if "default" in data else ("never",)
-    return PhiPredicate(read_int(data, "range", "phi"), rules, default)
-
-
 @dataclass(frozen=True)
 class Functional:
     """Step-bounded oracle program over a finite join of strings.
@@ -171,32 +141,6 @@ class Functional:
                 return True, oracle[self.coord][self.pos] % self.modulus, use
             return False, None, None
         raise ValueError(f"unknown functional kind {self.kind!r}")
-
-
-def functional_from_dict(data: dict, where: str) -> Functional:
-    kind = required(data, "kind", where)
-    if kind == "constant":
-        only_keys(data, where, "kind", "value")
-        return Functional("constant", value=read_int(data, "value", where, 0))
-    if kind == "length_threshold":
-        only_keys(data, where, "kind", "value", "min_len")
-        return Functional(
-            "length_threshold",
-            value=read_int(data, "value", where, 0),
-            min_len=read_int(data, "min_len", where),
-        )
-    if kind == "bit_probe":
-        only_keys(data, where, "kind", "coord", "pos", "modulus")
-        return Functional(
-            "bit_probe",
-            coord=read_int(data, "coord", where, 0),
-            pos=read_int(data, "pos", where, 0),
-            modulus=read_int(data, "modulus", where, 2),
-        )
-    if kind == "never":
-        only_keys(data, where, "kind")
-        return Functional("never")
-    raise ValueError(f"unknown functional kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +186,6 @@ class DiagonalizerState:
 
 # ---------------------------------------------------------------------------
 # Priority ordering and dynamic typing.
-
-def validate_config(config) -> None:
-    if config.mothers < 1:
-        raise ValueError("dc runs need at least one mother slot")
-    if config.phi is None:
-        raise ValueError("dc runs need a phi predicate")
-    for spec in config.functionals:
-        if not 0 <= spec.mother < config.mothers:
-            raise ValueError(f"functional bound to unknown mother slot {spec.mother}")
-        if spec.round <= spec.mother:
-            raise ValueError("functional round must come after its mother's round")
-
 
 def ordering_iter(config):
     """Priority order of requirement types, fair dovetailing by rounds.

@@ -199,19 +199,35 @@ def test_omit_label_drops_one_label(tmp_path):
     assert lines["0@0"] < lines[""]
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     bad = write_config(tmp_path, {"variant": "nope", "horizon": 5})
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
-    missing = tmp_path / "missing.json"
-    assert main(["run", "--config", str(missing), "--out", str(tmp_path / "y")]) == 2
     zero = write_config(tmp_path, dict(CC_CONFIG, horizon=0), name="zero.json")
     assert main(["run", "--config", str(zero), "--out", str(tmp_path / "z")]) == 2
+    capsys.readouterr()
+    missing = tmp_path / "missing.json"
+    assert main(["run", "--config", str(missing), "--out", str(tmp_path / "y")]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {missing}: No such file or directory\n"
+    # A config path, or a fact-file path, that names a directory.
+    (tmp_path / "copy.facts").mkdir()
+    dir_facts = write_config(tmp_path, dict(CC_CONFIG, adversaries=[
+        {"kind": "file", "path": "copy.facts"}]), name="dir_facts.json")
+    for config, path in ((tmp_path, tmp_path), (dir_facts, tmp_path / "copy.facts")):
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == f"error: cannot read {path}: Is a directory\n"
 
 
 def test_verify_empty_suite_selection(tmp_path, capsys):
     cfg = write_config(tmp_path, CC_CONFIG)
     assert main(["verify", "--config", str(cfg), "--suite", "none"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def _slot(**fields):
+    """DC_CONFIG (one mother slot) with one functional: fields over a "never"
+    functional bound to mother 0 at round 2."""
+    return dict(DC_CONFIG, functionals=[dict({"mother": 0, "round": 2, "kind": "never"},
+                                             **fields)])
 
 
 def _block_rotate(block):
@@ -227,6 +243,16 @@ def _block_rotate(block):
     (dict(DC_CONFIG, phi={"range": 8, "rules": {"3": {"kind": "periodic", "period": 0}}}),
      "phi.rules.3.period"),
     (dict(CC_CONFIG, adversaries=_block_rotate(0)), "permutation.block"),
+    (dict(CC_CONFIG, universe={"cap": -1}), "universe.cap"),
+    (dict(CC_CONFIG, universe={"f_cap": -2}), "universe.f_cap"),
+    (dict(DC_CONFIG, phi={"range": -2}), "phi.range"),
+    (dict(DC_CONFIG, witness_base=-3), "witness_base"),
+    (_slot(kind="bit_probe", modulus=0), "functionals[0].modulus"),
+    (_slot(kind="bit_probe", coord=-1), "functionals[0].coord"),
+    (_slot(kind="bit_probe", pos=-1), "functionals[0].pos"),
+    (_slot(kind="length_threshold", min_len=-1), "functionals[0].min_len"),
+    (_slot(mother=1), "functionals[0].mother"),
+    (_slot(round=0), "functionals[0].round"),
 ])
 def test_values_below_one_exit_two(tmp_path, capsys, data, key):
     cfg = write_config(tmp_path, data)
@@ -356,7 +382,7 @@ def test_non_object_entry_exits_two(tmp_path, capsys, data, key):
 @pytest.mark.parametrize("data, key, value", [
     (_with_adversary(delay="abc"), "adversaries[0].delay", "abc"),
     (dict(CC_CONFIG, horizon="x"), "horizon", "x"),
-    (dict(CC_CONFIG, mothers="two"), "mothers", "two"),
+    (dict(DC_CONFIG, mothers="two"), "mothers", "two"),
     (dict(CC_CONFIG, universe={"cap": "z"}), "universe.cap", "z"),
     (dict(CC_CONFIG, true_path={"threshold": "t"}), "true_path.threshold", "t"),
     (_with_adversary(permutation={"kind": "block_rotate", "block": 2, "shift": "s"}),
@@ -412,6 +438,10 @@ def test_true_path_threshold_below_one_exits_two(tmp_path, capsys, threshold):
     (dict(DC_CONFIG, phi={"range": 8, "default": {"kind": "never", "s0": 3}}),
      "phi.default.s0"),
     (_functional_with(period=3), "functionals[0].period"),
+    (dict(CC_CONFIG, mothers=2), "mothers"),
+    (dict(CC_CONFIG, phi=DC_CONFIG["phi"]), "phi"),
+    (dict(CC_CONFIG, witness_base=5), "witness_base"),
+    (dict(DC_CONFIG, tree=CC_CONFIG["tree"]), "tree"),
 ])
 def test_unknown_key_exits_two(tmp_path, capsys, data, key):
     cfg = write_config(tmp_path, data)
@@ -423,7 +453,7 @@ def _branch(**fields):
     return dict(CC_CONFIG, tree={"branches": [dict({"prefix": [0], "period": [2]}, **fields)]})
 
 
-ARRAY, NATURALS = "a JSON array", "an array of naturals"
+ARRAY, NATURALS, STRING = "a JSON array", "an array of naturals", "a string"
 
 
 @pytest.mark.parametrize("data, key, kind", [
@@ -441,6 +471,9 @@ ARRAY, NATURALS = "a JSON array", "an array of naturals"
      "adversaries[0].defects[0].sigma", ARRAY),
     (_with_adversary(defects=[{"kind": "break_p", "sigma": [True], "j": 0}]),
      "adversaries[0].defects[0].sigma", NATURALS),
+    (_branch(period=[]), "tree.branches[0].period", "a nonempty array of naturals"),
+    (_with_adversary(label=[1]), "adversaries[0].label", STRING),
+    (dict(CC_CONFIG, adversaries=[{"kind": "file", "path": 7}]), "adversaries[0].path", STRING),
 ])
 def test_non_list_or_non_naturals_exits_two(tmp_path, capsys, data, key, kind):
     cfg = write_config(tmp_path, data)

@@ -17,13 +17,13 @@ def nodes_of(result, kind):
 
 
 def test_phi_rules():
-    phi = dc.phi_from_dict(
-        {
+    phi = dc_config(
+        phi={
             "range": 6,
             "default": {"kind": "until", "s0": 4},
             "rules": {"2": {"kind": "periodic", "period": 3}, "5": {"kind": "never"}},
         }
-    )
+    ).phi
     assert phi.holds(0, 4) and not phi.holds(0, 5)
     assert phi.holds(2, 9) and not phi.holds(2, 10)
     assert not phi.holds(5, 100)
