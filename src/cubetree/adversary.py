@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import takewhile
+from typing import NamedTuple
 
 from .structure import (
     CubeElem,
@@ -85,14 +85,14 @@ def parse_fact_line(line: str) -> tuple[int, Fact]:
     return step, ("P", int(parts[2]), int(parts[3]))
 
 
-@dataclass
 class FactStream:
     """Ordered fact log with first-occurrence indexes."""
 
-    _first: dict[Fact, int] = field(default_factory=dict)  # fact -> step, in order
-    _age: dict[int, int] = field(default_factory=dict)
-    _w_index: dict[tuple, list[int]] = field(default_factory=dict)  # (age, x) order
-    _e_index: dict[tuple[int, int], list[tuple[int, int]]] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self._first: dict[Fact, int] = {}  # fact -> step, in order
+        self._age: dict[int, int] = {}
+        self._w_index: dict[tuple, list[int]] = {}  # (age, x) order
+        self._e_index: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     def append(self, step: int, fact: Fact) -> None:
         if self._first and step < next(reversed(self._first.values())):
@@ -148,8 +148,9 @@ class FactStream:
                 return x
         return None
 
-    def to_lines(self) -> list[str]:
-        return [format_fact(s, f) for f, s in self._first.items()]
+    def to_lines(self) -> Iterator[str]:
+        """The fact file's lines, in order, formatted as they are read."""
+        return (format_fact(s, f) for f, s in self._first.items())
 
 
 def _instantiate(conjunct: Fact, x: int) -> Fact:
@@ -177,8 +178,7 @@ def stream_from_lines(lines, source: str = "fact lines") -> FactStream:
 # ---------------------------------------------------------------------------
 # Permutations of the copy's element numbering.
 
-@dataclass(frozen=True)
-class PermSpec:
+class PermSpec(NamedTuple):
     kind: str = "identity"  # "identity" | "block_rotate"
     block: int = 1
     shift: int = 0
@@ -192,8 +192,7 @@ class PermSpec:
         raise ValueError(f"unknown permutation kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class Defect:
+class Defect(NamedTuple):
     kind: str  # "omit_label" | "break_p" | "freeze_after"
     n: int | None = None
     sigma: NatString | None = None
@@ -205,15 +204,16 @@ class Defect:
 # ---------------------------------------------------------------------------
 # Faithful copies, generated stage by stage from the ground structure.
 
-@dataclass
 class Adversary:
     """A fact stream plus (for generated copies) its ground truth."""
 
-    stream: FactStream
-    label: str = "adversary"
-    to_ground: dict[int, Elem] = field(default_factory=dict)
-    to_copy: dict[Elem, int] = field(default_factory=dict)
-    delay: int = 0
+    def __init__(self, stream: FactStream, label: str = "adversary", *,
+                 to_copy: dict[Elem, int] | None = None, delay: int = 0) -> None:
+        self.stream = stream
+        self.label = label
+        self.to_ground: dict[int, Elem] = {}
+        self.to_copy = {} if to_copy is None else to_copy
+        self.delay = delay
 
 
 class Incidence:

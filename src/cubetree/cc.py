@@ -11,8 +11,8 @@ gadget pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import zip_longest
+from typing import NamedTuple
 
 from . import match
 from .adversary import HOLE
@@ -70,12 +70,12 @@ def act_G(engine: Engine, s: int) -> None:
         engine.declare_base(sigma, None, s)
 
 
-@dataclass
 class TreeState:
     """A tree strategy's image string: its parent's image extended by a
     fresh number, chosen on its first visit (the root's image is empty)."""
 
-    sigma: NatString
+    def __init__(self, sigma: NatString) -> None:
+        self.sigma = sigma
 
 
 def act_N(engine: Engine, node: Node, s: int) -> str:
@@ -113,8 +113,7 @@ def act_M(engine: Engine, node: Node, s: int) -> str:
 # Post-run extraction: the image tree Q, its order isomorphism, and the
 # computable isomorphism onto a matched adversary.
 
-@dataclass(frozen=True)
-class TreeQ:
+class TreeQ(NamedTuple):
     phi: dict[NatString, NatString]  # input-tree node -> chosen image string
 
     def check_tree(self) -> bool:
@@ -143,11 +142,10 @@ def compute_Q(result: RunResult, tp_entries: list[TPEntry]) -> TreeQ:
     return TreeQ(phi)
 
 
-@dataclass
-class ExtractedMap:
+class ExtractedMap(NamedTuple):
     source_to_copy: dict[CubeElem, int]
     f_tau: dict[NatString, int]
-    stalls: list[str] = field(default_factory=list)
+    stalls: list[str]
 
     def __call__(self, e: CubeElem) -> int | None:
         return self.source_to_copy.get(e)
@@ -250,8 +248,7 @@ def _edge_step(stream, color: int, x: int, budget: int) -> int | None:
 # ---------------------------------------------------------------------------
 # Dimension-two gadget.
 
-@dataclass(frozen=True)
-class GadgetStructure:
+class GadgetStructure(NamedTuple):
     """The base snapshot plus the even/odd pair and the naming constant."""
 
     base: Snapshot
@@ -282,7 +279,4 @@ class GadgetStructure:
 def extend_to_dimension_two(snapshot: Snapshot) -> tuple[GadgetStructure, GadgetStructure]:
     if snapshot.variant != "cc":
         raise VariantMismatch("dimension-two gadget applies to the single-sorted variant")
-    return (
-        GadgetStructure(snapshot, "aeven"),
-        GadgetStructure(snapshot, "aodd"),
-    )
+    return GadgetStructure(snapshot, "aeven"), GadgetStructure(snapshot, "aodd")

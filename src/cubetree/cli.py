@@ -260,7 +260,7 @@ def cmd_gen_adversary(args) -> int:
         perm = PermSpec("block_rotate", args.block, args.shift)
     adv = make_faithful_copy(result, permutation=perm, delay=delay,
                              defects=defects)
-    lines = iter(adv.stream.to_lines())
+    lines = adv.stream.to_lines()
     _write_chunks(Path(args.out),
                   _chunks(iter(lambda: list(islice(lines, CHUNK_LINES)), [])))
     print(f"wrote {args.out} ({len(adv.stream)} facts)")
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     except INTERNAL_ERRORS as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # a ConfigError, or a config that is not JSON
+    except ValueError as exc:  # a ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ Checks across keys, default labels and fact-file lines follow the tables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .adversary import Defect, PermSpec
 from .structure import UniverseSchedule, sorts
@@ -24,8 +24,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AdvSpec:
+class AdvSpec(NamedTuple):
     kind: str  # "faithful" | "file"
     label: str
     permutation: PermSpec = PermSpec()
@@ -35,15 +34,13 @@ class AdvSpec:
     path: str | None = None
 
 
-@dataclass(frozen=True)
-class FuncSpec:
+class FuncSpec(NamedTuple):
     mother: int  # sort-0 mother slot whose value is diagonalized
     round: int  # priority round where the requirement enters the ordering
     functional: "object"  # dc.Functional; untyped here to avoid the import cycle
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     variant: str
     horizon: int
     universe: UniverseSchedule = UniverseSchedule()
@@ -147,12 +144,14 @@ def period(data, where: str) -> tuple[int, ...]:
 
 
 def phi_rules(data, where: str) -> tuple[tuple[int, tuple], ...]:
-    positions = {}
-    for n, rule in as_object(data, where).items():
+    positions, keys = {}, {}
+    for key, rule in as_object(data, where).items():
         # Any integer names a position; JSON keys are strings, so decimal text is read.
-        if isinstance(n, str) and n.removeprefix("-").isdecimal():
-            n = int(n)
-        positions[integer(n, f"{where} key")] = rule
+        n = int(key) if isinstance(key, str) and key.removeprefix("-").isdecimal() else key
+        n = integer(n, f"{where} key")
+        if n in keys:
+            raise ConfigError(f"{where} keys {keys[n]!r} and {key!r} name one position, {n}")
+        keys[n], positions[n] = key, rule
     return tuple((n, phi_rule(rule, f"{where}.{n}")) for n, rule in sorted(positions.items()))
 
 
@@ -265,7 +264,7 @@ def _in_context(spec: AdvSpec, index: int, variant: str, base_dir) -> AdvSpec:
     if spec.kind == "file":
         path = spec.path if base_dir is None else base_dir / spec.path
         lines = tuple(read_text(path).splitlines())
-    return replace(spec, label=f"adv{index}" if spec.label is None else spec.label, lines=lines)
+    return spec._replace(label=f"adv{index}" if spec.label is None else spec.label, lines=lines)
 
 
 def config_from_dict(data: dict, base_dir=None) -> RunConfig:
@@ -289,4 +288,8 @@ def load_config(path) -> RunConfig:
     from pathlib import Path
 
     p = Path(path)
-    return config_from_dict(json.loads(read_text(p)), base_dir=p.parent)
+    try:
+        data = json.loads(read_text(p))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not JSON: {exc}") from None
+    return config_from_dict(data, base_dir=p.parent)

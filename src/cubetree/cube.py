@@ -9,8 +9,9 @@ bijections; `enumerate_cube_automorphisms` confirms this by search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
+
+from .structure import Record
 
 FinSet = frozenset[int]
 
@@ -48,27 +49,23 @@ def parity(f: FinSet) -> str:
 
 def cube_vertices(dimension: int) -> list[FinSet]:
     """All subsets of {0, ..., dimension-1} in binary-counter order."""
-    verts = []
-    for mask in range(1 << dimension):
-        verts.append(frozenset(i for i in range(dimension) if mask >> i & 1))
-    return verts
+    return [_mask_to_set(mask, dimension) for mask in range(1 << dimension)]
 
 
-@dataclass(frozen=True)
-class CubeMap:
+class CubeMap(Record):
     """Bijection on the vertices of the full cube of the given dimension.
 
     `images` lists the image of each vertex in `cube_vertices(dimension)`
     order, so maps compare and hash structurally.
     """
 
-    dimension: int
-    images: tuple[FinSet, ...]
+    __slots__ = _fields = ("dimension", "images")
 
-    def __post_init__(self) -> None:
-        n = 1 << self.dimension
-        if len(self.images) != n or len(set(self.images)) != n:
+    def __init__(self, dimension: int, images: tuple[FinSet, ...]) -> None:
+        n = 1 << dimension
+        if len(images) != n or len(set(images)) != n:
             raise ValueError("images must be a bijection on the cube vertices")
+        super().__init__(dimension, images)
 
     def apply(self, f: FinSet) -> FinSet:
         mask = 0
@@ -129,14 +126,11 @@ def enumerate_cube_automorphisms(dimension: int) -> set[CubeMap]:
     for root_image in range(n):
         images = [-1] * n
         images[0] = root_image
-        ok = True
         # Extend in mask order; v with low bit i is forced by v ^ (1 << i).
         for v in range(1, n):
             i = (v & -v).bit_length() - 1
             w = v ^ (1 << i)
             images[v] = images[w] ^ (1 << i)
-        seen = set(images)
-        ok = len(seen) == n and _preserves_colors(dimension, tuple(images))
-        if ok:
+        if len(set(images)) == n and _preserves_colors(dimension, tuple(images)):
             found.add(_masks_to_map(dimension, tuple(images)))
     return found

@@ -14,8 +14,8 @@ daughters.  Copy matching runs the shared strategy of `match` over
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from . import match
 from .engine import (
@@ -30,7 +30,7 @@ from .engine import (
     RunResult,
     TPEntry,
 )
-from .structure import NatString, format_string
+from .structure import NatString, Record, format_string
 
 
 class GammaUnresolved(RuntimeError):
@@ -44,8 +44,7 @@ class InconsistentPrefixes(RuntimeError):
 # ---------------------------------------------------------------------------
 # The monitored predicate and the functional test library.
 
-@dataclass(frozen=True)
-class PhiPredicate:
+class PhiPredicate(Record):
     """Decidable two-argument predicate with declared intent on a finite range.
 
     Rules per position: ("until", s0) fails beyond s0; ("periodic", p) holds
@@ -53,13 +52,14 @@ class PhiPredicate:
     rule holds cofinally form the declared target set Z.
     """
 
-    range_n: int
-    rules: tuple[tuple[int, tuple], ...] = ()
-    default: tuple = ("never",)
+    _fields = ("range_n", "rules", "default")
+    __slots__ = (*_fields, "_rule_at")
 
-    def __post_init__(self) -> None:
+    def __init__(self, range_n: int, rules: tuple[tuple[int, tuple], ...] = (),
+                 default: tuple = ("never",)) -> None:
+        super().__init__(range_n, rules, default)
         # The first rule given for a position is its rule.
-        object.__setattr__(self, "_rule_at", dict(reversed(self.rules)))
+        object.__setattr__(self, "_rule_at", dict(reversed(rules)))
 
     def rule_for(self, n: int) -> tuple:
         return self._rule_at.get(n, self.default)
@@ -102,8 +102,7 @@ class PhiPredicate:
         )
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(NamedTuple):
     """Step-bounded oracle program over a finite join of strings.
 
     Halting computations are use-monotone: once halted with the declared use,
@@ -146,29 +145,28 @@ class Functional:
 # ---------------------------------------------------------------------------
 # Strategy state: one record per requirement kind, built on the first visit.
 
-@dataclass
 class MotherState:
     """A mother's fresh first value v; her string is (v,)."""
 
-    v: int
+    def __init__(self, v: int) -> None:
+        self.v = v
 
     @property
     def sigma(self) -> NatString:
         return (self.v,)
 
 
-@dataclass
 class DaughterState:
     """k counts the predicate's firings so far (the finite outcome is str(k)),
     t is the stage of the last one, and sig holds the string defined for
     each outcome token."""
 
-    k: int = 0
-    t: int = 0
-    sig: dict[str, NatString] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.k = 0
+        self.t = 0
+        self.sig: dict[str, NatString] = {}
 
 
-@dataclass
 class DiagonalizerState:
     """i is the sort-0 mother value diagonalized against, x the private
     witness, and C the addresses of the mothers whose strings it steals: that
@@ -176,12 +174,13 @@ class DiagonalizerState:
     `stolen` (mother address -> string), `ell` (the longest stolen length)
     and `blocks` (the daughter types the steal rules out)."""
 
-    i: int
-    x: int
-    C: list[Addr]
-    stolen: dict[Addr, NatString] | None = None
-    ell: int = 0
-    blocks: set[ReqDaughter] = field(default_factory=set)
+    def __init__(self, i: int, x: int, C: list[Addr]) -> None:
+        self.i = i
+        self.x = x
+        self.C = C
+        self.stolen: dict[Addr, NatString] | None = None
+        self.ell = 0
+        self.blocks: set[ReqDaughter] = set()
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +419,7 @@ def act_M(engine: Engine, node: Node, s: int) -> str:
 # ---------------------------------------------------------------------------
 # Post-run extraction.
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(NamedTuple):
     f: dict[int, NatString]  # sort-0 values: v -> longest extracted prefix
     g: dict[int, NatString]  # sort-1 values
 
@@ -468,8 +466,7 @@ def extract_paths(result: RunResult, tp_entries: list[TPEntry]) -> PathFamily:
     return PathFamily(f, g)
 
 
-@dataclass(frozen=True)
-class ModulusVerdict:
+class ModulusVerdict(NamedTuple):
     applicable: bool
     holds: bool
 

@@ -11,16 +11,16 @@ through the variant hooks.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from itertools import count, islice
 from operator import eq
-from typing import Any
+from typing import Any, NamedTuple
 
 from .adversary import Adversary, FaithfulGenerator, stream_from_lines
 from .structure import (
     CubeElem,
     LabelStore,
     NatString,
+    Record,
     Snapshot,
     StringKey,
     UniverseSchedule,
@@ -34,40 +34,32 @@ Addr = tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
-# Requirements.
+# Requirements: records, not tuples, as kinds with equal fields meet in
+# PathIndex.by_req.
 
-@dataclass(frozen=True)
-class ReqN:
-    pi: NatString
-
-
-@dataclass(frozen=True)
-class ReqM:
-    index: int
+class ReqN(Record):
+    __slots__ = _fields = ("pi",)
 
 
-@dataclass(frozen=True)
-class ReqMother:
-    r: int
-    a: int
+class ReqM(Record):
+    __slots__ = _fields = ("index",)
 
 
-@dataclass(frozen=True)
-class ReqDaughter:
-    r: int
-    n: int
-    a: int
+class ReqMother(Record):
+    __slots__ = _fields = ("r", "a")
 
 
-@dataclass(frozen=True)
-class ReqU:
-    slot: int  # mother index whose sort-0 value this requirement diagonalizes
-    e: int  # functional id
+class ReqDaughter(Record):
+    __slots__ = _fields = ("r", "n", "a")
 
 
-@dataclass(frozen=True)
-class ReqIdle:
-    pass
+class ReqU(Record):
+    # slot: the mother whose sort-0 value it diagonalizes; e: the functional id.
+    __slots__ = _fields = ("slot", "e")
+
+
+class ReqIdle(Record):
+    __slots__ = _fields = ()
 
 
 Requirement = ReqN | ReqM | ReqMother | ReqDaughter | ReqU | ReqIdle
@@ -110,19 +102,17 @@ def format_addr(addr: Addr) -> str:
 # ---------------------------------------------------------------------------
 # Nodes.
 
-@dataclass
 class Node:
-    addr: Addr
-    req: Requirement | None = None
-    # req_label(req), built once when the node is typed: the trace's typed
-    # and visit events and the true path share it.
-    label: str = ""
-    # The strategy's record, built by its act hook on the first visit: a
-    # cc.TreeState, dc.MotherState, dc.DaughterState, dc.DiagonalizerState
-    # or match.MatcherState.  None for Idle only.
-    state: Any = None
-    visits: list[int] = field(default_factory=list)
-    outcomes: list[tuple[int, str]] = field(default_factory=list)
+    def __init__(self, addr: Addr) -> None:
+        self.addr = addr
+        self.req: Requirement | None = None
+        # req_label(req), built when the node is typed; the trace and true path share it.
+        self.label = ""
+        # The strategy's record, built by its act hook on the first visit: a cc.TreeState,
+        # dc.MotherState, DaughterState, DiagonalizerState or match.MatcherState; None for Idle.
+        self.state: Any = None
+        self.visits: list[int] = []
+        self.outcomes: list[tuple[int, str]] = []
 
     def outcome_counts(self, window: int | None = None) -> dict[str, int]:
         tail = self.outcomes if window is None else self.outcomes[-window:]
@@ -387,10 +377,11 @@ def run_stages(config) -> RunResult:
 
 def format_event(ev: tuple, texts: dict[int, str]) -> str:
     """One trace line.  `texts` caches node address texts by identity, so a
-    node's deep address is joined once, not at every event naming it."""
+    node's deep address is joined once, not at every event naming it.  A
+    string is a plain tuple; a record (a NamedTuple too) prints its repr."""
     parts = []
     for p in ev:
-        if isinstance(p, tuple):
+        if type(p) is tuple:
             parts.append(format_string(p))
         elif p is None:
             parts.append("-")
@@ -407,8 +398,7 @@ def format_event(ev: tuple, texts: dict[int, str]) -> str:
 # ---------------------------------------------------------------------------
 # True-path approximation.
 
-@dataclass(frozen=True)
-class TPEntry:
+class TPEntry(NamedTuple):
     addr: Addr
     label: str
     outcome: str | None

@@ -18,7 +18,6 @@ stamped in the stages t moved over, or a child of it enters B.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .adversary import HOLE
@@ -26,7 +25,6 @@ from .engine import Engine, Node
 from .structure import StringKey, ladder_key, sorts
 
 
-@dataclass
 class MatcherState:
     """A copy-matching node's state, created on its first visit.
 
@@ -36,28 +34,29 @@ class MatcherState:
     `excluded`, the keys chosen below fin that it leaves out.
     """
 
-    C: list[StringKey]
-    f: dict[StringKey, int] = field(default_factory=dict)
-    k0: int = 0
-    k1: int = 0
-    t: int = 0
-    x_at_t: dict[StringKey, int | None] = field(default_factory=dict)
-    # B in ladder order, and each key of B with its sort key in that order.
-    B: list[StringKey] = field(default_factory=list)
-    rank: dict[StringKey, tuple] = field(default_factory=dict)
-    # Parent key -> its children in B, sorted.
-    children: dict[StringKey, list[StringKey]] = field(default_factory=dict)
-    # The keys of B not known to pass the bullets, and a heap of them by
-    # rank (entries of keys no longer pending are dropped when popped).
-    pending: set[StringKey] = field(default_factory=set)
-    queue: list[tuple[tuple, StringKey]] = field(default_factory=list)
-    # The keys of B that f does not map, in B order.
-    unmapped: list[StringKey] = field(default_factory=list)
-    B_t: int = 0
-    fin: str | None = None
-    excluded: set[StringKey] = field(default_factory=set)
-    # Keys the visits enumerated outside the bullet checks: a work count.
-    scanned: int = 0
+    def __init__(self, C: list[StringKey]) -> None:
+        self.C = C
+        self.f: dict[StringKey, int] = {}
+        self.k0 = 0
+        self.k1 = 0
+        self.t = 0
+        self.x_at_t: dict[StringKey, int | None] = {}
+        # B in ladder order, and each key of B with its sort key in that order.
+        self.B: list[StringKey] = []
+        self.rank: dict[StringKey, tuple] = {}
+        # Parent key -> its children in B, sorted.
+        self.children: dict[StringKey, list[StringKey]] = {}
+        # The keys of B not known to pass the bullets, and a heap of them by
+        # rank (entries of keys no longer pending are dropped when popped).
+        self.pending: set[StringKey] = set()
+        self.queue: list[tuple[tuple, StringKey]] = []
+        # The keys of B that f does not map, in B order.
+        self.unmapped: list[StringKey] = []
+        self.B_t = 0
+        self.fin: str | None = None
+        self.excluded: set[StringKey] = set()
+        # Keys the visits enumerated outside the bullet checks: a work count.
+        self.scanned = 0
 
     def admit(self, key: StringKey) -> None:
         sigma, sort = key

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
@@ -40,15 +39,49 @@ class GrowOutOfOrder(ValueError):
     """A string grew at a stage below its last growth: the stage loop is broken."""
 
 
-@dataclass(frozen=True)
-class CubeElem:
+class Record:
+    """An immutable record where a NamedTuple does not fit: a kind that must not
+    equal another kind with equal fields, or that checks or derives a field.  A
+    subclass names its fields in `_fields` and `__slots__`."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields")
+        set_field = object.__setattr__
+        set_field(self, "_values", values)
+        for name, value in zip(self._fields, values):
+            set_field(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self._fields, self._values)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class CubeElem(NamedTuple):
     fset: frozenset[int]
     sigma: NatString
     sort: int | None = None  # None in the single-sorted variant
 
 
-@dataclass(frozen=True)
-class UElem:
+class UElem(NamedTuple):
     k: int  # 0 or 1
 
 
@@ -145,8 +178,7 @@ def ladder_key(sigma: NatString) -> tuple:
     return (birth_stage(sigma), len(sigma), sigma)
 
 
-@dataclass(frozen=True)
-class UniverseSchedule:
+class UniverseSchedule(NamedTuple):
     """Growth schedule for the breadth-covered slice of omega^{<omega}.
 
     width(s) = min(cap, max(1, s // rate)); the stage-s base is
@@ -219,7 +251,6 @@ def declared_by(ev: GrowEvent, fset: frozenset[int]) -> int:
     return max(ev.pre_top, 0) if max(fset) < ev.stage else 0
 
 
-@dataclass
 class LabelStore:
     """Append-only record of S_n declarations.
 
@@ -230,12 +261,13 @@ class LabelStore:
     Duplicates are ignored, so stamps are first-declaration stages.
     """
 
-    variant: str = "cc"  # "cc" | "dc"
-    _grows: dict[StringKey, list[GrowEvent]] = field(default_factory=dict)
-    _direct: dict[CubeElem, dict[int, int]] = field(default_factory=dict)
-    # Stamp stage -> the growth events and direct (stage, n, element)
-    # declarations stamped then, as recorded.
-    _log: dict[int, list[GrowEvent | tuple[int, int, CubeElem]]] = field(default_factory=dict)
+    def __init__(self, variant: str = "cc") -> None:
+        self.variant = variant  # "cc" | "dc"
+        self._grows: dict[StringKey, list[GrowEvent]] = {}
+        self._direct: dict[CubeElem, dict[int, int]] = {}
+        # Stamp stage -> the growth events and direct (stage, n, element)
+        # declarations stamped then, as recorded.
+        self._log: dict[int, list[GrowEvent | tuple[int, int, CubeElem]]] = {}
 
     def _check_sort(self, sort: int | None) -> None:
         if sort not in sorts(self.variant):
@@ -331,8 +363,7 @@ class LabelStore:
 # ---------------------------------------------------------------------------
 # Snapshots: an immutable stage-bounded view of a store plus element window.
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     variant: str
     stage: int
     store: LabelStore

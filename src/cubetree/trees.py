@@ -8,21 +8,18 @@ decidable and serializable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .structure import NatString
+from .structure import NatString, Record
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record):
     """Eventually periodic infinite branch: `prefix` then `period` repeated."""
 
-    prefix: NatString
-    period: NatString
+    __slots__ = _fields = ("prefix", "period")
 
-    def __post_init__(self) -> None:
-        if not self.period:
+    def __init__(self, prefix: NatString, period: NatString) -> None:
+        if not period:
             raise ValueError("branch period must be nonempty")
+        super().__init__(prefix, period)
 
     def value(self, n: int) -> int:
         if n < len(self.prefix):
@@ -36,17 +33,16 @@ class Branch:
         return self.initial_segment(len(sigma)) == tuple(sigma)
 
 
-@dataclass(frozen=True)
-class TestTree:
-    nodes: frozenset[NatString]
-    branches: tuple[Branch, ...] = ()
+class TestTree(Record):
+    __slots__ = _fields = ("nodes", "branches")
 
-    def __post_init__(self) -> None:
-        if () not in self.nodes:
+    def __init__(self, nodes: frozenset[NatString], branches: tuple[Branch, ...] = ()) -> None:
+        if () not in nodes:
             raise ValueError("tree must contain the empty string")
-        for sigma in self.nodes:
-            if sigma and sigma[:-1] not in self.nodes:
+        for sigma in nodes:
+            if sigma and sigma[:-1] not in nodes:
                 raise ValueError(f"tree is not prefix-closed at {sigma}")
+        super().__init__(nodes, branches)
 
     def __contains__(self, sigma) -> bool:
         sigma = tuple(sigma)

@@ -11,7 +11,7 @@ approximation, and the trace invariant suite.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .adversary import FACT_ARG0, Adversary, Fact, FactStream, Incidence
 from .engine import (
@@ -45,8 +45,7 @@ class BranchOutsideTree(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     locus: str = ""
@@ -57,9 +56,9 @@ class CheckResult:
         return f"{status} {self.name}{tail}"
 
 
-@dataclass
 class Report:
-    results: list[CheckResult] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.results: list[CheckResult] = []
 
     def add(self, name: str, ok: bool, locus: str = "") -> None:
         self.results.append(CheckResult(name, ok, locus))
@@ -78,8 +77,7 @@ class Report:
 # ---------------------------------------------------------------------------
 # Orbit-coding claim, forward and converse directions.
 
-@dataclass(frozen=True)
-class BuiltAutomorphism:
+class BuiltAutomorphism(NamedTuple):
     """Piecewise translation automorphism driven by a branch family.
 
     Sends the empty vertex at `sigma` to `target` there, twists by the next
@@ -147,9 +145,7 @@ def automorphism_from_paths(
                 )
     if uswap is not None and uswap not in tree.branches:
         raise BranchOutsideTree("u-swap branch must be designated")
-    return BuiltAutomorphism(
-        sigma, target, tuple(sorted(paths.items())), sort, uswap
-    )
+    return BuiltAutomorphism(sigma, target, tuple(sorted(paths.items())), sort, uswap)
 
 
 def path_from_automorphism(

@@ -464,7 +464,8 @@ def test_live_copies_match_the_reference_generator_at_every_stage(name, monkeypa
         live_ingest(self, stage, *args)
         ref = refs[self.adversary.label]
         ref.ingest(stage, engine.store, engine.universe_strings(stage), grown.get(stage, set()))
-        assert ref.adversary.stream.to_lines() == self.adversary.stream.to_lines(), stage
+        assert (list(ref.adversary.stream.to_lines())
+                == list(self.adversary.stream.to_lines())), stage
         assert ref.adversary.to_copy == self.adversary.to_copy, stage
         stages.append(stage)
 

@@ -174,7 +174,7 @@ def test_extraction_corrects_a_perturbed_limit_witness_by_its_copy_edges():
     entry = next(e for e in entries if e.label == "M0" and e.outcome is not None)
     st = result.nodes[entry.addr].state
     adv = result.adversaries[0]
-    twin = Adversary(stream_from_lines(adv.stream.to_lines()), adv.label, delay=adv.delay)
+    twin = Adversary(stream_from_lines(list(adv.stream.to_lines())), adv.label, delay=adv.delay)
     plain = cc.extract_isomorphism(result, entries, 0)
     assert plain.stalls == []
     assert ((), None) in st.C

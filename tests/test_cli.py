@@ -217,6 +217,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: cannot read {path}: Is a directory\n"
 
 
+def test_config_that_is_not_json_exits_two_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    assert main(["verify", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad} is not JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)\n")
+
+
 def test_verify_empty_suite_selection(tmp_path, capsys):
     cfg = write_config(tmp_path, CC_CONFIG)
     assert main(["verify", "--config", str(cfg), "--suite", "none"]) == 0
@@ -565,6 +574,9 @@ def test_gen_adversary_file_is_the_joined_fact_lines(tmp_path, monkeypatch, chun
                  "--out", str(facts), "--delay", "2"]) == 0
     adv = make_faithful_copy(run_stages(config_from_dict(CC_CONFIG)), delay=2)
     assert facts.read_bytes() == ("\n".join(adv.stream.to_lines()) + "\n").encode()
+    # The lines are formatted as the writer reads them, not held in a list.
+    lines = adv.stream.to_lines()
+    assert iter(lines) is lines
 
 
 @pytest.mark.parametrize("name", ["trace.log", "snapshot.log"])

@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import dc_config
 
 from cubetree.config import ConfigError, config_from_dict
 from cubetree.engine import Engine
@@ -63,3 +66,14 @@ def test_any_json_config_is_built_or_rejected_with_a_config_error(data):
         Engine(config_from_dict(data))
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("first, second", [("3", "03"), ("03", "3"), ("0", "-0"), ("-1", "-01")])
+def test_phi_rule_keys_naming_one_position_are_rejected(first, second):
+    """Two keys that read as one position name both keys, whichever comes
+    first; the later one used to win silently."""
+    rules = {first: {"kind": "never"}, second: {"kind": "always"}}
+    with pytest.raises(ConfigError) as exc:
+        dc_config(phi={"range": 6, "rules": rules})
+    assert str(exc.value) == \
+        f"phi.rules keys {first!r} and {second!r} name one position, {int(first)}"

@@ -153,10 +153,10 @@ def test_fact_stream_digests(case):
     data, horizon = FACT_CASES[case]
     config = config_from_dict(dict(data, horizon=horizon))
     result = Engine(config).run()
-    live = [adv.stream.to_lines() for adv in result.adversaries]
+    live = [list(adv.stream.to_lines()) for adv in result.adversaries]
     assert [_sha("\n".join(lines) + "\n") for lines in live] == FACT_GOLDEN[case]
     for spec, lines in zip(config.adversaries, live):
         assert spec.kind == "faithful"
         replayed = make_faithful_copy(result, spec.permutation, spec.delay,
                                       spec.defects, spec.label)
-        assert replayed.stream.to_lines() == lines
+        assert list(replayed.stream.to_lines()) == lines

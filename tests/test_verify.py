@@ -552,11 +552,10 @@ def test_one_checker_agrees_with_the_snapshot_reference():
 
 def shipped_config(name, horizon):
     from cubetree.config import load_config
-    from dataclasses import replace
     from pathlib import Path
 
     path = Path(__file__).resolve().parents[1] / "configs" / name
-    return replace(load_config(path), horizon=horizon)
+    return load_config(path)._replace(horizon=horizon)
 
 
 @pytest.mark.parametrize("name, horizon", [("cc_faithful.json", 60), ("dc_diagonal.json", 30)])
