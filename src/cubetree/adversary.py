@@ -61,28 +61,36 @@ def format_fact(step: int, fact: Fact) -> str:
     return f"{step} P {x} {y}"
 
 
-# Whitespace-separated fields of a fact line, step and kind included.
-FACT_FIELDS = {"W": 5, "S": 4, "E": 5, "P": 4}
+# The fields of each kind of fact line after its step and kind.  Each is a
+# number at least 0, save a W fact's string and its sort, "-" for none.
+FACT_FIELDS = {"W": ("string", "sort", "element"), "S": ("label", "element"),
+               "E": ("color", "element", "element"), "P": ("element", "element")}
 # Index of a fact's first element argument: the elements are fact[k:].
-FACT_ARG0 = {"W": 3, "S": 2, "E": 2, "P": 1}
+FACT_ARG0 = {kind: names.index("element") + 1 for kind, names in FACT_FIELDS.items()}
 
 
-def parse_fact_line(line: str) -> tuple[int, Fact]:
+def _natural(name: str, token: str) -> int:
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{name} must be a natural number, got {token}")
+    return int(token)
+
+
+def parse_fact_line(line: str, run_sorts: tuple[int | None, ...]) -> tuple[int, Fact]:
+    """A fact line's step and fact; a W fact's sort must be one of run_sorts."""
     parts = line.split()
     kind = parts[1] if len(parts) > 1 else ""
     if kind not in FACT_FIELDS:
         raise ValueError(f"bad fact line: {line!r}")
-    if len(parts) != FACT_FIELDS[kind]:
-        raise ValueError(f"{kind} fact needs {FACT_FIELDS[kind]} fields, got {len(parts)}")
-    step = int(parts[0])
-    if kind == "W":
-        sort = None if parts[3] == "-" else int(parts[3])
-        return step, ("W", parse_string(parts[2]), sort, int(parts[4]))
-    if kind == "S":
-        return step, ("S", int(parts[2]), int(parts[3]))
-    if kind == "E":
-        return step, ("E", int(parts[2]), int(parts[3]), int(parts[4]))
-    return step, ("P", int(parts[2]), int(parts[3]))
+    names = FACT_FIELDS[kind]
+    if len(parts) != len(names) + 2:
+        raise ValueError(f"{kind} fact needs {len(names) + 2} fields, got {len(parts)}")
+    step = _natural("step", parts[0])
+    if kind != "W":
+        return step, (kind, *map(_natural, names, parts[2:]))
+    sort = None if parts[3] == "-" else _natural("sort", parts[3])
+    if sort not in run_sorts:
+        raise ValueError(f"W sort {parts[3]} is not one of the run's sorts")
+    return step, ("W", parse_string(parts[2]), sort, _natural("element", parts[4]))
 
 
 class FactStream:
@@ -157,13 +165,14 @@ def _instantiate(conjunct: Fact, x: int) -> Fact:
     return tuple(x if part is HOLE else part for part in conjunct)
 
 
-def stream_from_lines(lines, source: str = "fact lines") -> FactStream:
+def stream_from_lines(lines, run_sorts: tuple[int | None, ...],
+                      source: str = "fact lines") -> FactStream:
     """Parse a fact file's lines; errors name the source and the line."""
     rows = []
     for k, line in enumerate(lines, 1):
         if line.strip() and not line.startswith("#"):
             try:
-                rows.append(parse_fact_line(line))
+                rows.append(parse_fact_line(line, run_sorts))
             except ValueError as exc:
                 from .config import ConfigError  # deferred: config imports this module
 

@@ -15,7 +15,6 @@ from itertools import zip_longest
 from typing import NamedTuple
 
 from . import match
-from .adversary import HOLE
 from .engine import (
     Engine,
     Node,
@@ -92,7 +91,7 @@ def act_N(engine: Engine, node: Node, s: int) -> str:
     return "o"
 
 
-def compute_B(engine: Engine, node: Node, t: int, fin_token: str) -> list[StringKey]:
+def compute_B(engine: Engine, node: Node, t: int, fin_token: str) -> dict[StringKey, tuple]:
     return match.responsibility_set(engine, node, t, fin_token)
 
 
@@ -185,8 +184,7 @@ def extract_isomorphism(
             continue
         if not stream.witnesses_W(sigma, None, horizon):
             continue  # the copy has not revealed this string yet
-        n = result.store.n_sigma(sigma, None, horizon + 1)
-        x = stream.oldest_satisfying([("W", sigma, None, HOLE), ("S", n, HOLE)], horizon)
+        x = match.oldest_witness(result.store, stream, (sigma, None), horizon + 1, horizon)
         if x is not None:
             f[sigma] = x
         else:

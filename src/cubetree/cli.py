@@ -10,7 +10,6 @@ construction, not a fault of the input).
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
@@ -212,13 +211,8 @@ def cmd_extract(args) -> int:
             return 1
         data = {
             "adversary": args.adversary,
-            "map": {
-                format_elem(e): x
-                for e, x in sorted(
-                    extracted.source_to_copy.items(),
-                    key=lambda kv: format_elem(kv[0]),
-                )
-            },
+            # json.dumps sorts the keys.
+            "map": {format_elem(e): x for e, x in extracted.source_to_copy.items()},
             "stalls": extracted.stalls,
         }
     else:
@@ -267,7 +261,9 @@ def cmd_gen_adversary(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # deferred: only the command line needs it, and it pulls in gettext
+
     parser = argparse.ArgumentParser(
         prog="cubetree",
         description="Priority-construction simulator over labeled cube structures",

@@ -157,11 +157,13 @@ class MotherState:
 
 
 class DaughterState:
-    """k counts the predicate's firings so far (the finite outcome is str(k)),
+    """gamma is the string the daughter inherits, which her address fixes;
+    k counts the predicate's firings so far (the finite outcome is str(k)),
     t is the stage of the last one, and sig holds the string defined for
     each outcome token."""
 
-    def __init__(self) -> None:
+    def __init__(self, gamma: NatString) -> None:
+        self.gamma = gamma
         self.k = 0
         self.t = 0
         self.sig: dict[str, NatString] = {}
@@ -279,7 +281,9 @@ def act_N_mother(engine: Engine, node: Node, s: int) -> str:
 def resolve_gamma(engine: Engine, node: Node) -> NatString:
     """Deepest provider above the daughter on the current path: its own
     mother, the previous daughter of its family, or a frozen diagonalizer
-    holding a stolen string for its mother."""
+    holding a stolen string for its mother.  Each is her ancestor, and a
+    diagonalizer counts only above its 1-outcome, taken once it has frozen,
+    so her address fixes the string."""
     req: ReqDaughter = node.req
     path = engine.path
     theta = path.by_req.get(ReqMother(req.r, req.a))
@@ -310,8 +314,8 @@ def act_N_daughter(engine: Engine, node: Node, s: int) -> str:
     st = node.state
     req: ReqDaughter = node.req
     if st is None:
-        st = node.state = DaughterState()
-    gamma = resolve_gamma(engine, node)
+        st = node.state = DaughterState(resolve_gamma(engine, node))
+    gamma = st.gamma
     engine.emit("gamma", s, node, gamma, req.n)
     if len(gamma) != req.n:
         raise GammaUnresolved(
@@ -374,19 +378,16 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
         oracle = tuple(c[3] for c in combo)
         halted, value, _use = functional.evaluate(oracle, st.x, s)
         if halted and value == 0:
-            st.stolen = {psi_addr: combo[idx][3] for idx, psi_addr in enumerate(st.C)}
+            st.stolen = dict(zip(st.C, oracle))
             st.ell = max(len(p) for p in oracle)
-            for psi_addr in st.C:
-                psi = engine.nodes[psi_addr]
-                low = path.coverage.get((psi.req.r, psi.req.a), 0)
-                high = len(st.stolen[psi_addr])
-                for n in range(low + 1, high):
-                    st.blocks.add(ReqDaughter(psi.req.r, n, psi.req.a))
             engine.enumerate_witness(st.x, s)
             engine.emit("ufreeze", s, node, st.x, st.ell)
-            for psi_addr in st.C:
+            for psi_addr, string in st.stolen.items():
                 psi = engine.nodes[psi_addr]
-                engine.emit("usteal", s, node, psi, st.stolen[psi_addr], psi.req.a)
+                r, a = psi.req.r, psi.req.a
+                low = path.coverage.get((r, a), 0)
+                st.blocks.update(ReqDaughter(r, n, a) for n in range(low + 1, len(string)))
+                engine.emit("usteal", s, node, psi, string, a)
             return "1"
     return "0"
 

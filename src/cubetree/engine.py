@@ -202,7 +202,7 @@ class Engine:
                 self._generators.append(gen)
                 self.adversaries.append(gen.adversary)
             else:
-                stream = stream_from_lines(spec.lines, spec.path)
+                stream = stream_from_lines(spec.lines, sorts(self.variant), spec.path)
                 self.adversaries.append(Adversary(stream, label=spec.label))
 
     # -- primitives used by the strategy modules ---------------------------

@@ -17,7 +17,6 @@ stamped in the stages t moved over, or a child of it enters B.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from heapq import heappop, heappush
 
 from .adversary import HOLE
@@ -41,17 +40,18 @@ class MatcherState:
         self.k1 = 0
         self.t = 0
         self.x_at_t: dict[StringKey, int | None] = {}
-        # B in ladder order, and each key of B with its sort key in that order.
-        self.B: list[StringKey] = []
+        # B: each of its keys with the key that sorts B in ladder order.
         self.rank: dict[StringKey, tuple] = {}
-        # Parent key -> its children in B, sorted.
-        self.children: dict[StringKey, list[StringKey]] = {}
+        # Parent key -> its children in B, kept as dict keys: a set that
+        # iterates in admission order, not hash order (which differs between
+        # processes for single-sorted keys), so a visit's queries repeat.
+        self.children: dict[StringKey, dict[StringKey, None]] = {}
         # The keys of B not known to pass the bullets, and a heap of them by
         # rank (entries of keys no longer pending are dropped when popped).
         self.pending: set[StringKey] = set()
         self.queue: list[tuple[tuple, StringKey]] = []
-        # The keys of B that f does not map, in B order.
-        self.unmapped: list[StringKey] = []
+        # The keys of B that f does not map.
+        self.unmapped: set[StringKey] = set()
         self.B_t = 0
         self.fin: str | None = None
         self.excluded: set[StringKey] = set()
@@ -60,27 +60,22 @@ class MatcherState:
 
     def admit(self, key: StringKey) -> None:
         sigma, sort = key
-        rank = (ladder_key(sigma), sort)
-        self.B.insert(bisect_left(self.B, rank, key=self.rank.__getitem__), key)
-        self.rank[key] = rank
+        self.rank[key] = (ladder_key(sigma), sort)
         if sigma:
             parent = (sigma[:-1], sort)
-            insort(self.children.setdefault(parent, []), key)
+            self.children.setdefault(parent, {})[key] = None
             self.mark(parent)
         self.mark(key)
         if key not in self.f:
-            self.unmapped.insert(
-                bisect_left(self.unmapped, rank, key=self.rank.__getitem__), key)
+            self.unmapped.add(key)
 
     def evict(self, key: StringKey) -> None:
-        del self.B[bisect_left(self.B, self.rank[key], key=self.rank.__getitem__)]
         del self.rank[key]
         sigma, sort = key
         if sigma:
-            self.children[(sigma[:-1], sort)].remove(key)
+            del self.children[(sigma[:-1], sort)][key]
         self.pending.discard(key)
-        if key not in self.f:
-            self.unmapped.remove(key)
+        self.unmapped.discard(key)
 
     def mark(self, key: StringKey) -> None:
         """Queue a key of B for a bullet check; keys outside B are skipped."""
@@ -89,15 +84,16 @@ class MatcherState:
             heappush(self.queue, (self.rank[key], key))
 
 
-def responsibility_set(engine: Engine, node: Node, t: int, fin_token: str) -> list[StringKey]:
+def responsibility_set(engine: Engine, node: Node, t: int,
+                       fin_token: str) -> dict[StringKey, tuple]:
     """B: the stage-t universe minus the starting set C and the keys chosen
     at or below the finite outcome fin_token.  In the single-sorted variant
     C is every string an ancestor chose: only tree strategies choose, each
     its own image.
 
-    Brings the node's B up to (t, fin_token) and returns it, in ladder order;
-    the list is the node's own.  t never goes down.  Keys that enter B, and
-    keys of B relabelled in stages B_t+1..t, are queued for a bullet check."""
+    Brings the node's B up to (t, fin_token) and returns it: the node's own
+    rank map.  t never goes down.  Keys that enter B, and keys of B
+    relabelled in stages B_t+1..t, are queued for a bullet check."""
     st: MatcherState = node.state
     start = set(st.C)
     below = engine.keys_chosen_below(node.addr + (fin_token,))
@@ -126,7 +122,7 @@ def responsibility_set(engine: Engine, node: Node, t: int, fin_token: str) -> li
                 st.mark(key)
             st.scanned += len(relabelled)
         st.B_t = t
-    return st.B
+    return st.rank
 
 
 def _fields(key: StringKey) -> tuple:
@@ -145,19 +141,13 @@ def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
     t, k0, k1 = st.t, st.k0, st.k1
     B = responsibility(engine, node, t, str(k0))
     engine.emit("mstat", s, node, t, k0, k1, len(B))
-    if st.unmapped:
-        unmapped = []
-        for key in st.unmapped:
-            sigma, sort = key
-            n = engine.store.n_sigma(sigma, sort, t + 1)
-            x = stream.oldest_satisfying([("W", sigma, sort, HOLE), ("S", n, HOLE)], s)
-            if x is None:
-                unmapped.append(key)
-            else:
-                f[key] = x
-                engine.emit("ftau", s, node, *_fields(key), x)
-        st.scanned += len(st.unmapped)
-        st.unmapped = unmapped
+    st.scanned += len(st.unmapped)
+    for key in sorted(st.unmapped, key=st.rank.__getitem__):
+        x = oldest_witness(engine.store, stream, key, t + 1, s)
+        if x is not None:
+            f[key] = x
+            st.unmapped.remove(key)
+            engine.emit("ftau", s, node, *_fields(key), x)
     # The first failing key in B order is the first failing pending key:
     # every other key of B passed with the same n_sigma and children.
     queue, pending = st.queue, st.pending
@@ -191,6 +181,14 @@ def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
     if token == "ii":
         st.k1 = k1 + 1
     return token
+
+
+def oldest_witness(store, stream, key: StringKey, stage: int, budget: int) -> int | None:
+    """The oldest W witness of key, within budget, carrying its top label
+    at stage."""
+    sigma, sort = key
+    n = store.n_sigma(sigma, sort, stage)
+    return stream.oldest_satisfying([("W", sigma, sort, HOLE), ("S", n, HOLE)], budget)
 
 
 def _failing_bullet(engine, f, stream, children, key, t, s) -> int | None:

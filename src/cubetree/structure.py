@@ -106,7 +106,7 @@ def format_string(sigma: NatString) -> str:
 
 
 def parse_string(text: str) -> NatString:
-    m = re.fullmatch(r"<([\d,]*)>", text)
+    m = re.fullmatch(r"<((?:[0-9]+(?:,[0-9]+)*)?)>", text)
     if not m:
         raise ValueError(f"bad string token: {text!r}")
     body = m.group(1)

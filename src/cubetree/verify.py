@@ -629,15 +629,11 @@ def _check_witness_ages(result: RunResult, report: Report) -> None:
     for ev in result.trace:
         if ev[0] != "xtau":
             continue
-        if result.variant == "cc":
-            _kind, s, node, sigma, x = ev
-            key = (node.addr, sigma, None)
-        else:
-            _kind, s, node, sigma, sort, x = ev
-            key = (node.addr, sigma, sort)
+        # A single-sorted event omits the sort.
+        _kind, s, node, sigma, *sort, x = ev
         if x is not None:
-            per_key.setdefault(key, []).append((s, x))
-    for (addr, sigma, sort), rows in per_key.items():
+            per_key.setdefault((node.addr, sigma, *sort), []).append((s, x))
+    for (addr, sigma, *_sort), rows in per_key.items():
         node = result.nodes[addr]
         if not isinstance(node.req, ReqM):
             continue

@@ -10,10 +10,12 @@ from cubetree.adversary import (
     FaithfulGenerator,
     Incidence,
     PermSpec,
+    format_fact,
     make_faithful_copy,
     parse_fact_line,
     stream_from_lines,
 )
+from cubetree.config import ConfigError
 from cubetree.structure import (
     CubeElem,
     LabelStore,
@@ -142,13 +144,52 @@ def test_fact_line_round_trip():
         "5 E 3 0 7",
         "6 P 0 7",
     ]
+    both_sorts = sorts("cc") + sorts("dc")
     for line in lines:
-        step, fact = parse_fact_line(line)
-        from cubetree.adversary import format_fact
-
+        step, fact = parse_fact_line(line, both_sorts)
         assert format_fact(step, fact) == line
-    stream = stream_from_lines(lines)
+    stream = stream_from_lines(lines, both_sorts)
     assert len(stream) == 5
+
+
+naturals = st.integers(0, 10**6)
+any_facts = st.one_of(
+    st.tuples(st.just("W"), st.lists(naturals, max_size=4).map(tuple),
+              st.sampled_from([None, 0, 1]), naturals),
+    st.tuples(st.just("S"), naturals, naturals),
+    st.tuples(st.just("E"), naturals, naturals, naturals),
+    st.tuples(st.just("P"), naturals, naturals),
+)
+
+
+@given(naturals, any_facts)
+def test_format_fact_round_trips_through_parse_fact_line(step, fact):
+    line = format_fact(step, fact)
+    variant = "cc" if fact[0] == "W" and fact[2] is None else "dc"
+    assert parse_fact_line(line, sorts(variant)) == (step, fact)
+
+
+# Tokens of near-valid fact lines: numbers in and out of range, each kind,
+# strings, sort marks and junk.
+fact_tokens = st.sampled_from(["0", "3", "12", "-1", "-0", "+2", "1_0", "\u0663", "7", "W", "S",
+                               "E", "P", "w", "<>", "<1,2>", "<-1>", "<1,,2>", "<\u0663>", "-",
+                               "x", "#"])
+
+
+@given(st.one_of(st.text(), st.lists(fact_tokens, max_size=6).map(" ".join)),
+       st.sampled_from(["cc", "dc"]))
+def test_a_fact_line_loads_or_names_its_source_and_line(line, variant):
+    """Any text line either loads or ends in one ConfigError line naming the
+    file and the line; no other exception escapes."""
+    try:
+        stream = stream_from_lines(["0 P 0 0", line], sorts(variant), "copy.facts")
+    except ConfigError as exc:
+        assert str(exc).startswith("copy.facts, line 2: ")
+        assert len(str(exc).splitlines()) == 1
+        return
+    for step, fact in stream.facts_within(float("inf")):
+        assert step >= 0 and all(v >= 0 for v in fact[1:] if isinstance(v, int))
+        assert fact[0] != "W" or fact[2] in sorts(variant)
 
 
 def test_permutations():

@@ -168,13 +168,15 @@ def test_extraction_corrects_a_perturbed_limit_witness_by_its_copy_edges():
     from test_verify import shipped_config
 
     from cubetree.adversary import Adversary, stream_from_lines
+    from cubetree.structure import sorts
 
     result = run_stages(shipped_config("cc_faithful.json", 80))
     entries = true_path_approx(result, threshold=3)
     entry = next(e for e in entries if e.label == "M0" and e.outcome is not None)
     st = result.nodes[entry.addr].state
     adv = result.adversaries[0]
-    twin = Adversary(stream_from_lines(list(adv.stream.to_lines())), adv.label, delay=adv.delay)
+    twin = Adversary(stream_from_lines(list(adv.stream.to_lines()), sorts("cc")), adv.label,
+                     delay=adv.delay)
     plain = cc.extract_isomorphism(result, entries, 0)
     assert plain.stalls == []
     assert ((), None) in st.C

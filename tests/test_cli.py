@@ -279,6 +279,31 @@ def test_truncated_fact_line_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1 and "copy.facts, line 2" in err
 
 
+# Each line loaded, and verify exited 0, before fact lines were range-checked.
+OUT_OF_RANGE_FACTS = ["-5 W <> 7 0", "0 S -2 0", "0 E -1 0 -4", "0 P 3 -9"]
+
+
+@pytest.mark.parametrize("data, good, foreign", [
+    (CC_CONFIG, "0 W <> - 0", "0 W <> 0 0"),
+    (DC_CONFIG, "0 W <> 0 0", "0 W <> - 0"),
+], ids=["cc", "dc"])
+def test_fact_lines_out_of_range_exit_two(tmp_path, capsys, data, good, foreign):
+    """A negative step, label, color or element, or a W sort the run does
+    not have, ends verify with exit 2 and one line naming the file and the
+    line."""
+    cfg = write_config(tmp_path, dict(data, adversaries=[{"kind": "file", "path": "copy.facts"}]))
+    facts = tmp_path / "copy.facts"
+    cases = [(OUT_OF_RANGE_FACTS, 1)] + [([good, line], 2)
+                                         for line in OUT_OF_RANGE_FACTS + [foreign]]
+    for lines, k in cases:
+        facts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["verify", "--config", str(cfg), "--suite", "invariants,isomorphism"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1 and f"copy.facts, line {k}:" in err, lines
+    facts.write_text(good + "\n", encoding="utf-8")
+    assert main(["verify", "--config", str(cfg), "--suite", "invariants"]) == 0
+
+
 def _with_adversary(**spec):
     return dict(CC_CONFIG, adversaries=[dict({"kind": "faithful"}, **spec)])
 

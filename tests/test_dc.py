@@ -557,9 +557,10 @@ def provider_runs():
                          ids=[r[0] for r in provider_runs()])
 def test_provider_lookups_agree_with_the_path_walks(data, diagonalizes, monkeypatch):
     """At every typing the blocking report and the daughter coverage, and at
-    every daughter visit the inherited string, equal those of the walks."""
-    typing, resolve = dc.assign_type, dc.resolve_gamma
-    typed, providers = [], []
+    every daughter visit the inherited string the daughter holds, equal those
+    of the walks.  The string is resolved once per daughter."""
+    typing, resolve, visit = dc.assign_type, dc.resolve_gamma, dc.act_N_daughter
+    typed, providers, resolved = [], [], []
 
     def checked_typing(engine, node, s):
         assert dc.blocking_report(engine) == walk_blocking_report(engine, node.addr), node
@@ -567,17 +568,24 @@ def test_provider_lookups_agree_with_the_path_walks(data, diagonalizes, monkeypa
         typed.append(node)
         return typing(engine, node, s)
 
-    def checked_gamma(engine, node):
-        gamma = resolve(engine, node)
+    def counted_resolve(engine, node):
+        resolved.append(node.addr)
+        return resolve(engine, node)
+
+    def checked_visit(engine, node, s):
+        token = visit(engine, node, s)
         provider, expected = walk_resolve_gamma(engine, node)
-        assert gamma == expected, node
+        assert node.state.gamma == expected, node
         providers.append(type(provider.req))
-        return gamma
+        return token
 
     monkeypatch.setattr(dc, "assign_type", checked_typing)
-    monkeypatch.setattr(dc, "resolve_gamma", checked_gamma)
-    run_stages(config_from_dict(data))
+    monkeypatch.setattr(dc, "resolve_gamma", counted_resolve)
+    monkeypatch.setattr(dc, "act_N_daughter", checked_visit)
+    result = run_stages(config_from_dict(data))
     assert len(typed) > 500 and len(providers) > 2000
+    daughters = [nd.addr for nd in nodes_of(result, ReqDaughter)]
+    assert sorted(resolved) == sorted(daughters)
     assert {ReqMother, ReqDaughter} <= set(providers)
     assert (ReqU in providers) == diagonalizes
 
