@@ -157,15 +157,19 @@ def run_suite(result: RunResult, suite: str) -> verify_mod.Report:
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
-    result = run_stages(config)
     if args.suite == "none":
-        return 0
-    suites = args.suite.split(",") if args.suite else list(SUITES)
+        suites = []
+    elif args.suite:
+        suites = [name for name in map(str.strip, args.suite.split(",")) if name]
+    else:
+        suites = list(SUITES)
+    # Every name is checked before the run, so a bad one costs no run.
+    for suite in suites:
+        if suite not in SUITES:
+            raise ConfigError(f"unknown suite {suite!r}")
+    result = run_stages(config)
     all_ok = True
     for suite in suites:
-        suite = suite.strip()
-        if not suite:
-            continue
         report = run_suite(result, suite)
         for line in report.lines():
             print(f"[{suite}] {line}")
@@ -173,8 +177,17 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+# Extraction target -> (the variant it needs, what it extracts); the parser
+# offers these targets alone.
+EXTRACT_TARGETS = {"q": ("cc", "image-tree"), "paths": ("dc", "path"),
+                   "isomorphism": ("cc", "isomorphism")}
+
+
 def cmd_extract(args) -> int:
     config = load_config(args.config)
+    variant, what = EXTRACT_TARGETS[args.target]
+    if config.variant != variant:
+        raise ConfigError(f"{what} extraction needs a {variant} run")
     if args.target == "isomorphism" and not 0 <= args.adversary < len(config.adversaries):
         raise ConfigError(f"--adversary {args.adversary} is out of range: "
                           f"the config has {len(config.adversaries)} adversaries")
@@ -182,8 +195,6 @@ def cmd_extract(args) -> int:
     entries = _tp(result)
     out = Path(args.out)
     if args.target == "q":
-        if result.variant != "cc":
-            raise ConfigError("image-tree extraction needs a cc run")
         q = cc_mod.compute_Q(result, entries)
         data = {
             "phi": {
@@ -193,17 +204,13 @@ def cmd_extract(args) -> int:
             "is_tree": q.check_tree(),
         }
     elif args.target == "paths":
-        if result.variant != "dc":
-            raise ConfigError("path extraction needs a dc run")
         paths = dc_mod.extract_paths(result, entries)
         data = {
             "f": {str(i): list(p) for i, p in sorted(paths.f.items())},
             "g": {str(j): list(p) for j, p in sorted(paths.g.items())},
             "witnesses_enumerated": dict(sorted(result.zprime.items())),
         }
-    elif args.target == "isomorphism":
-        if result.variant != "cc":
-            raise ConfigError("isomorphism extraction needs a cc run")
+    else:
         try:
             extracted = cc_mod.extract_isomorphism(result, entries, args.adversary)
         except cc_mod.ExtractionStalled as exc:
@@ -215,8 +222,6 @@ def cmd_extract(args) -> int:
             "map": {format_elem(e): x for e, x in extracted.source_to_copy.items()},
             "stalls": extracted.stalls,
         }
-    else:
-        raise ConfigError(f"unknown extraction target {args.target!r}")
     _write_chunks(out, [json.dumps(data, sort_keys=True, indent=1) + "\n"])
     print(f"wrote {out}")
     if args.target == "isomorphism" and data["stalls"]:
@@ -283,8 +288,7 @@ def build_parser():
 
     p_extract = sub.add_parser("extract", help="extract post-run artifacts")
     p_extract.add_argument("--config", required=True)
-    p_extract.add_argument("--target", required=True,
-                           choices=("q", "paths", "isomorphism"))
+    p_extract.add_argument("--target", required=True, choices=tuple(EXTRACT_TARGETS))
     p_extract.add_argument("--adversary", type=int, default=0)
     p_extract.add_argument("--out", required=True)
     p_extract.set_defaults(func=cmd_extract)

@@ -11,8 +11,7 @@ through the variant hooks.
 from __future__ import annotations
 
 from bisect import insort
-from itertools import count, islice
-from operator import eq
+from itertools import count
 from typing import Any, NamedTuple
 
 from .adversary import Adversary, FaithfulGenerator, stream_from_lines
@@ -111,8 +110,13 @@ class Node:
         # The strategy's record, built by its act hook on the first visit: a cc.TreeState,
         # dc.MotherState, DaughterState, DiagonalizerState or match.MatcherState; None for Idle.
         self.state: Any = None
-        self.visits: list[int] = []
+        # (stage, token) per visit, in stage order.
         self.outcomes: list[tuple[int, str]] = []
+
+    @property
+    def visits(self) -> list[int]:
+        """The stages the node was visited at, read off its outcomes."""
+        return [s for s, _token in self.outcomes]
 
     def outcome_counts(self, window: int | None = None) -> dict[str, int]:
         tail = self.outcomes if window is None else self.outcomes[-window:]
@@ -322,7 +326,6 @@ class Engine:
                     node.req = self.strat.assign_type(self, node, s)
                     node.label = req_label(node.req)
                     self.emit("typed", s, node, node.label)
-                node.visits.append(s)
                 self.emit("visit", s, node, node.label)
                 token = self.strat.act(self, node, s)
                 node.outcomes.append((s, token))
@@ -354,16 +357,6 @@ class Engine:
         text is built once per call."""
         texts: dict[int, str] = {}
         return [format_event(ev, texts) for ev in self.trace[lo:hi]]
-
-    def stage_paths(self) -> list[tuple[int, list[Addr]]]:
-        """Visited node addresses per stage, in visit order."""
-        paths: list[tuple[int, list[Addr]]] = []
-        for ev in self.trace:
-            if ev[0] == "stage":
-                paths.append((ev[1], []))
-            elif ev[0] == "visit":
-                paths[-1][1].append(ev[2].addr)
-        return paths
 
 
 # A finished run is its engine.
@@ -428,7 +421,7 @@ def true_path_approx(result: RunResult, threshold: int = 3,
         qualifying = [t for t, c in counts.items() if c >= threshold]
         chosen = min(qualifying, key=outcome_key) if qualifying else None
         entries.append(TPEntry(addr, node.label, chosen,
-                               len(node.visits), counts))
+                               len(node.outcomes), counts))
         if chosen is None:
             break
         addr = addr + (chosen,)
@@ -438,42 +431,31 @@ def true_path_approx(result: RunResult, threshold: int = 3,
 # ---------------------------------------------------------------------------
 # Left-kill check.
 
-def check_left_kill(stage_paths: list[tuple[int, list[Addr]]]) -> tuple[bool, str | None]:
+def check_left_kill(trace: list[tuple]) -> tuple[bool, str | None]:
     """True when no node is visited again after a node strictly to its left
-    has been visited in between.  Only the address objects given are kept:
-    none is sliced or copied."""
-    dead: set[Addr] = set()
-    # The visited tree by token: a slot is [the address it was visited as, or
-    # None for a level a path skipped; its children's slots by token].
-    root: dict[str, list] = {}
-    for stage, path in stage_paths:
-        # Each stage path extends one token at a time, so a dead subtree is
-        # always entered through its root and the membership test suffices.
-        # `kids` holds the children of the previous address `prev`, which is
-        # the parent: a known child is told by identity, a new one by its
-        # tokens.  A hand-made path that skips a level finds the parent's
-        # slot from the root.
-        prev, kids = None, root
-        for addr in path:
-            if addr in dead:
-                return False, f"stage {stage}: visited {format_addr(addr)} after a left neighbor"
-            if not addr:
-                prev, kids = addr, root
-                continue
-            token = addr[-1]
-            if not (prev is not None and len(prev) + 1 == len(addr) and (
-                    (slot := kids.get(token)) is not None and slot[0] is addr
-                    or all(map(eq, prev, addr)))):
-                kids = root
-                for step in islice(addr, len(addr) - 1):
-                    kids = kids.setdefault(step, [None, {}])[1]
-            slot = kids.get(token)
-            if slot is None:
-                slot = kids[token] = [addr, {}]
-            elif slot[0] is None:
-                slot[0] = addr
-            for other, (sibling, _) in kids.items():
-                if sibling is not None and other != token and outcome_key(other) > outcome_key(token):
-                    dead.add(sibling)
-            prev, kids = addr, slot[1]
+    has been visited in between.  Siblings share their parent, so this reads
+    each node's outcome events: taking token t at stage s visits the child
+    addr + (t,) unless the node is the bottom of the stage path (depth s).
+    A child is killed when its parent takes a token left of it."""
+    last: dict[Node, str] = {}
+    # Nodes that have taken two tokens or more: the live tokens with their
+    # keys, and the killed ones.
+    kids: dict[Node, tuple[dict[str, tuple[int, int]], set[str]]] = {}
+    for ev in trace:
+        if ev[0] != "outcome":
+            continue
+        _kind, stage, node, token = ev
+        prev = last.get(node)
+        if prev == token or len(node.addr) >= stage:
+            continue
+        last[node] = token
+        if prev is None:
+            continue
+        live, dead = kids.setdefault(node, ({prev: outcome_key(prev)}, set()))
+        if token in dead:
+            return False, f"stage {stage}: visited {format_addr(node.addr + (token,))} after a left neighbor"
+        key = live[token] = outcome_key(token)
+        for other in [other for other, k in live.items() if k > key]:
+            del live[other]
+            dead.add(other)
     return True, None

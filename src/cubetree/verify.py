@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .adversary import FACT_ARG0, Adversary, Fact, FactStream, Incidence
 from .engine import (
+    Node,
     ReqM,
     ReqN,
     ReqU,
@@ -29,9 +30,12 @@ from .structure import (
     Snapshot,
     UElem,
     UndefinedLabel,
+    birth_stage,
     format_elem,
     format_string,
+    fsets_over,
     holds_P,
+    snapshot_from_declarations,
     sorts,
 )
 from .trees import Branch, TestTree
@@ -221,8 +225,6 @@ def ideal_tree_snapshot(
     symbols = tree.symbols()
     if len(symbols) > 8:
         raise ValueError("test tree support too wide to materialize")
-    from .structure import fsets_over, snapshot_from_declarations
-
     fsets = fsets_over(symbols)
     strings: set[NatString] = set(tree.nodes)
     for b in tree.branches:
@@ -473,7 +475,7 @@ def bf_equiv(
 
 def check_trace_invariants(result: RunResult) -> Report:
     report = Report()
-    ok, locus = check_left_kill(result.stage_paths())
+    ok, locus = check_left_kill(result.trace)
     report.add("left-kill", ok, locus or "")
     _check_n_sigma_definedness(result, report)
     _check_choice_discipline(result, report)
@@ -501,8 +503,6 @@ def _check_n_sigma_definedness(result: RunResult, report: Report) -> None:
 
 
 def _check_choice_discipline(result: RunResult, report: Report) -> None:
-    from .structure import birth_stage
-
     # Strings are chosen fresh: the first choice precedes the string's entry
     # into the universe slice, so an unchosen resident is never chosen later.
     late = None
@@ -545,19 +545,19 @@ def _check_gamma_lengths(result: RunResult, report: Report) -> None:
 
 
 def _mnode_visit_data(result: RunResult):
-    """Per copy-matching node: the (stage, t, k0) triples and outcome kinds."""
-    data: dict[tuple, list[tuple[int, int, int]]] = {}
+    """Per copy-matching node: the (stage, t, k0) triples of its visits."""
+    data: dict[Node, list[tuple[int, int, int]]] = {}
     for ev in result.trace:
         if ev[0] == "mstat":
             _kind, s, node, t, k0, _k1, _bsize = ev
-            data.setdefault(node.addr, []).append((s, t, k0))
+            data.setdefault(node, []).append((s, t, k0))
     return data
 
 
-def _recompute_B(result: RunResult, addr, stage: int, t: int, k0: int):
+def _recompute_B(result: RunResult, node: Node, stage: int, t: int, k0: int):
     """Replay the responsibility set from choice records, as of the moment
     the node was visited (stage paths put ancestors first)."""
-    node = result.nodes[addr]
+    addr = node.addr
 
     def chosen_before(records) -> bool:
         return any(
@@ -597,21 +597,20 @@ def _recompute_B(result: RunResult, addr, stage: int, t: int, k0: int):
 
 
 def _check_b_sets(result: RunResult, report: Report) -> None:
-    inf_stages: dict[tuple, set[int]] = {}
+    inf_stages: dict[Node, set[int]] = {}
     for ev in result.trace:
         if ev[0] == "outcome" and ev[3].startswith("i"):
-            inf_stages.setdefault(ev[2].addr, set()).add(ev[1])
+            inf_stages.setdefault(ev[2], set()).add(ev[1])
     bad_mono = None
     bad_eq = None
-    for addr, visits in _mnode_visit_data(result).items():
-        node = result.nodes.get(addr)
-        if node is None or not isinstance(node.req, ReqM):
+    for node, visits in _mnode_visit_data(result).items():
+        if not isinstance(node.req, ReqM):
             continue
         prev = None
         prev_stage = None
-        infs = inf_stages.get(addr, set())
+        infs = inf_stages.get(node, set())
         for stage, t, k0 in visits:
-            current = _recompute_B(result, addr, stage, t, k0)
+            current = _recompute_B(result, node, stage, t, k0)
             if prev is not None:
                 if not prev <= current:
                     bad_mono = f"{node} between {prev_stage} and {stage}"
@@ -632,9 +631,8 @@ def _check_witness_ages(result: RunResult, report: Report) -> None:
         # A single-sorted event omits the sort.
         _kind, s, node, sigma, *sort, x = ev
         if x is not None:
-            per_key.setdefault((node.addr, sigma, *sort), []).append((s, x))
-    for (addr, sigma, *_sort), rows in per_key.items():
-        node = result.nodes[addr]
+            per_key.setdefault((node, sigma, *sort), []).append((s, x))
+    for (node, sigma, *_sort), rows in per_key.items():
         if not isinstance(node.req, ReqM):
             continue
         stream = result.adversaries[node.req.index].stream

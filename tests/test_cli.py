@@ -226,6 +226,29 @@ def test_config_that_is_not_json_exits_two_naming_the_file(tmp_path, capsys):
         "line 1 column 2 (char 1)\n")
 
 
+@pytest.mark.parametrize("data, argv, message", [
+    (CC_CONFIG, ["verify", "--suite", "invariants,bogus"], "unknown suite 'bogus'"),
+    (CC_CONFIG, ["verify", "--suite", " labeling , none"], "unknown suite 'none'"),
+    (CC_CONFIG, ["extract", "--target", "paths"], "path extraction needs a dc run"),
+    (DC_CONFIG, ["extract", "--target", "q"], "image-tree extraction needs a cc run"),
+    (DC_CONFIG, ["extract", "--target", "isomorphism"], "isomorphism extraction needs a cc run"),
+], ids=["unknown-suite", "none-among-suites", "paths-of-cc", "q-of-dc", "isomorphism-of-dc"])
+def test_bad_selection_exits_two_before_running(tmp_path, capsys, monkeypatch, data, argv,
+                                                message):
+    """A bad suite name or extraction target is refused before the
+    construction runs: no result line is printed, and nothing is run."""
+    def not_run(config):
+        raise AssertionError("ran the construction")
+
+    monkeypatch.setattr(cli, "run_stages", not_run)
+    cfg = write_config(tmp_path, data)
+    out = ["--out", str(tmp_path / "out.json")] if argv[0] == "extract" else []
+    assert main([argv[0], "--config", str(cfg), *argv[1:], *out]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"error: {message}\n"
+
+
 def test_verify_empty_suite_selection(tmp_path, capsys):
     cfg = write_config(tmp_path, CC_CONFIG)
     assert main(["verify", "--config", str(cfg), "--suite", "none"]) == 0

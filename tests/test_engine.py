@@ -1,4 +1,6 @@
 import json
+from itertools import islice
+from operator import eq
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from cubetree import cc, dc
 from cubetree.config import config_from_dict
 from cubetree.engine import (
     Engine,
+    Node,
     ReqDaughter,
     ReqIdle,
     ReqU,
@@ -97,33 +100,33 @@ def test_determinism():
 
 def test_left_kill_on_generated_trace():
     result = run_stages(cc_config(horizon=12, adversaries=[faithful()]))
-    ok, locus = check_left_kill(result.stage_paths())
+    ok, locus = check_left_kill(result.trace)
     assert ok, locus
+
+
+def root_outcomes(tokens):
+    """Outcome events of one root node, token k at stage k + 1, each
+    visiting the root's child."""
+    root = Node(())
+    return [("outcome", s, root, token) for s, token in enumerate(tokens, 1)]
 
 
 def test_left_kill_negative_control():
     # Fresh visits right of old ones are fine; re-visiting after an
     # intervening left visit is the violation.
-    legal = [
-        (1, [(), ("0",)]),
-        (2, [(), ("ii",)]),
-        (3, [(), ("ii",)]),
-    ]
-    ok, _ = check_left_kill(legal)
-    assert ok
-    corrupted = [
-        (1, [(), ("0",)]),
-        (2, [(), ("ii",)]),
-        (3, [(), ("0",)]),
-    ]
-    ok, locus = check_left_kill(corrupted)
-    assert not ok
-    assert "stage 3" in locus
+    assert check_left_kill(root_outcomes(["0", "ii", "ii"])) == (True, None)
+    assert check_left_kill(root_outcomes(["0", "ii", "0"])) == (
+        False, "stage 3: visited /0 after a left neighbor")
+    # At the bottom of its stage path (depth = stage) an outcome visits no
+    # child, so it neither kills nor revisits.
+    child = Node(("0",))
+    assert check_left_kill([("outcome", 1, child, "0"), ("outcome", 2, child, "1"),
+                            ("outcome", 3, child, "0")]) == (True, None)
 
 
 def test_single_stage_trace_left_kill():
     result = run_stages(cc_config(horizon=1))
-    ok, _ = check_left_kill(result.stage_paths())
+    ok, _ = check_left_kill(result.trace)
     assert ok
 
 
@@ -316,7 +319,19 @@ def test_every_typed_node_holds_the_record_of_its_kind(data):
     assert held == expected | ({MatcherState} if result.adversaries else set())
 
 
-# -- left-kill against its first form and requirement labels ---------------------
+# -- left-kill against its stage-path forms and requirement labels ---------------
+
+def reference_stage_paths(trace):
+    """Visited node addresses per stage, in visit order: Engine.stage_paths
+    as it stood beside the address-trie check."""
+    paths = []
+    for ev in trace:
+        if ev[0] == "stage":
+            paths.append((ev[1], []))
+        elif ev[0] == "visit":
+            paths[-1][1].append(ev[2].addr)
+    return paths
+
 
 def reference_check_left_kill(stage_paths):
     """check_left_kill as first written: each parent's children keyed by a
@@ -338,6 +353,39 @@ def reference_check_left_kill(stage_paths):
     return True, None
 
 
+def trie_check_left_kill(stage_paths):
+    """check_left_kill as it stood over stage paths, with its address trie."""
+    dead = set()
+    # The visited tree by token: a slot is [the address it was visited as, or
+    # None for a level a path skipped; its children's slots by token].
+    root = {}
+    for stage, path in stage_paths:
+        prev, kids = None, root
+        for addr in path:
+            if addr in dead:
+                return False, f"stage {stage}: visited {format_addr(addr)} after a left neighbor"
+            if not addr:
+                prev, kids = addr, root
+                continue
+            token = addr[-1]
+            if not (prev is not None and len(prev) + 1 == len(addr) and (
+                    (slot := kids.get(token)) is not None and slot[0] is addr
+                    or all(map(eq, prev, addr)))):
+                kids = root
+                for step in islice(addr, len(addr) - 1):
+                    kids = kids.setdefault(step, [None, {}])[1]
+            slot = kids.get(token)
+            if slot is None:
+                slot = kids[token] = [addr, {}]
+            elif slot[0] is None:
+                slot[0] = addr
+            for other, (sibling, _) in kids.items():
+                if sibling is not None and other != token and outcome_key(other) > outcome_key(token):
+                    dead.add(sibling)
+            prev, kids = addr, slot[1]
+    return True, None
+
+
 def sample_runs():
     return [
         ("cc_faithful@80", dict(shipped("cc_faithful.json"), horizon=80)),
@@ -352,49 +400,56 @@ def sample_run(request):
 
 
 def test_left_kill_matches_the_reference_on_generated_paths(sample_run):
-    """On a run's own stage paths, on copies of them (equal addresses that are
-    not the run's objects), and with an early stage replayed after the last
-    one, which revisits killed nodes."""
-    paths = sample_run.stage_paths()
-    copied = [(stage, [tuple(list(a)) for a in path]) for stage, path in paths]
-    assert check_left_kill(paths) == reference_check_left_kill(paths) == (True, None)
-    assert check_left_kill(copied) == reference_check_left_kill(copied)
+    """On a run's own trace, and with an early stage replayed after the last
+    one, which revisits killed nodes.  The replayed stage's outcome events
+    are built from its consecutive addresses, as the stage loop takes them."""
+    trace = sample_run.trace
+    paths = reference_stage_paths(trace)
+    assert check_left_kill(trace) == reference_check_left_kill(paths) \
+        == trie_check_left_kill(paths) == (True, None)
+    stage = sample_run.horizon + 1
     failed = 0
     for _stage, path in paths[::7]:
-        replayed = paths + [(sample_run.horizon + 1, path)]
-        verdict = check_left_kill(replayed)
-        assert verdict == reference_check_left_kill(replayed)
+        replayed = [("outcome", stage, sample_run.nodes[addr], child[-1])
+                    for addr, child in zip(path, path[1:])]
+        verdict = check_left_kill(trace + replayed)
+        replayed_paths = paths + [(stage, path)]
+        assert verdict == reference_check_left_kill(replayed_paths) \
+            == trie_check_left_kill(replayed_paths)
         failed += not verdict[0]
     assert failed
 
 
-@pytest.mark.parametrize("skipping", [
-    # Stage 2 reaches ("0", "1") without visiting ("0",): it still kills its
-    # right sibling ("0", "0"), which stage 3 then revisits.
-    [(1, [(), ("0", "0")]), (2, [("0", "1")]), (3, [(), ("0",), ("0", "0")])],
-    # In stage 2, ("1", "1") follows ("0",), one level up but not its parent.
-    [(1, [(), ("1",), ("1", "0")]), (2, [(), ("0",), ("1", "1")]),
-     (3, [(), ("1",), ("1", "0")])],
-])
-def test_left_kill_matches_the_reference_on_a_path_that_skips_a_level(skipping):
-    ok, locus = check_left_kill(skipping)
-    assert (ok, locus) == reference_check_left_kill(skipping)
-    assert not ok and "stage 3" in locus
+def engine_shaped_trace(stages):
+    """The stage, visit and outcome events of walks shaped as the stage loop
+    makes them: each a chain from the root, no deeper than its stage.  The
+    bottom node takes an outcome only at depth = stage, where it visits no
+    child."""
+    nodes, trace = {}, []
+    for stage, tokens, bottom in stages:
+        tokens = tokens[:stage]
+        path = [tuple(tokens[:k]) for k in range(len(tokens) + 1)]
+        trace.append(("stage", stage))
+        for addr in path:
+            node = nodes.setdefault(addr, Node(addr))
+            trace.append(("visit", stage, node, "Idle"))
+            token = tokens[len(addr)] if len(addr) < len(tokens) else bottom
+            if len(addr) < len(tokens) or len(addr) == stage:
+                trace.append(("outcome", stage, node, token))
+    return trace
 
 
 TOKENS = ("ii", "i0", "0", "1")
-addresses = st.lists(st.sampled_from(TOKENS), max_size=4).map(tuple)
-# A tree walk visits every prefix of its deepest address, root first.
-walks = st.lists(st.sampled_from(TOKENS), max_size=5).map(
-    lambda tokens: [tuple(tokens[:k]) for k in range(len(tokens) + 1)])
-stage_paths = st.lists(st.tuples(st.integers(1, 20),
-                                 walks | st.lists(addresses, max_size=6)),
-                       max_size=10)
+walks = st.lists(st.tuples(st.integers(1, 6), st.lists(st.sampled_from(TOKENS), max_size=5),
+                           st.sampled_from(TOKENS)), max_size=10)
 
 
-@given(stage_paths)
-def test_left_kill_matches_the_reference_on_arbitrary_paths(paths):
-    assert check_left_kill(paths) == reference_check_left_kill(paths)
+@given(walks)
+def test_left_kill_matches_the_reference_on_arbitrary_paths(stages):
+    trace = engine_shaped_trace(stages)
+    paths = reference_stage_paths(trace)
+    assert check_left_kill(trace) == reference_check_left_kill(paths) \
+        == trie_check_left_kill(paths)
 
 
 def test_typed_and_visit_events_carry_the_requirement_label(sample_run):
