@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 from . import match
 from .engine import (
-    Addr,
     Engine,
     Node,
     ReqDaughter,
@@ -171,16 +170,16 @@ class DaughterState:
 
 class DiagonalizerState:
     """i is the sort-0 mother value diagonalized against, x the private
-    witness, and C the addresses of the mothers whose strings it steals: that
-    mother, then the sort-1 mothers above with smaller values.  Freezing sets
-    `stolen` (mother address -> string), `ell` (the longest stolen length)
-    and `blocks` (the daughter types the steal rules out)."""
+    witness, and C the mothers whose strings it steals: that mother, then the
+    sort-1 mothers above with smaller values.  Freezing sets `stolen` (mother
+    -> string), `ell` (the longest stolen length) and `blocks` (the daughter
+    types the steal rules out)."""
 
-    def __init__(self, i: int, x: int, C: list[Addr]) -> None:
+    def __init__(self, i: int, x: int, C: list[Node]) -> None:
         self.i = i
         self.x = x
         self.C = C
-        self.stolen: dict[Addr, NatString] | None = None
+        self.stolen: dict[Node, NatString] | None = None
         self.ell = 0
         self.blocks: set[ReqDaughter] = set()
 
@@ -304,7 +303,7 @@ def resolve_gamma(engine: Engine, node: Node) -> NatString:
     if provider is previous:
         # The outcome the previous daughter took here; it defined its string.
         return previous.state.sig[node.addr[len(previous.addr)]]
-    stolen = provider.state.stolen.get(theta.addr)
+    stolen = provider.state.stolen.get(theta)
     if stolen is None:
         raise GammaUnresolved(f"frozen {provider} holds nothing for this mother")
     return stolen
@@ -347,18 +346,15 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
             (nd for nd in path.mothers if nd.req.a == 1 and nd.state.v < i),
             key=lambda nd: nd.state.v,
         )
-        st = node.state = DiagonalizerState(
-            i, engine.alloc_witness(), [theta.addr] + [nd.addr for nd in others])
+        st = node.state = DiagonalizerState(i, engine.alloc_witness(), [theta] + others)
     if st.stolen is not None:
-        for psi_addr in st.C:
-            sort = engine.nodes[psi_addr].req.a
-            engine.grow(st.stolen[psi_addr], sort, s, chooser=node)
+        for psi in st.C:
+            engine.grow(st.stolen[psi], psi.req.a, s, chooser=node)
         return "1"
     functional: Functional = engine.cfg.functionals[req.e].functional
     below = node.addr + ("0",)
     candidates: list[list[tuple[int, tuple, str, NatString]]] = []
-    for psi_addr in st.C:
-        psi = engine.nodes[psi_addr]
+    for psi in st.C:
         want = (psi.req.r, psi.req.a)
         cands = []
         for nd in engine.nodes.values():
@@ -382,8 +378,7 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
             st.ell = max(len(p) for p in oracle)
             engine.enumerate_witness(st.x, s)
             engine.emit("ufreeze", s, node, st.x, st.ell)
-            for psi_addr, string in st.stolen.items():
-                psi = engine.nodes[psi_addr]
+            for psi, string in st.stolen.items():
                 r, a = psi.req.r, psi.req.a
                 low = path.coverage.get((r, a), 0)
                 st.blocks.update(ReqDaughter(r, n, a) for n in range(low + 1, len(string)))
@@ -404,8 +399,8 @@ def _c_pairs(engine: Engine, node: Node) -> list[tuple[NatString, int]]:
             pairs.add((nd.state.sig[node.addr[len(nd.addr)]], nd.req.a))
         elif isinstance(nd.req, ReqU) and node.addr[len(nd.addr)] == "1":
             # A diagonalizer takes its 1-outcome only once it has frozen.
-            for psi_addr, string in nd.state.stolen.items():
-                pairs.add((string, engine.nodes[psi_addr].req.a))
+            for psi, string in nd.state.stolen.items():
+                pairs.add((string, psi.req.a))
     return sorted(pairs)
 
 
@@ -454,9 +449,9 @@ def extract_paths(result: RunResult, tp_entries: list[TPEntry]) -> PathFamily:
             if (
                 isinstance(nd.req, ReqU)
                 and other.outcome == "1"
-                and node.addr in nd.state.stolen
+                and node in nd.state.stolen
             ):
-                pieces.append(nd.state.stolen[node.addr])
+                pieces.append(nd.state.stolen[node])
         pieces.sort(key=len)
         for shorter, longer in zip(pieces, pieces[1:]):
             if longer[: len(shorter)] != shorter:

@@ -170,14 +170,14 @@ class Engine:
         self.nodes: dict[Addr, Node] = {}
         self.trace: list[tuple] = []
         self.watermark = 0
-        self.chosen: dict[StringKey, list[tuple[Addr, int]]] = {}
+        # Per key, its (chooser, stage) choice records, one per chooser.
+        self.chosen: dict[StringKey, list[tuple[Node, int]]] = {}
         # Matcher outcome prefix addr + (token,) -> the keys chosen at or
         # below it.  A matcher's choosers are its descendants, which act only
         # after its first visit, so each choice is filed as it is recorded.
         self._below: dict[Addr, set[StringKey]] = {}
-        # Every string that has entered the slice, in ladder order, and when;
-        # and per stage, the strings entering then, in ladder order.
-        self.universe: list[NatString] = []
+        # Every string that has entered the slice, with its entry stage; and
+        # per stage, the strings entering then, in ladder order.
         self.entered: dict[NatString, int] = {}
         self._entering: dict[int, list[NatString]] = {}
         self.zprime: dict[int, int] = {}
@@ -249,10 +249,8 @@ class Engine:
         self.emit("grow", stage, sigma, sort, ev.pre_top)
         if chooser is not None:
             records = self.chosen.setdefault((sigma, sort), [])
-            # A chooser records its own address object, so identity settles
-            # the common case without comparing two deep addresses.
-            if not any(a is chooser.addr or a == chooser.addr for a, _ in records):
-                records.append((chooser.addr, stage))
+            if not any(c is chooser for c, _ in records):
+                records.append((chooser, stage))
                 self.emit("choose", stage, chooser, sigma, sort)
                 for anc in self.path_nodes(chooser.addr):
                     if isinstance(anc.req, ReqM):
@@ -268,12 +266,11 @@ class Engine:
     def _enter(self, sigma: NatString, stage: int) -> None:
         if sigma not in self.entered:
             self.entered[sigma] = stage
-            insort(self.universe, sigma, key=ladder_key)
             insort(self._entering.setdefault(stage, []), sigma, key=ladder_key)
 
     def universe_strings(self, s: int) -> list[NatString]:
         """The stage-s slice of omega^{<omega} in ladder order."""
-        return [t for t in self.universe if self.entered[t] <= s]
+        return sorted((t for t, e in self.entered.items() if e <= s), key=ladder_key)
 
     def entering(self, s: int) -> list[NatString]:
         """The strings that enter the slice at stage s, in ladder order."""

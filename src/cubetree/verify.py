@@ -10,6 +10,7 @@ approximation, and the trace invariant suite.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
@@ -28,6 +29,7 @@ from .structure import (
     Elem,
     NatString,
     Snapshot,
+    StringKey,
     UElem,
     UndefinedLabel,
     birth_stage,
@@ -489,7 +491,8 @@ def _check_n_sigma_definedness(result: RunResult, report: Report) -> None:
     """Labels are never retracted, so checking each string one stage after it
     enters, in (entry stage, ladder) order, finds the first stage lacking one."""
     bad = None
-    for sigma in sorted(result.universe, key=result.entered.__getitem__):
+    strings = result.universe_strings(result.horizon)
+    for sigma in sorted(strings, key=result.entered.__getitem__):
         s = result.entered[sigma] + 1
         if s > result.horizon:
             break
@@ -518,13 +521,12 @@ def _check_choice_discipline(result: RunResult, report: Report) -> None:
         if result.variant == "cc":
             bad = f"{format_string(sigma)} chosen twice"
             break
-        first_addr = records[0][0]
-        for addr, _stage in records[1:]:
-            node = result.nodes.get(addr)
-            if node is None or not isinstance(node.req, ReqU):
+        first = records[0][0]
+        for node, _stage in records[1:]:
+            if not isinstance(node.req, ReqU):
                 bad = f"{format_string(sigma)} re-chosen by a non-diagonalizer"
                 break
-            if first_addr[: len(addr) + 1] != addr + ("0",):
+            if first.addr[: len(node.addr) + 1] != node.addr + ("0",):
                 bad = f"{format_string(sigma)} stolen from outside the 0-subtree"
                 break
         if bad:
@@ -544,79 +546,60 @@ def _check_gamma_lengths(result: RunResult, report: Report) -> None:
     report.add("inherited-length", bad is None, bad or "")
 
 
-def _mnode_visit_data(result: RunResult):
-    """Per copy-matching node: the (stage, t, k0) triples of its visits."""
-    data: dict[Node, list[tuple[int, int, int]]] = {}
-    for ev in result.trace:
-        if ev[0] == "mstat":
-            _kind, s, node, t, k0, _k1, _bsize = ev
-            data.setdefault(node, []).append((s, t, k0))
-    return data
+def _token_at(node: Node, stage: int) -> str | None:
+    """The outcome node took at stage; None when it was not visited then."""
+    i = bisect_left(node.outcomes, (stage,))
+    if i < len(node.outcomes) and node.outcomes[i][0] == stage:
+        return node.outcomes[i][1]
+    return None
 
 
-def _recompute_B(result: RunResult, node: Node, stage: int, t: int, k0: int):
-    """Replay the responsibility set from choice records, as of the moment
-    the node was visited (stage paths put ancestors first)."""
-    addr = node.addr
-
-    def chosen_before(records) -> bool:
-        return any(
-            st < stage or (st == stage and len(a) < len(addr))
-            for a, st in records
-        )
-
-    def chosen_by_ext(records, prefix) -> bool:
-        return any(
-            a[: len(prefix)] == prefix
-            and (st < stage or (st == stage and len(a) < len(addr)))
-            for a, st in records
-        )
-
+def _replay_B(result: RunResult, m: Node, s: int, t: int, k0: int) -> set[StringKey]:
+    """B of matcher m at its stage-s visit, from m's t and k0 and the choice
+    records alone: every key whose string entered by stage t, less the keys
+    that a counting record leaves out.  A record (c, st) counts when st < s,
+    or st = s and c is shallower than m, since a stage path acts ancestors
+    first.  It leaves its key out when c is at or below m's finite outcome,
+    or when c is an ancestor that took the outcome towards m at st."""
+    addr = m.addr
     fin = addr + (str(k0),)
-    out = []
-    if result.variant == "cc":
-        for sigma in result.universe_strings(t):
-            records = result.chosen.get((sigma, None), [])
-            if any(len(a) < len(addr) and addr[: len(a)] == a and chosen_before([(a, st)])
-                   for a, st in records):
-                continue
-            if chosen_by_ext(records, fin):
-                continue
-            out.append((sigma, None))
-    else:
-        cpairs = set(node.state.C)
-        for sigma in result.universe_strings(t):
-            for a in (0, 1):
-                if (sigma, a) in cpairs:
-                    continue
-                records = result.chosen.get((sigma, a), [])
-                if chosen_by_ext(records, fin):
-                    continue
-                out.append((sigma, a))
-    return set(out)
+    left_out = set()
+    for key, records in result.chosen.items():
+        for c, st in records:
+            above = len(c.addr) < len(addr)
+            counts = st < s or st == s and above
+            if counts and (c.addr[:len(fin)] == fin or above and
+                           addr[:len(c.addr) + 1] == c.addr + (_token_at(c, st),)):
+                left_out.add(key)
+                break
+    keys = sorts(result.variant)
+    return {(sigma, sort) for sigma, e in result.entered.items() if e <= t
+            for sort in keys} - left_out
 
 
 def _check_b_sets(result: RunResult, report: Report) -> None:
-    inf_stages: dict[Node, set[int]] = {}
-    for ev in result.trace:
-        if ev[0] == "outcome" and ev[3].startswith("i"):
-            inf_stages.setdefault(ev[2], set()).add(ev[1])
+    """At each matcher visit (an `mstat` event) B is replayed: it must
+    contain B at the matcher's previous visit, and equal it unless the
+    matcher took an infinite outcome in between."""
+    last: dict[Node, tuple[int, set[StringKey]]] = {}
+    moved: set[Node] = set()
     bad_mono = None
     bad_eq = None
-    for node, visits in _mnode_visit_data(result).items():
-        if not isinstance(node.req, ReqM):
-            continue
-        prev = None
-        prev_stage = None
-        infs = inf_stages.get(node, set())
-        for stage, t, k0 in visits:
-            current = _recompute_B(result, node, stage, t, k0)
-            if prev is not None:
-                if not prev <= current:
-                    bad_mono = f"{node} between {prev_stage} and {stage}"
-                if not any(prev_stage <= q < stage for q in infs) and prev != current:
-                    bad_eq = f"{node} between {prev_stage} and {stage}"
-            prev, prev_stage = current, stage
+    for ev in result.trace:
+        if ev[0] == "outcome" and ev[3].startswith("i"):
+            moved.add(ev[2])
+        elif ev[0] == "mstat":
+            _kind, stage, node, t, k0, _k1, _bsize = ev
+            current = _replay_B(result, node, stage, t, k0)
+            if node in last:
+                prev_stage, prev = last[node]
+                where = f"{node} between {prev_stage} and {stage}"
+                if bad_mono is None and not prev <= current:
+                    bad_mono = where
+                if bad_eq is None and node not in moved and prev != current:
+                    bad_eq = where
+            last[node] = (stage, current)
+            moved.discard(node)
     report.add("responsibility-monotone", bad_mono is None, bad_mono or "")
     report.add("responsibility-stable", bad_eq is None, bad_eq or "")
 

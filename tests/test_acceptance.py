@@ -322,10 +322,9 @@ def test_criterion_8_diagonalization(dc_diag):
     assert x in result.zprime
     paths = dc.extract_paths(result, entries)
     oracle = []
-    for psi_addr in u_node.state.C:
-        psi = result.nodes[psi_addr]
+    for psi in u_node.state.C:
         prefix = (paths.f if psi.req.a == 0 else paths.g)[psi.state.v]
-        stolen = u_node.state.stolen[psi_addr]
+        stolen = u_node.state.stolen[psi]
         assert prefix[: len(stolen)] == stolen
         oracle.append(prefix)
     functional = result.cfg.functionals[u_node.req.e].functional

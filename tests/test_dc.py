@@ -218,7 +218,7 @@ def test_frozen_u_blocks_and_daughters_inherit():
     assert u_entry is not None and u_entry.outcome == "1"
     u_node = result.nodes[u_entry.addr]
     # stolen strings extend chains defined below the 0-outcome
-    for psi_addr, string in u_node.state.stolen.items():
+    for string in u_node.state.stolen.values():
         assert len(string) >= 3
     # no blocked daughter type above the 1-outcome
     blocked = u_node.state.blocks
@@ -230,8 +230,7 @@ def test_frozen_u_blocks_and_daughters_inherit():
     for node in nodes_of(result, ReqDaughter):
         if node.addr[: len(u_node.addr) + 1] != u_node.addr + ("1",):
             continue
-        for psi_addr, string in u_node.state.stolen.items():
-            psi = result.nodes[psi_addr]
+        for psi, string in u_node.state.stolen.items():
             if (node.req.r, node.req.a) == (psi.req.r, psi.req.a) \
                     and node.req.n == len(string):
                 for ev in result.trace:
@@ -255,11 +254,10 @@ def test_pair_steal_records_second_chooser():
     ]
     assert stolen_pairs
     for (sigma, sort), records in stolen_pairs:
-        first_addr = records[0][0]
-        for addr, _stage in records[1:]:
-            node = result.nodes[addr]
+        first = records[0][0]
+        for node, _stage in records[1:]:
             assert isinstance(node.req, ReqU)
-            assert first_addr[: len(addr) + 1] == addr + ("0",)
+            assert first.addr[: len(node.addr) + 1] == node.addr + ("0",)
 
 
 def test_matching_node_on_pairs_with_faithful_copy():
@@ -537,7 +535,7 @@ def walk_resolve_gamma(engine, node):
                 and node.addr[len(nd.addr)] == "1"):
             i = nd.state.i
             if (req.a == 0 and i == v_theta) or (req.a == 1 and i > v_theta):
-                stolen = nd.state.stolen.get(theta.addr)
+                stolen = nd.state.stolen.get(theta)
                 if stolen is None:
                     raise dc.GammaUnresolved(f"frozen {nd} holds nothing for this mother")
                 return nd, stolen

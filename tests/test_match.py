@@ -55,12 +55,12 @@ def test_children_index_matches_scan(pool, data, probes):
 # Engine.keys_chosen_below and match.responsibility_set replace.
 
 def chosen_by_extension_of(engine, sigma, sort, prefix):
-    return any(a[: len(prefix)] == prefix for a, _ in engine.chosen.get((sigma, sort), []))
+    return any(c.addr[: len(prefix)] == prefix for c, _ in engine.chosen.get((sigma, sort), []))
 
 
 def chosen_by_ancestor_of(engine, sigma, sort, addr):
-    return any(len(a) < len(addr) and addr[: len(a)] == a
-               for a, _ in engine.chosen.get((sigma, sort), []))
+    return any(len(c.addr) < len(addr) and addr[: len(c.addr)] == c.addr
+               for c, _ in engine.chosen.get((sigma, sort), []))
 
 
 def reference_B(engine, node, t, fin_token):

@@ -761,3 +761,253 @@ def test_definedness_agrees_with_the_slice_loop_on_a_dropped_cc_label(monkeypatc
     expected = reference_n_sigma_definedness(result)
     assert not expected[0]
     assert definedness(result) == expected
+
+
+# -- the responsibility replay, against the two-branch replay it replaces --------
+
+def reference_mnode_visit_data(result):
+    """Per copy-matching node: the (stage, t, k0) triples of its visits."""
+    data = {}
+    for ev in result.trace:
+        if ev[0] == "mstat":
+            _kind, s, node, t, k0, _k1, _bsize = ev
+            data.setdefault(node, []).append((s, t, k0))
+    return data
+
+
+def reference_recompute_B(result, node, stage, t, k0):
+    """B as the invariant suite replayed it before one rule served both
+    variants: a cc branch over ancestor and descendant choosers, and a dc
+    branch that takes C from the matcher's own state."""
+    addr = node.addr
+
+    def chosen_before(records):
+        return any(
+            st < stage or (st == stage and len(a) < len(addr))
+            for a, st in records
+        )
+
+    def chosen_by_ext(records, prefix):
+        return any(
+            a[: len(prefix)] == prefix
+            and (st < stage or (st == stage and len(a) < len(addr)))
+            for a, st in records
+        )
+
+    def addr_records(key):
+        return [(c.addr, st) for c, st in result.chosen.get(key, [])]
+
+    fin = addr + (str(k0),)
+    out = []
+    if result.variant == "cc":
+        for sigma in result.universe_strings(t):
+            records = addr_records((sigma, None))
+            if any(len(a) < len(addr) and addr[: len(a)] == a and chosen_before([(a, st)])
+                   for a, st in records):
+                continue
+            if chosen_by_ext(records, fin):
+                continue
+            out.append((sigma, None))
+    else:
+        cpairs = set(node.state.C)
+        for sigma in result.universe_strings(t):
+            for a in (0, 1):
+                if (sigma, a) in cpairs:
+                    continue
+                if chosen_by_ext(addr_records((sigma, a)), fin):
+                    continue
+                out.append((sigma, a))
+    return set(out)
+
+
+# Two mothers and three copies under one functional: matchers sit below a
+# frozen diagonalizer's 1-outcome, which no other sample run has.
+DC_UNDER_FROZEN = {
+    "variant": "dc", "horizon": 60,
+    "universe": {"rate": 50, "cap": 3, "f_rate": 80, "f_cap": 2},
+    "mothers": 2,
+    "phi": {"range": 10, "default": {"kind": "until", "s0": 12}},
+    "functionals": [{"mother": 0, "round": 1, "kind": "length_threshold",
+                     "min_len": 2, "value": 0}],
+    "adversaries": [{"kind": "faithful", "delay": 2}, {"kind": "faithful", "delay": 1},
+                    {"kind": "faithful", "delay": 3}],
+}
+
+
+def replay_run(name):
+    from cubetree.config import config_from_dict
+    from test_acceptance import CC_DEFECTIVE
+
+    if name == "cc_faithful@80":
+        return shipped_config("cc_faithful.json", 80)
+    if name == "CC_DEFECTIVE@100":
+        return config_from_dict(dict(CC_DEFECTIVE, horizon=100))
+    if name == "dc_diagonal@60":
+        return shipped_config("dc_diagonal.json", 60)
+    return config_from_dict(DC_UNDER_FROZEN)
+
+
+@pytest.mark.parametrize("name", [
+    "cc_faithful@80", "CC_DEFECTIVE@100", "dc_diagonal@60", "dc_under_frozen@60",
+])
+def test_replayed_B_equals_the_two_branch_replay_at_every_visit(name):
+    from cubetree.engine import ReqU
+    from cubetree.verify import _replay_B
+
+    result = run_stages(replay_run(name))
+    visits = 0
+    for node, rows in reference_mnode_visit_data(result).items():
+        for stage, t, k0 in rows:
+            assert _replay_B(result, node, stage, t, k0) \
+                == reference_recompute_B(result, node, stage, t, k0), (node, stage)
+            visits += 1
+    assert visits
+    if name == "dc_under_frozen@60":
+        frozen = [u for u in result.nodes.values()
+                  if isinstance(u.req, ReqU) and u.state.stolen is not None]
+        below = [m for m in reference_mnode_visit_data(result)
+                 if any(m.addr[: len(u.addr) + 1] == u.addr + ("1",) for u in frozen)]
+        assert below
+
+
+@pytest.mark.parametrize("config", [
+    cc_config(horizon=40, adversaries=[faithful(delay=1)]),
+    dc_config(horizon=40, mothers=2, adversaries=[faithful(delay=1)]),
+], ids=["cc", "dc"])
+def test_replay_leaves_out_keys_chosen_below_the_finite_outcome(config):
+    """Fresh strings are born after a matcher's t, so in the sample runs no
+    key of B is chosen below its finite outcome.  Two keys of B are chosen
+    there by hand, one the stage before a later visit and one at it: only
+    the first counts, since the chooser acts after the matcher."""
+    from cubetree.verify import _replay_B
+
+    result = run_stages(config)
+    node, rows = next(iter(reference_mnode_visit_data(result).items()))
+    _stage, t, k0 = rows[-1]
+    early, late = sorted(reference_recompute_B(result, node, _stage, t, k0))[:2]
+    s = result.horizon + 1
+    chooser = result.node_at(node.addr + (str(k0), "o"))
+    result.chosen.setdefault(early, []).append((chooser, s - 1))
+    result.chosen.setdefault(late, []).append((chooser, s))
+    B = _replay_B(result, node, s, t, k0)
+    assert B == reference_recompute_B(result, node, s, t, k0)
+    assert early not in B and late in B
+
+
+@pytest.mark.parametrize("config", [
+    cc_config(horizon=40, adversaries=[faithful(delay=2)]),
+    dc_config(horizon=60, mothers=2, adversaries=[faithful(delay=2)],
+              functionals=[{"mother": 0, "round": 3, "kind": "length_threshold",
+                            "min_len": 3, "value": 0}]),
+], ids=["cc", "dc"])
+def test_trace_invariants_read_no_matcher_state(config):
+    """The invariants check the matchers from the trace and the choice
+    records, so they pass with every matcher's own state gone."""
+    from cubetree.engine import ReqM
+
+    result = run_stages(config)
+    matchers = [n for n in result.nodes.values() if isinstance(n.req, ReqM)]
+    assert matchers
+    for node in matchers:
+        node.state = None
+    report = check_trace_invariants(result)
+    assert report.ok, report.failures()
+
+
+# -- negative controls: each corrupts a finished run minimally ---------------------
+
+def mstat_rows(result):
+    """Per matcher: the trace index of each of its mstat events."""
+    rows = {}
+    for i, ev in enumerate(result.trace):
+        if ev[0] == "mstat":
+            rows.setdefault(ev[2], []).append(i)
+    return rows
+
+
+def set_t(result, i, t):
+    ev = result.trace[i]
+    result.trace[i] = ev[:3] + (t,) + ev[4:]
+
+
+def lower_a_later_t(result):
+    """A visit's t drops to 0 after a visit whose B held strings."""
+    for node, rows in mstat_rows(result).items():
+        for i, j in zip(rows, rows[1:]):
+            _kind, stage, _node, t, k0, *_rest = result.trace[i]
+            if reference_recompute_B(result, node, stage, t, k0):
+                set_t(result, j, 0)
+                return
+
+
+def enter_between_finite_visits(result):
+    """Two visits with only a finite outcome between them keep t; raising
+    the later one's t to its stage lets the strings entered since join B."""
+    for node, rows in mstat_rows(result).items():
+        for i, j in zip(rows, rows[1:]):
+            first, then = result.trace[i], result.trace[j]
+            token = dict(node.outcomes)[first[1]]
+            if not token.startswith("i") and result.universe_strings(then[1]) \
+                    != result.universe_strings(then[3]):
+                set_t(result, j, then[1])
+                return
+
+
+def older_witness_later(result):
+    """A later xtau row for a key names an element older than its last one."""
+    last = {}
+    for ev in result.trace:
+        if ev[0] == "xtau" and ev[-1] is not None:
+            last[ev[2:-1]] = ev
+    for head, ev in last.items():
+        stream = result.adversaries[head[0].req.index].stream
+        older = [x for x in stream.elements(result.horizon)
+                 if (stream.age(x), x) < (stream.age(ev[-1]), ev[-1])]
+        if older:
+            result.trace.append(("xtau", result.horizon + 1, *head, older[0]))
+            return
+
+
+def choose_at_birth(result):
+    from cubetree.structure import birth_stage
+
+    for (sigma, _sort), records in result.chosen.items():
+        if sigma:
+            records[0] = (records[0][0], birth_stage(sigma))
+            return
+
+
+def second_record(result):
+    """A second chooser, the root, records the first chosen key."""
+    records = next(iter(result.chosen.values()))
+    records.append((result.nodes[()], records[0][1]))
+
+
+# Slow copies, so the matchers take finite outcomes; the second cc matcher
+# has a stability witness younger than the copy's oldest element.
+NEGATIVE_RUN = {
+    "cc": cc_config(horizon=30, adversaries=[faithful(delay=2), faithful(delay=1)]),
+    "dc": dc_config(horizon=40, mothers=2, adversaries=[faithful(delay=3)]),
+}
+
+
+@pytest.mark.parametrize("variant, corrupt, name", [
+    ("cc", lower_a_later_t, "responsibility-monotone"),
+    ("dc", lower_a_later_t, "responsibility-monotone"),
+    ("cc", enter_between_finite_visits, "responsibility-stable"),
+    ("dc", enter_between_finite_visits, "responsibility-stable"),
+    ("cc", older_witness_later, "witness-age-growth"),
+    ("dc", older_witness_later, "witness-age-growth"),
+    ("cc", choose_at_birth, "chosen-before-birth"),
+    ("dc", choose_at_birth, "chosen-before-birth"),
+    ("cc", second_record, "choose-once"),
+    ("dc", second_record, "steal-only-by-diagonalizer"),
+])
+def test_each_trace_invariant_fails_on_its_corruption(variant, corrupt, name):
+    result = run_stages(NEGATIVE_RUN[variant])
+    assert check_trace_invariants(result).ok
+    corrupt(result)
+    report = check_trace_invariants(result)
+    (row,) = [r for r in report.results if r.name == name]
+    assert not row.ok and row.locus, row
+    assert row.line().startswith(f"FAIL {name} (")
