@@ -243,7 +243,10 @@ def assign_type(engine: Engine, node: Node, s: int) -> Requirement:
             return req not in report["blocked"]
         return u_cleared or not isinstance(req, ReqU)
 
-    return engine.first_fit(allowed)
+    req = engine.first_fit(allowed)
+    if isinstance(req, ReqDaughter):
+        engine.daughters.setdefault((req.r, req.a), []).append(node)
+    return req
 
 
 def act(engine: Engine, node: Node, s: int) -> str:
@@ -355,13 +358,8 @@ def act_U(engine: Engine, node: Node, s: int) -> str:
     below = node.addr + ("0",)
     candidates: list[list[tuple[int, tuple, str, NatString]]] = []
     for psi in st.C:
-        want = (psi.req.r, psi.req.a)
         cands = []
-        for nd in engine.nodes.values():
-            if not isinstance(nd.req, ReqDaughter):
-                continue
-            if (nd.req.r, nd.req.a) != want:
-                continue
+        for nd in engine.daughters.get((psi.req.r, psi.req.a), ()):
             if nd.addr[: len(below)] != below:
                 continue
             for token, string in sorted(nd.state.sig.items()):

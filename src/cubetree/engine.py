@@ -10,8 +10,9 @@ through the variant hooks.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from itertools import count
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 from .adversary import Adversary, FaithfulGenerator, stream_from_lines
@@ -129,6 +130,97 @@ class Node:
         return format_addr(self.addr)
 
 
+class Trace:
+    """The run's events in order.  `records` is the list `Engine.emit`
+    appends to: one event per record, except that each Idle tail is the one
+    record ("tail", s, R, k).  At stage s the stage path ends in the chain
+    R, R/o, R/o/o, ... of `chains[R]`, down to depth s; each chain node has a
+    visit and an "o" outcome event, preceded by its typed event from chain
+    offset k on.  Iterating yields the events with every tail expanded over
+    its chain nodes, and len counts those events."""
+
+    def __init__(self) -> None:
+        self.records: list[tuple] = []
+        # Per tail head R, its chain of Idle nodes, R first.
+        self.chains: dict[Node, list[Node]] = {}
+        # Per tail record: (index of its first event, its record index).
+        self._tails: list[tuple[int, int]] = []
+        # The events the tail records hold beyond one each.
+        self._extra = 0
+
+    def add_tail(self, s: int, head: Node, k: int) -> None:
+        self._tails.append((len(self), len(self.records)))
+        self.records.append(("tail", s, head, k))
+        self._extra += _tail_size(s, head, k) - 1
+
+    def __len__(self) -> int:
+        return len(self.records) + self._extra
+
+    def __iter__(self):
+        for rec in self.records:
+            if rec[0] != "tail":
+                yield rec
+                continue
+            _kind, s, head, k = rec
+            for j, node in enumerate(self.chains[head][:s - len(head.addr) + 1]):
+                if j >= k:
+                    yield ("typed", s, node, node.label)
+                yield ("visit", s, node, node.label)
+                yield ("outcome", s, node, "o")
+
+    def lines(self, lo: int, hi: int | None) -> list[str]:
+        """The text lines of events [lo:hi].  Each node's address text is
+        built once per call; a tail's lines extend its head's text by "/o"
+        per chain step."""
+        lo, hi, _ = slice(lo, hi).indices(len(self))
+        texts: dict[int, str] = {}
+        if not self._tails:
+            return [format_event(ev, texts) for ev in self.records[lo:hi]]
+        # The record holding event lo, and lo's offset in it.
+        i = bisect_right(self._tails, lo, key=itemgetter(0)) - 1
+        r, offset = lo, 0
+        if i >= 0:
+            first, r = self._tails[i]
+            offset, size = lo - first, _tail_size(*self.records[r][1:])
+            if offset >= size:
+                r, offset = r + 1 + offset - size, 0
+        out: list[str] = []
+        while len(out) < hi - lo:
+            rec = self.records[r]
+            if rec[0] == "tail":
+                out += _tail_lines(rec, offset, offset + hi - lo - len(out))
+            else:
+                out.append(format_event(rec, texts))
+            r, offset = r + 1, 0
+        return out
+
+
+def _tail_size(s: int, head: Node, k: int) -> int:
+    """The events of a tail record: a visit and an outcome per chain node
+    down to depth s, and a typed event from offset k on."""
+    return 3 * (s - len(head.addr) + 1) - k
+
+
+def _tail_lines(rec: tuple, a: int, b: int) -> list[str]:
+    """The text lines of events [a:b] of a tail record.  Chain node j's
+    events start at offset 2j before k and at 2k + 3(j - k) from k on."""
+    _kind, s, head, k = rec
+    first = a // 2 if a < 2 * k else k + (a - 2 * k) // 3
+    start = 2 * first if first < k else 2 * k + 3 * (first - k)
+    stem = format_addr(head.addr) if head.addr else ""
+    label = head.label
+    lines: list[str] = []
+    for j in range(first, s - len(head.addr) + 1):
+        if len(lines) >= b - start:
+            break
+        text = stem + "/o" * j or "/"
+        if j >= k:
+            lines.append(f"typed {s} {text} {label}")
+        lines.append(f"visit {s} {text} {label}")
+        lines.append(f"outcome {s} {text} o")
+    return lines[a - start:b - start]
+
+
 class PathIndex:
     """The current stage path, kept as the stage loop descends: its nodes in
     order, each node by its requirement, and what the two-sorted typing reads
@@ -168,7 +260,7 @@ class Engine:
         self.schedule: UniverseSchedule = config.universe
         self.store = LabelStore(variant=self.variant)
         self.nodes: dict[Addr, Node] = {}
-        self.trace: list[tuple] = []
+        self.trace = Trace()
         self.watermark = 0
         # Per key, its (chooser, stage) choice records, one per chooser.
         self.chosen: dict[StringKey, list[tuple[Node, int]]] = {}
@@ -181,6 +273,8 @@ class Engine:
         self.entered: dict[NatString, int] = {}
         self._entering: dict[int, list[NatString]] = {}
         self.zprime: dict[int, int] = {}
+        # Per (slot, sort), the daughter nodes in typing order.
+        self.daughters: dict[tuple[int, int], list[Node]] = {}
         self._witness_next = config.witness_base
         self.path = PathIndex()
         if self.variant == "cc":
@@ -212,7 +306,7 @@ class Engine:
     # -- primitives used by the strategy modules ---------------------------
 
     def emit(self, *event) -> None:
-        self.trace.append(tuple(event))
+        self.trace.records.append(event)
 
     def mention(self, n: int) -> None:
         if n > self.watermark:
@@ -319,9 +413,14 @@ class Engine:
             self.path = PathIndex()
             for depth in range(s + 1):
                 node = self.node_at(addr)
-                if node.req is None:
+                typed = node.req is None
+                if typed:
                     node.req = self.strat.assign_type(self, node, s)
                     node.label = req_label(node.req)
+                if isinstance(node.req, ReqIdle):
+                    self._visit_tail(node, s)
+                    break
+                if typed:
                     self.emit("typed", s, node, node.label)
                 self.emit("visit", s, node, node.label)
                 token = self.strat.act(self, node, s)
@@ -334,6 +433,27 @@ class Engine:
             for gen in self._generators:
                 gen.ingest(s, self)
         return self
+
+    def _visit_tail(self, head: Node, s: int) -> None:
+        """Visit the Idle tail from head down to depth s as one trace record.
+        Each chain node is built on its first visit with head's requirement
+        and label, untyped by `assign_type`.  That is exact: `first_fit`
+        returns Idle only once a finite order has run out with every
+        requirement on the path, and a descendant's path holds its
+        ancestor's.  An Idle node holds no state and takes "o"."""
+        chain = self.trace.chains.setdefault(head, [])
+        k = len(chain)
+        if not chain:
+            chain.append(head)
+        for _offset in range(len(chain), s - len(head.addr) + 1):
+            node = Node(chain[-1].addr + ("o",))
+            node.req, node.label = head.req, head.label
+            self.nodes[node.addr] = node
+            chain.append(node)
+        visit = (s, "o")
+        for node in chain:
+            node.outcomes.append(visit)
+        self.trace.add_tail(s, head, k)
 
     # -- the finished run ---------------------------------------------------
 
@@ -350,10 +470,8 @@ class Engine:
         )
 
     def trace_lines(self, lo: int = 0, hi: int | None = None) -> list[str]:
-        """The text lines of the trace events [lo:hi].  Each node's address
-        text is built once per call."""
-        texts: dict[int, str] = {}
-        return [format_event(ev, texts) for ev in self.trace[lo:hi]]
+        """The text lines of the trace events [lo:hi], Idle tails expanded."""
+        return self.trace.lines(lo, hi)
 
 
 # A finished run is its engine.
@@ -433,7 +551,12 @@ def check_left_kill(trace: list[tuple]) -> tuple[bool, str | None]:
     has been visited in between.  Siblings share their parent, so this reads
     each node's outcome events: taking token t at stage s visits the child
     addr + (t,) unless the node is the bottom of the stage path (depth s).
-    A child is killed when its parent takes a token left of it."""
+    A child is killed when its parent takes a token left of it.
+
+    Given `Trace.records`, it skips each Idle tail whole, which is exact: a
+    chain node only ever takes "o", so inside the chain nothing kills or is
+    killed, and the head's own position is checked by its parent's outcome
+    records."""
     last: dict[Node, str] = {}
     # Nodes that have taken two tokens or more: the live tokens with their
     # keys, and the killed ones.

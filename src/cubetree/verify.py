@@ -476,8 +476,12 @@ def bf_equiv(
 # Trace invariant suite.
 
 def check_trace_invariants(result: RunResult) -> Report:
+    """The trace checks scan `result.trace.records`, each Idle tail one
+    record, which is exact: an Idle node holds no state and takes "o", so a
+    tail holds no mstat, xtau or gamma event and no infinite outcome, and
+    left-kill (`check_left_kill`) needs none of its events."""
     report = Report()
-    ok, locus = check_left_kill(result.trace)
+    ok, locus = check_left_kill(result.trace.records)
     report.add("left-kill", ok, locus or "")
     _check_n_sigma_definedness(result, report)
     _check_choice_discipline(result, report)
@@ -537,7 +541,7 @@ def _check_choice_discipline(result: RunResult, report: Report) -> None:
 
 def _check_gamma_lengths(result: RunResult, report: Report) -> None:
     bad = None
-    for ev in result.trace:
+    for ev in result.trace.records:
         if ev[0] == "gamma":
             _kind, _s, _addr, gamma, n = ev
             if len(gamma) != n:
@@ -585,7 +589,7 @@ def _check_b_sets(result: RunResult, report: Report) -> None:
     moved: set[Node] = set()
     bad_mono = None
     bad_eq = None
-    for ev in result.trace:
+    for ev in result.trace.records:
         if ev[0] == "outcome" and ev[3].startswith("i"):
             moved.add(ev[2])
         elif ev[0] == "mstat":
@@ -608,7 +612,7 @@ def _check_witness_ages(result: RunResult, report: Report) -> None:
     """Successive defined, unequal stability witnesses must get younger."""
     bad = None
     per_key: dict[tuple, list[tuple[int, int]]] = {}
-    for ev in result.trace:
+    for ev in result.trace.records:
         if ev[0] != "xtau":
             continue
         # A single-sorted event omits the sort.

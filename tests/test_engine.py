@@ -403,7 +403,7 @@ def test_left_kill_matches_the_reference_on_generated_paths(sample_run):
     """On a run's own trace, and with an early stage replayed after the last
     one, which revisits killed nodes.  The replayed stage's outcome events
     are built from its consecutive addresses, as the stage loop takes them."""
-    trace = sample_run.trace
+    trace = list(sample_run.trace)
     paths = reference_stage_paths(trace)
     assert check_left_kill(trace) == reference_check_left_kill(paths) \
         == trie_check_left_kill(paths) == (True, None)
@@ -470,3 +470,140 @@ def test_typed_and_visit_events_carry_the_requirement_label(sample_run):
     for entry in entries:
         assert entry.label == req_label(result.nodes[entry.addr].req)
         assert entry.label is result.nodes[entry.addr].label
+
+
+# -- Idle tails against the stage loop that visited every depth ---------------------
+
+def reference_run(engine):
+    """Engine.run as it stood before Idle tails: every depth of every stage
+    path is typed through assign_type, acted on and pushed, one record per
+    event."""
+    from cubetree.engine import PathIndex
+
+    for s in range(1, engine.horizon + 1):
+        engine.mention(s)
+        engine.emit("stage", s)
+        engine.emit("window", s, engine.schedule.width(s), engine.schedule.f_width(s))
+        for sigma in engine.schedule.base_strings(s):
+            engine._enter(sigma, s)
+        addr = ()
+        engine.path = PathIndex()
+        for _depth in range(s + 1):
+            node = engine.node_at(addr)
+            if node.req is None:
+                node.req = engine.strat.assign_type(engine, node, s)
+                node.label = req_label(node.req)
+                engine.emit("typed", s, node, node.label)
+            engine.emit("visit", s, node, node.label)
+            token = engine.strat.act(engine, node, s)
+            node.outcomes.append((s, token))
+            engine.emit("outcome", s, node, token)
+            engine.path.push(node, token)
+            addr = addr + (token,)
+        engine.path = PathIndex()
+        engine.strat.act_G(engine, s)
+        for gen in engine._generators:
+            gen.ingest(s, engine)
+    return engine
+
+
+def by_address(ev):
+    return tuple(p.addr if isinstance(p, Node) else p for p in ev)
+
+
+def tail_runs():
+    from test_acceptance import CC_DEFECTIVE
+
+    return [
+        ("cc_faithful@80", dict(shipped("cc_faithful.json"), horizon=80)),
+        ("CC_DEFECTIVE@100", dict(CC_DEFECTIVE, horizon=100)),
+        ("cc_no_copy@60", dict(shipped("cc_faithful.json"), horizon=60, adversaries=[])),
+        ("dc_diagonal@40", dict(DC_DIAGONAL, horizon=40)),
+    ]
+
+
+@pytest.mark.parametrize("data", [d for _n, d in tail_runs()],
+                         ids=[n for n, _d in tail_runs()])
+def test_idle_tails_expand_to_the_reference_trace(data):
+    """A tail record expands to the events the per-depth loop emitted, the
+    lines written from it equal theirs over any bounds, and every node holds
+    the same requirement, label and outcomes.  Left-kill gives one verdict on
+    the records and on the expanded events."""
+    config = config_from_dict(data)
+    result = run_stages(config)
+    ref = reference_run(Engine(config))
+    events = list(result.trace)
+    assert len(result.trace) == len(events) == len(ref.trace.records)
+    assert [by_address(ev) for ev in events] == [by_address(ev) for ev in ref.trace.records]
+    lines = result.trace_lines()
+    assert lines == ref.trace_lines()
+    tails = [i for i, rec in enumerate(result.trace.records) if rec[0] == "tail"]
+    assert bool(tails) == (config.variant == "cc")
+    # Each tail's events are one run of Idle events after its parent's outcome.
+    idle = [len(ev) > 2 and isinstance(ev[2], Node) and isinstance(ev[2].req, ReqIdle)
+            for ev in events]
+    starts = [i for i in range(1, len(events)) if idle[i] and not idle[i - 1]]
+    assert len(starts) == len(tails)
+    # Bounds at a tail's start and inside it, ending inside it, past its end
+    # and past later tails; then chunks as the artifact writer takes them.
+    for start in starts[::5]:
+        for lo in (start, start + 1, start + 4):
+            for hi in (lo + 1, lo + 7, lo + 300, lo + 2000):
+                assert result.trace_lines(lo, hi) == lines[lo:hi], (lo, hi)
+    for lo in range(0, len(events), 1024):
+        assert result.trace_lines(lo, lo + 1024) == lines[lo:lo + 1024], lo
+    assert result.trace_lines(len(events) - 3) == lines[-3:]
+    assert result.trace_lines(5, 5) == []
+    assert result.nodes.keys() == ref.nodes.keys()
+    for addr, node in ref.nodes.items():
+        ours = result.nodes[addr]
+        assert (ours.req, ours.label, ours.outcomes) == (node.req, node.label, node.outcomes), addr
+    assert check_left_kill(result.trace.records) == check_left_kill(events) \
+        == check_left_kill(ref.trace.records) == (True, None)
+
+
+def test_stage_loop_records_grow_slower_than_the_trace():
+    """On CC_FAITHFUL from h=100 to h=200 the trace records grow 2.1x while
+    the events they expand to grow 3.8x, as the stage paths deepen: an Idle
+    tail is one record, however deep it reaches."""
+    from test_acceptance import CC_FAITHFUL
+
+    records, events = [], []
+    for horizon in (100, 200):
+        result = run_stages(config_from_dict(dict(CC_FAITHFUL, horizon=horizon)))
+        assert len(result.trace) == len(result.trace_lines())
+        records.append(len(result.trace.records))
+        events.append(len(result.trace))
+    assert records[1] <= 2.5 * records[0], records
+    assert events[1] >= 3.5 * events[0], events
+
+
+def prefix_runs():
+    from test_acceptance import CC_DEFECTIVE, CC_FAITHFUL, DC_DIAG, DC_MODULUS
+
+    return [
+        ("cc_faithful 40/80", shipped("cc_faithful.json"), 40, 80),
+        ("dc_diagonal 40/70", DC_DIAGONAL, 40, 70),
+        ("CC_FAITHFUL 80/130", CC_FAITHFUL, 80, 130),
+        ("CC_DEFECTIVE 60/100", CC_DEFECTIVE, 60, 100),
+        ("DC_MODULUS 60/120", DC_MODULUS, 60, 120),
+        ("DC_DIAG 60/100", DC_DIAG, 60, 100),
+    ]
+
+
+@pytest.mark.parametrize("data, short_h, long_h", [r[1:] for r in prefix_runs()],
+                         ids=[r[0] for r in prefix_runs()])
+def test_a_run_is_a_prefix_of_every_longer_run(data, short_h, long_h):
+    """Stage s acts only on what stages before it made, so the run at
+    horizon h is a prefix of the run at any h' > h: its trace lines and each
+    copy's fact lines, and its snapshot is the longer run's at stage h.  A
+    tail's depth is bounded by its stage, never by the horizon."""
+    short = run_stages(config_from_dict(dict(data, horizon=short_h)))
+    long = run_stages(config_from_dict(dict(data, horizon=long_h)))
+    lines = short.trace_lines()
+    assert long.trace_lines(0, len(lines)) == lines
+    assert len(long.trace) > len(lines)
+    for ours, theirs in zip(short.adversaries, long.adversaries, strict=True):
+        facts = list(ours.stream.to_lines())
+        assert list(theirs.stream.to_lines())[:len(facts)] == facts
+    assert long.snapshot(short_h).dump_lines() == short.snapshot().dump_lines()

@@ -267,10 +267,10 @@ def test_matcher_agrees_with_the_plain_matcher_at_every_visit(name, monkeypatch)
         events = []
         ref_token, ref_B = reference_visit(engine, node, s, start, shadow,
                                            lambda *ev: events.append(ev))
-        mark = len(engine.trace)
+        mark = len(engine.trace.records)
         token = real_act(engine, node, s)
         assert seen.pop("B") == ref_B, (s, str(node))
-        assert engine.trace[mark:] == events, (s, str(node))
+        assert engine.trace.records[mark:] == events, (s, str(node))
         assert token == ref_token, (s, str(node))
         counts["visits"] += 1
         counts["fails"] += events[-1][0] == "mfail"

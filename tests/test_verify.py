@@ -215,7 +215,7 @@ def test_trace_invariants_catch_corruption():
     config = cc_config(horizon=20, adversaries=[faithful(delay=1)])
     result = run_stages(config)
     # corrupt a gamma-style event: inject a daughter length mismatch
-    result.trace.append(("gamma", 21, "/o", (1, 2, 3), 7))
+    result.trace.records.append(("gamma", 21, "/o", (1, 2, 3), 7))
     report = check_trace_invariants(result)
     assert not report.ok
     names = {r.name for r in report.failures()}
@@ -917,24 +917,24 @@ def test_trace_invariants_read_no_matcher_state(config):
 # -- negative controls: each corrupts a finished run minimally ---------------------
 
 def mstat_rows(result):
-    """Per matcher: the trace index of each of its mstat events."""
+    """Per matcher: the trace record index of each of its mstat events."""
     rows = {}
-    for i, ev in enumerate(result.trace):
+    for i, ev in enumerate(result.trace.records):
         if ev[0] == "mstat":
             rows.setdefault(ev[2], []).append(i)
     return rows
 
 
 def set_t(result, i, t):
-    ev = result.trace[i]
-    result.trace[i] = ev[:3] + (t,) + ev[4:]
+    ev = result.trace.records[i]
+    result.trace.records[i] = ev[:3] + (t,) + ev[4:]
 
 
 def lower_a_later_t(result):
     """A visit's t drops to 0 after a visit whose B held strings."""
     for node, rows in mstat_rows(result).items():
         for i, j in zip(rows, rows[1:]):
-            _kind, stage, _node, t, k0, *_rest = result.trace[i]
+            _kind, stage, _node, t, k0, *_rest = result.trace.records[i]
             if reference_recompute_B(result, node, stage, t, k0):
                 set_t(result, j, 0)
                 return
@@ -945,7 +945,7 @@ def enter_between_finite_visits(result):
     the later one's t to its stage lets the strings entered since join B."""
     for node, rows in mstat_rows(result).items():
         for i, j in zip(rows, rows[1:]):
-            first, then = result.trace[i], result.trace[j]
+            first, then = result.trace.records[i], result.trace.records[j]
             token = dict(node.outcomes)[first[1]]
             if not token.startswith("i") and result.universe_strings(then[1]) \
                     != result.universe_strings(then[3]):
@@ -956,7 +956,7 @@ def enter_between_finite_visits(result):
 def older_witness_later(result):
     """A later xtau row for a key names an element older than its last one."""
     last = {}
-    for ev in result.trace:
+    for ev in result.trace.records:
         if ev[0] == "xtau" and ev[-1] is not None:
             last[ev[2:-1]] = ev
     for head, ev in last.items():
@@ -964,7 +964,7 @@ def older_witness_later(result):
         older = [x for x in stream.elements(result.horizon)
                  if (stream.age(x), x) < (stream.age(ev[-1]), ev[-1])]
         if older:
-            result.trace.append(("xtau", result.horizon + 1, *head, older[0]))
+            result.trace.records.append(("xtau", result.horizon + 1, *head, older[0]))
             return
 
 
