@@ -11,7 +11,7 @@ through the variant hooks.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from itertools import count
+from itertools import count, islice
 from operator import itemgetter
 from typing import Any, NamedTuple
 
@@ -151,74 +151,60 @@ class Trace:
     def add_tail(self, s: int, head: Node, k: int) -> None:
         self._tails.append((len(self), len(self.records)))
         self.records.append(("tail", s, head, k))
-        self._extra += _tail_size(s, head, k) - 1
+        # Three events per chain node down to depth s, less the k typed
+        # events written at earlier stages.
+        self._extra += 3 * (s - len(head.addr) + 1) - k - 1
 
     def __len__(self) -> int:
         return len(self.records) + self._extra
 
     def __iter__(self):
         for rec in self.records:
-            if rec[0] != "tail":
+            if rec[0] == "tail":
+                yield from self._tail(rec)
+            else:
                 yield rec
-                continue
-            _kind, s, head, k = rec
-            for j, node in enumerate(self.chains[head][:s - len(head.addr) + 1]):
-                if j >= k:
-                    yield ("typed", s, node, node.label)
-                yield ("visit", s, node, node.label)
-                yield ("outcome", s, node, "o")
+
+    def _tail(self, rec: tuple):
+        """The events of tail record rec, in order."""
+        _kind, s, head, k = rec
+        for j, node in enumerate(self.chains[head][:s - len(head.addr) + 1]):
+            if j >= k:
+                yield ("typed", s, node, node.label)
+            yield ("visit", s, node, node.label)
+            yield ("outcome", s, node, "o")
 
     def lines(self, lo: int, hi: int | None) -> list[str]:
-        """The text lines of events [lo:hi].  Each node's address text is
-        built once per call; a tail's lines extend its head's text by "/o"
-        per chain step."""
+        """The text lines of events [lo:hi]."""
         lo, hi, _ = slice(lo, hi).indices(len(self))
+        if hi <= lo:
+            return []
+        # Start at the last tail beginning at or before lo; before the first
+        # tail, record and event indices agree.
+        i = bisect_right(self._tails, lo, key=itemgetter(0))
+        first, r = self._tails[i - 1] if i else (lo, lo)
+        return list(islice(self._lines(r), lo - first, hi - first))
+
+    def _lines(self, r: int):
+        """The text lines of records r on.  Each node's address text is
+        built once; a chain node's is its head's text plus "/o" per chain
+        step.  A tail event is (kind, stage, node, str), so its line is
+        written directly: `format_event`'s per-field dispatch costs twice
+        as much on the tail events that make up most of a cc trace."""
+        records = self.records
         texts: dict[int, str] = {}
-        if not self._tails:
-            return [format_event(ev, texts) for ev in self.records[lo:hi]]
-        # The record holding event lo, and lo's offset in it.
-        i = bisect_right(self._tails, lo, key=itemgetter(0)) - 1
-        r, offset = lo, 0
-        if i >= 0:
-            first, r = self._tails[i]
-            offset, size = lo - first, _tail_size(*self.records[r][1:])
-            if offset >= size:
-                r, offset = r + 1 + offset - size, 0
-        out: list[str] = []
-        while len(out) < hi - lo:
-            rec = self.records[r]
-            if rec[0] == "tail":
-                out += _tail_lines(rec, offset, offset + hi - lo - len(out))
-            else:
-                out.append(format_event(rec, texts))
-            r, offset = r + 1, 0
-        return out
-
-
-def _tail_size(s: int, head: Node, k: int) -> int:
-    """The events of a tail record: a visit and an outcome per chain node
-    down to depth s, and a typed event from offset k on."""
-    return 3 * (s - len(head.addr) + 1) - k
-
-
-def _tail_lines(rec: tuple, a: int, b: int) -> list[str]:
-    """The text lines of events [a:b] of a tail record.  Chain node j's
-    events start at offset 2j before k and at 2k + 3(j - k) from k on."""
-    _kind, s, head, k = rec
-    first = a // 2 if a < 2 * k else k + (a - 2 * k) // 3
-    start = 2 * first if first < k else 2 * k + 3 * (first - k)
-    stem = format_addr(head.addr) if head.addr else ""
-    label = head.label
-    lines: list[str] = []
-    for j in range(first, s - len(head.addr) + 1):
-        if len(lines) >= b - start:
-            break
-        text = stem + "/o" * j or "/"
-        if j >= k:
-            lines.append(f"typed {s} {text} {label}")
-        lines.append(f"visit {s} {text} {label}")
-        lines.append(f"outcome {s} {text} o")
-    return lines[a - start:b - start]
+        for i in range(r, len(records)):
+            rec = records[i]
+            if rec[0] != "tail":
+                yield format_event(rec, texts)
+                continue
+            _kind, s, head, _k = rec
+            stem = format_addr(head.addr) if head.addr else ""
+            for j, node in enumerate(self.chains[head][:s - len(head.addr) + 1]):
+                if id(node) not in texts:
+                    texts[id(node)] = stem + "/o" * j or "/"
+            for kind, _s, node, last in self._tail(rec):
+                yield f"{kind} {s} {texts[id(node)]} {last}"
 
 
 class PathIndex:

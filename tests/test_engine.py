@@ -544,16 +544,18 @@ def test_idle_tails_expand_to_the_reference_trace(data):
             for ev in events]
     starts = [i for i in range(1, len(events)) if idle[i] and not idle[i - 1]]
     assert len(starts) == len(tails)
-    # Bounds at a tail's start and inside it, ending inside it, past its end
-    # and past later tails; then chunks as the artifact writer takes them.
+    # Bounds just before a tail, at its start and inside it, ending inside
+    # it, past its end and past later tails; then chunks as the artifact
+    # writer takes them.
     for start in starts[::5]:
-        for lo in (start, start + 1, start + 4):
+        for lo in (start - 1, start, start + 1, start + 4):
             for hi in (lo + 1, lo + 7, lo + 300, lo + 2000):
                 assert result.trace_lines(lo, hi) == lines[lo:hi], (lo, hi)
     for lo in range(0, len(events), 1024):
         assert result.trace_lines(lo, lo + 1024) == lines[lo:lo + 1024], lo
     assert result.trace_lines(len(events) - 3) == lines[-3:]
     assert result.trace_lines(5, 5) == []
+    assert result.trace_lines(9, 4) == []
     assert result.nodes.keys() == ref.nodes.keys()
     for addr, node in ref.nodes.items():
         ours = result.nodes[addr]
