@@ -69,9 +69,10 @@ def _chunks(blocks):
 def artifact_texts(result: RunResult):
     """(file name, text chunks) of each artifact of a run.  Each chunk is
     formatted as it is read: CHUNK_LINES trace events or snapshot rows, and
-    meta.json whole."""
-    yield "trace.log", _chunks(result.trace_lines(lo, lo + CHUNK_LINES)
-                               for lo in range(0, len(result.trace), CHUNK_LINES))
+    meta.json whole.  Each text file's chunks are cut from one line pass, so
+    its text cache serves the whole file."""
+    lines = result.trace.lines()
+    yield "trace.log", _chunks(iter(lambda: list(islice(lines, CHUNK_LINES)), []))
     snap = result.snapshot()
     rows, texts = snap.declarations(), {}
     yield "snapshot.log", _chunks(
@@ -121,15 +122,15 @@ SUITES = ("invariants", "labeling", "isomorphism", "image-tree")
 
 def run_suite(result: RunResult, suite: str) -> verify_mod.Report:
     report = verify_mod.Report()
-    entries = _tp(result)
     if suite == "invariants":
         return verify_mod.check_trace_invariants(result)
     if suite == "labeling":
         s0 = max(1, result.horizon // 2)
-        return verify_mod.check_labeling(result, entries, s0, result.horizon)
+        return verify_mod.check_labeling(result, _tp(result), s0, result.horizon)
     if suite == "isomorphism":
         if result.variant != "cc":
             return report
+        entries = _tp(result)
         for idx, adv in enumerate(result.adversaries):
             if not adv.to_ground:
                 continue
@@ -149,7 +150,7 @@ def run_suite(result: RunResult, suite: str) -> verify_mod.Report:
     if suite == "image-tree":
         if result.variant != "cc":
             return report
-        q = cc_mod.compute_Q(result, entries)
+        q = cc_mod.compute_Q(result, _tp(result))
         report.add("image-is-tree", q.check_tree())
         return report
     raise ConfigError(f"unknown suite {suite!r}")

@@ -10,9 +10,8 @@ through the variant hooks.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from itertools import count, islice
-from operator import itemgetter
 from typing import Any, NamedTuple
 
 from .adversary import Adversary, FaithfulGenerator, stream_from_lines
@@ -137,19 +136,19 @@ class Trace:
     R, R/o, R/o/o, ... of `chains[R]`, down to depth s; each chain node has a
     visit and an "o" outcome event, preceded by its typed event from chain
     offset k on.  Iterating yields the events with every tail expanded over
-    its chain nodes, and len counts those events."""
+    its chain nodes, and len counts those events.  `lines` writes them in
+    one pass, whose text cache is keyed by object id and lives as long as
+    the pass: the records hold every node and string it caches, so no id is
+    reused while the cache is alive."""
 
     def __init__(self) -> None:
         self.records: list[tuple] = []
         # Per tail head R, its chain of Idle nodes, R first.
         self.chains: dict[Node, list[Node]] = {}
-        # Per tail record: (index of its first event, its record index).
-        self._tails: list[tuple[int, int]] = []
         # The events the tail records hold beyond one each.
         self._extra = 0
 
     def add_tail(self, s: int, head: Node, k: int) -> None:
-        self._tails.append((len(self), len(self.records)))
         self.records.append(("tail", s, head, k))
         # Three events per chain node down to depth s, less the k typed
         # events written at earlier stages.
@@ -174,37 +173,40 @@ class Trace:
             yield ("visit", s, node, node.label)
             yield ("outcome", s, node, "o")
 
-    def lines(self, lo: int, hi: int | None) -> list[str]:
-        """The text lines of events [lo:hi]."""
-        lo, hi, _ = slice(lo, hi).indices(len(self))
-        if hi <= lo:
-            return []
-        # Start at the last tail beginning at or before lo; before the first
-        # tail, record and event indices agree.
-        i = bisect_right(self._tails, lo, key=itemgetter(0))
-        first, r = self._tails[i - 1] if i else (lo, lo)
-        return list(islice(self._lines(r), lo - first, hi - first))
+    def lines(self):
+        """The text lines of every event, in order, in one pass over the
+        records.  One `format_event` cache serves the whole pass, so each
+        node's address and each string is formatted once.
 
-    def _lines(self, r: int):
-        """The text lines of records r on.  Each node's address text is
-        built once; a chain node's is its head's text plus "/o" per chain
-        step.  A tail event is (kind, stage, node, str), so its line is
-        written directly: `format_event`'s per-field dispatch costs twice
-        as much on the tail events that make up most of a cc trace."""
-        records = self.records
+        A tail line is written from its chain node's text, its head's text
+        plus "/o" per chain step, rather than through `format_event`, whose
+        per-field dispatch costs twice as much on the tail events that make
+        up most of a cc trace.  Chain texts are kept only while consecutive
+        tail records share a head: kept for the whole pass, they would hold
+        the text of every chain node at once."""
         texts: dict[int, str] = {}
-        for i in range(r, len(records)):
-            rec = records[i]
+        head = None
+        for rec in self.records:
             if rec[0] != "tail":
                 yield format_event(rec, texts)
                 continue
-            _kind, s, head, _k = rec
-            stem = format_addr(head.addr) if head.addr else ""
-            for j, node in enumerate(self.chains[head][:s - len(head.addr) + 1]):
-                if id(node) not in texts:
-                    texts[id(node)] = stem + "/o" * j or "/"
-            for kind, _s, node, last in self._tail(rec):
-                yield f"{kind} {s} {texts[id(node)]} {last}"
+            _kind, s, node, k = rec
+            if node is not head:
+                head = node
+                text = texts.get(id(head))
+                if text is None:
+                    text = texts[id(head)] = format_addr(head.addr)
+                chain = [text]
+                stem = text if head.addr else ""
+            depth = s - len(head.addr) + 1
+            for j in range(len(chain), depth):
+                chain.append(stem + "/o" * j)
+            label = head.label
+            for j, text in enumerate(chain[:depth]):
+                if j >= k:
+                    yield f"typed {s} {text} {label}"
+                yield f"visit {s} {text} {label}"
+                yield f"outcome {s} {text} o"
 
 
 class PathIndex:
@@ -457,7 +459,8 @@ class Engine:
 
     def trace_lines(self, lo: int = 0, hi: int | None = None) -> list[str]:
         """The text lines of the trace events [lo:hi], Idle tails expanded."""
-        return self.trace.lines(lo, hi)
+        lo, hi, _ = slice(lo, hi).indices(len(self.trace))
+        return list(islice(self.trace.lines(), lo, hi))
 
 
 # A finished run is its engine.
@@ -470,20 +473,30 @@ def run_stages(config) -> RunResult:
 
 
 def format_event(ev: tuple, texts: dict[int, str]) -> str:
-    """One trace line.  `texts` caches node address texts by identity, so a
-    node's deep address is joined once, not at every event naming it.  A
-    string is a plain tuple; a record (a NamedTuple too) prints its repr."""
+    """One trace line.  A string is a plain tuple, written <...>; a node is
+    written as its address; None as "-"; anything else, a record (a
+    NamedTuple too) among them, as its str.  Fields are told apart by exact
+    type, most frequent first.
+
+    `texts` caches the text of each node and string by identity, so a deep
+    address or long string met at many events is formatted once.  A caller
+    keeps one cache for as long as the events it formats are alive (one
+    `Trace.lines` pass, which the run's records outlive), so no id in it
+    can be reused by another object."""
     parts = []
     for p in ev:
-        if type(p) is tuple:
-            parts.append(format_string(p))
-        elif p is None:
-            parts.append("-")
-        elif isinstance(p, Node):
+        kind = type(p)
+        if kind is str:
+            parts.append(p)
+        elif kind is int:
+            parts.append(str(p))
+        elif kind is Node or kind is tuple:
             text = texts.get(id(p))
             if text is None:
-                text = texts[id(p)] = format_addr(p.addr)
+                text = texts[id(p)] = format_addr(p.addr) if kind is Node else format_string(p)
             parts.append(text)
+        elif p is None:
+            parts.append("-")
         else:
             parts.append(str(p))
     return " ".join(parts)

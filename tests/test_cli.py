@@ -610,6 +610,52 @@ def test_chunked_artifacts_are_the_joined_lines(tmp_path, monkeypatch, sample_ru
         "\n".join(sample_run.snapshot().dump_lines()) + "\n").encode()
 
 
+@pytest.fixture(scope="module", params=[("DC_MODULUS", 150), (SHIPPED_CC, 80), (SHIPPED_DC, 40)],
+                ids=["DC_MODULUS@150", "cc_faithful@80", "dc_diagonal@40"])
+def export_run(request):
+    """A run to export: the benchmark's dc_modulus config, and the two
+    shipped configs, whose cc run has Idle tails."""
+    import test_acceptance
+    from cubetree.config import config_from_dict
+    from cubetree.engine import run_stages
+
+    source, horizon = request.param
+    if isinstance(source, str):
+        data = getattr(test_acceptance, source)
+    else:
+        data = json.loads(source.read_text(encoding="utf-8"))
+    return run_stages(config_from_dict(dict(data, horizon=horizon)))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1024])
+def test_trace_log_is_the_reference_format_of_every_event(monkeypatch, export_run, chunk):
+    """Differential check of the one-pass writer: wherever the chunks are
+    cut, trace.log is each expanded event written by the reference
+    formatter, which caches nothing."""
+    from test_records import reference_format_event
+
+    monkeypatch.setattr(cli, "CHUNK_LINES", chunk, raising=False)
+    texts = dict(cli.artifact_texts(export_run))
+    written = "".join(texts["trace.log"]).encode()
+    events = list(export_run.trace)
+    assert written == ("\n".join(map(reference_format_event, events)) + "\n").encode()
+
+
+def test_only_the_suites_that_read_the_true_path_compute_it(monkeypatch, sample_run):
+    calls = []
+    true_path_approx = cli.true_path_approx
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return true_path_approx(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "true_path_approx", counted)
+    assert cli.run_suite(sample_run, "invariants").ok
+    assert not calls
+    cli.run_suite(sample_run, "labeling")
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_gen_adversary_file_is_the_joined_fact_lines(tmp_path, monkeypatch, chunk):
     from cubetree.adversary import make_faithful_copy
@@ -690,3 +736,41 @@ def test_export_and_trace_checks_stay_below_a_third_of_the_bytes_written(tmp_pat
     assert written > 5_000_000
     assert peaks["write_artifacts"] < written / 3, (peaks, written)
     assert peaks["check_trace_invariants"] < written / 3, (peaks, written)
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_RUNS))
+def test_export_formats_each_address_and_string_once(tmp_path, monkeypatch, name):
+    """Counted gate: during one write_artifacts, the address of each node
+    outside an Idle chain is formatted at most once, and each string object
+    in the trace records at most once, however many events name it.  A chain
+    node's text is its head's plus "/o" steps."""
+    from collections import Counter
+
+    import test_acceptance
+    from cubetree import engine
+    from cubetree.config import config_from_dict
+    from cubetree.engine import Node, run_stages
+
+    data = dict(getattr(test_acceptance, name), horizon=BENCHMARK_RUNS[name])
+    result = run_stages(config_from_dict(data))
+    addrs, strings = Counter(), Counter()
+    format_addr, format_string = engine.format_addr, engine.format_string
+
+    def counted_addr(addr):
+        addrs[addr] += 1
+        return format_addr(addr)
+
+    def counted_string(sigma):
+        strings[id(sigma)] += 1
+        return format_string(sigma)
+
+    monkeypatch.setattr(engine, "format_addr", counted_addr)
+    monkeypatch.setattr(engine, "format_string", counted_string)
+    cli.write_artifacts(result, tmp_path)
+    records = result.trace.records
+    named = {p.addr for rec in records for p in rec if type(p) is Node}
+    chained = {node.addr for chain in result.trace.chains.values() for node in chain[1:]}
+    assert set(addrs) == named - chained
+    assert max(addrs.values()) == 1
+    assert strings and set(strings) <= {id(p) for rec in records for p in rec if type(p) is tuple}
+    assert max(strings.values()) == 1

@@ -37,6 +37,9 @@ ALLOWED = {
     "structure.elem",
     "verify.Report.failures",
     "dc.PhiPredicate.holds",
+    # A slice of the trace lines for the tests; perfbench's traced mode
+    # wraps it by name.
+    "engine.Engine.trace_lines",
 }
 
 
