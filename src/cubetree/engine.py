@@ -178,19 +178,18 @@ class Trace:
         records.  One `format_event` cache serves the whole pass, so each
         node's address and each string is formatted once.
 
-        A tail line is written from its chain node's text, its head's text
-        plus "/o" per chain step, rather than through `format_event`, whose
-        per-field dispatch costs twice as much on the tail events that make
-        up most of a cc trace.  Chain texts are kept only while consecutive
-        tail records share a head: kept for the whole pass, they would hold
-        the text of every chain node at once."""
+        A tail's events come from `_tail`; each chain node's text is its
+        head's text plus "/o" per chain step.  Those chain texts stay out of
+        the pass-wide cache and are kept only while consecutive tail records
+        share a head: kept for the whole pass, they would hold the text of
+        every chain node at once."""
         texts: dict[int, str] = {}
         head = None
         for rec in self.records:
             if rec[0] != "tail":
                 yield format_event(rec, texts)
                 continue
-            _kind, s, node, k = rec
+            _kind, s, node, _k = rec
             if node is not head:
                 head = node
                 text = texts.get(id(head))
@@ -198,15 +197,11 @@ class Trace:
                     text = texts[id(head)] = format_addr(head.addr)
                 chain = [text]
                 stem = text if head.addr else ""
-            depth = s - len(head.addr) + 1
-            for j in range(len(chain), depth):
+                top = len(head.addr)
+            for j in range(len(chain), s - top + 1):
                 chain.append(stem + "/o" * j)
-            label = head.label
-            for j, text in enumerate(chain[:depth]):
-                if j >= k:
-                    yield f"typed {s} {text} {label}"
-                yield f"visit {s} {text} {label}"
-                yield f"outcome {s} {text} o"
+            for kind, _s, n, last in self._tail(rec):
+                yield f"{kind} {s} {chain[len(n.addr) - top]} {last}"
 
 
 class PathIndex:
