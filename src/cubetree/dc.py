@@ -145,14 +145,12 @@ class Functional(NamedTuple):
 # Strategy state: one record per requirement kind, built on the first visit.
 
 class MotherState:
-    """A mother's fresh first value v; her string is (v,)."""
+    """A mother's fresh first value v; her string is (v,), built once, so
+    that each of her grows hands the label store the same object."""
 
     def __init__(self, v: int) -> None:
         self.v = v
-
-    @property
-    def sigma(self) -> NatString:
-        return (self.v,)
+        self.sigma: NatString = (v,)
 
 
 class DaughterState:

@@ -17,6 +17,7 @@ from typing import Any, NamedTuple
 from .adversary import Adversary, FaithfulGenerator, stream_from_lines
 from .structure import (
     CubeElem,
+    GrowEvent,
     LabelStore,
     NatString,
     Record,
@@ -102,6 +103,8 @@ def format_addr(addr: Addr) -> str:
 # Nodes.
 
 class Node:
+    __slots__ = ("addr", "req", "label", "state", "outcomes", "kids", "grew")
+
     def __init__(self, addr: Addr) -> None:
         self.addr = addr
         self.req: Requirement | None = None
@@ -112,6 +115,11 @@ class Node:
         self.state: Any = None
         # (stage, token) per visit, in stage order.
         self.outcomes: list[tuple[int, str]] = []
+        # Token -> child, filled as the stage loop first steps to each child;
+        # None until then, and for Idle nodes, where the loop stops.
+        self.kids: dict[str, Node] | None = None
+        # A chooser's last growth event of a key it is recorded as choosing.
+        self.grew: GrowEvent | None = None
 
     @property
     def visits(self) -> list[int]:
@@ -206,13 +214,18 @@ class Trace:
 
 class PathIndex:
     """The current stage path, kept as the stage loop descends: its nodes in
-    order, each node by its requirement, and what the two-sorted typing reads
-    off it (the mothers, the largest daughter n per (slot, sort), and the
-    frozen diagonalizers whose 1-outcome the path takes)."""
+    order, each node by its requirement, its matchers, and what the
+    two-sorted typing reads off it (the mothers, the largest daughter n per
+    (slot, sort), and the frozen diagonalizers whose 1-outcome the path
+    takes).  `lead` is the index of the first priority-order entry not on
+    the path, as far as `first_fit` has looked; the path only grows within
+    a stage, so the lead only moves forward."""
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
         self.by_req: dict[Requirement, Node] = {}
+        self.lead = 0
+        self.matchers: list[Node] = []
         self.mothers: list[Node] = []
         self.coverage: dict[tuple[int, int], int] = {}
         self.frozen: list[Node] = []
@@ -230,6 +243,8 @@ class PathIndex:
         elif isinstance(req, ReqU) and token == "1":
             # A diagonalizer takes its 1-outcome only once it has frozen.
             self.frozen.append(node)
+        elif isinstance(req, ReqM):
+            self.matchers.append(node)
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +332,34 @@ class Engine:
             return current[:depth]
         return [self.nodes[addr[:k]] for k in range(depth)]
 
+    def _matchers_above(self, addr: Addr) -> list[Node]:
+        """The matcher nodes among addr's proper ancestors, read off the path
+        index while addr's parent ends the current path."""
+        nodes = self.path.nodes
+        if len(nodes) == len(addr) and (not addr or nodes[-1].addr == addr[:-1]):
+            return self.path.matchers
+        return [anc for anc in self.path_nodes(addr) if isinstance(anc.req, ReqM)]
+
     def grow(self, sigma: NatString, sort: int | None, stage: int,
              chooser: Node | None) -> None:
-        sigma = tuple(sigma)
+        ev = self.store.grow(sigma, sort, stage)
+        sigma = ev.sigma
+        self.emit("grow", stage, sigma, sort, ev.pre_top)
+        known = chooser.grew if chooser is not None else None
+        if known is not None and known.sigma is sigma and known.sort == sort:
+            # The chooser's record exists and its numbers were mentioned.
+            return
         if sigma:
             self.mention(max(sigma))
-        ev = self.store.grow(sigma, sort, stage)
-        self.emit("grow", stage, sigma, sort, ev.pre_top)
         if chooser is not None:
+            chooser.grew = ev
             records = self.chosen.setdefault((sigma, sort), [])
             if not any(c is chooser for c, _ in records):
                 records.append((chooser, stage))
                 self.emit("choose", stage, chooser, sigma, sort)
-                for anc in self.path_nodes(chooser.addr):
-                    if isinstance(anc.req, ReqM):
-                        prefix = chooser.addr[:len(anc.addr) + 1]
-                        self._below.setdefault(prefix, set()).add((sigma, sort))
+                for anc in self._matchers_above(chooser.addr):
+                    prefix = chooser.addr[:len(anc.addr) + 1]
+                    self._below.setdefault(prefix, set()).add((sigma, sort))
                 # Strings are chosen before birth, so this is their entry.
                 self._enter(sigma, birth_stage(sigma))
 
@@ -361,16 +388,23 @@ class Engine:
 
     def first_fit(self, allowed=None) -> Requirement:
         """The first requirement of the priority order off the current path
-        that `allowed` (if given) accepts; Idle once a finite order runs out."""
-        on_path = self.path.by_req
-        for k in count():
-            if k == len(self.ordering):
+        that `allowed` (if given) accepts; Idle once a finite order runs out.
+        The scan starts at the path's lead, which it first moves past the
+        entries on the path: every entry before the lead is on the path."""
+        path = self.path
+        on_path = path.by_req
+        ordering = self.ordering
+        for k in count(path.lead):
+            if k == len(ordering):
                 req = next(self._ordering_rest, None)
                 if req is None:
                     return ReqIdle()
-                self.ordering.append(req)
-            req = self.ordering[k]
-            if req not in on_path and (allowed is None or allowed(req)):
+                ordering.append(req)
+            req = ordering[k]
+            if req in on_path:
+                if k == path.lead:
+                    path.lead = k + 1
+            elif allowed is None or allowed(req):
                 return req
 
     def alloc_witness(self) -> int:
@@ -386,16 +420,21 @@ class Engine:
     # -- the stage loop -----------------------------------------------------
 
     def run(self) -> Engine:
+        emit = self.trace.records.append
         for s in range(1, self.horizon + 1):
             self.mention(s)
-            self.emit("stage", s)
-            self.emit("window", s, self.schedule.width(s), self.schedule.f_width(s))
+            emit(("stage", s))
+            emit(("window", s, self.schedule.width(s), self.schedule.f_width(s)))
             for sigma in self.schedule.base_strings(s):
                 self._enter(sigma, s)
-            addr: Addr = ()
             self.path = PathIndex()
+            # One (stage, token) pair per token taken this stage, shared by
+            # the outcome lists of the nodes that take it.
+            taken: dict[str, tuple[int, str]] = {}
+            node = self.node_at(())
             for depth in range(s + 1):
-                node = self.node_at(addr)
+                if depth:
+                    node = self._child(node, token)
                 typed = node.req is None
                 if typed:
                     node.req = self.strat.assign_type(self, node, s)
@@ -404,18 +443,28 @@ class Engine:
                     self._visit_tail(node, s)
                     break
                 if typed:
-                    self.emit("typed", s, node, node.label)
-                self.emit("visit", s, node, node.label)
+                    emit(("typed", s, node, node.label))
+                emit(("visit", s, node, node.label))
                 token = self.strat.act(self, node, s)
-                node.outcomes.append((s, token))
-                self.emit("outcome", s, node, token)
+                node.outcomes.append(taken.setdefault(token, (s, token)))
+                emit(("outcome", s, node, token))
                 self.path.push(node, token)
-                addr = addr + (token,)
             self.path = PathIndex()
             self.strat.act_G(self, s)
             for gen in self._generators:
                 gen.ingest(s, self)
         return self
+
+    def _child(self, node: Node, token: str) -> Node:
+        """node's child under token, through node's child links; its address
+        is built once, when the link is made."""
+        kids = node.kids
+        if kids is None:
+            kids = node.kids = {}
+        child = kids.get(token)
+        if child is None:
+            child = kids[token] = self.node_at(node.addr + (token,))
+        return child
 
     def _visit_tail(self, head: Node, s: int) -> None:
         """Visit the Idle tail from head down to depth s as one trace record.

@@ -251,6 +251,19 @@ def declared_by(ev: GrowEvent, fset: frozenset[int]) -> int:
     return max(ev.pre_top, 0) if max(fset) < ev.stage else 0
 
 
+class KeyRecord:
+    """One grown (sigma, sort) key of a label store: the string object it
+    last grew with, its growth events in order, and the top label on its
+    empty-set vertex, counting direct declarations there."""
+
+    __slots__ = ("sigma", "events", "top")
+
+    def __init__(self, sigma: NatString, top: int) -> None:
+        self.sigma = sigma
+        self.events: list[GrowEvent] = []
+        self.top = top
+
+
 class LabelStore:
     """Append-only record of S_n declarations.
 
@@ -259,30 +272,55 @@ class LabelStore:
     within the stage bound.  Direct declarations (the global strategy's S_0
     coverage, and arbitrary declarations in tests) are stored per element.
     Duplicates are ignored, so stamps are first-declaration stages.
+
+    Each grown key is interned: per sort, its record is filed by the id of
+    the string object it last grew with, so a grow given that object again
+    finds the record without hashing the string.
     """
 
     def __init__(self, variant: str = "cc") -> None:
         self.variant = variant  # "cc" | "dc"
-        self._grows: dict[StringKey, list[GrowEvent]] = {}
+        self._sorts = sorts(variant)
+        # (sigma, sort) -> the record of a grown key.
+        self._grows: dict[StringKey, KeyRecord] = {}
+        # Per sort, id(record.sigma) -> record for every grown key; each
+        # record holds its object, so no id is reused while it is filed.
+        self._interned: dict[int | None, dict[int, KeyRecord]] = {s: {} for s in self._sorts}
         self._direct: dict[CubeElem, dict[int, int]] = {}
         # Stamp stage -> the growth events and direct (stage, n, element)
         # declarations stamped then, as recorded.
         self._log: dict[int, list[GrowEvent | tuple[int, int, CubeElem]]] = {}
 
     def _check_sort(self, sort: int | None) -> None:
-        if sort not in sorts(self.variant):
+        if sort not in self._sorts:
             raise VariantMismatch(f"{self.variant} store given sort {sort!r}")
+
+    def record(self, sigma: NatString, sort: int | None) -> KeyRecord | None:
+        """The record of a grown key, None before its first grow."""
+        return self._grows.get((sigma, sort))
 
     def grow(self, sigma: NatString, sort: int | None, stage: int) -> GrowEvent:
         """Record a growth; GrowOutOfOrder if the string last grew at a later stage."""
-        self._check_sort(sort)
-        sigma = tuple(sigma)
-        events = self._grows.setdefault((sigma, sort), [])
+        interned = self._interned.get(sort)
+        rec = None if interned is None else interned.get(id(sigma))
+        if rec is None:
+            sigma = tuple(sigma)
+            rec = self.record(sigma, sort)
+            if rec is None:
+                # The key's first grow: its top so far is its direct labels'.
+                self._check_sort(sort)
+                direct = self._direct.get(CubeElem(frozenset(), sigma, sort), ())
+                rec = self._grows[(sigma, sort)] = KeyRecord(sigma, max(direct, default=-1))
+            else:
+                del interned[id(rec.sigma)]
+                rec.sigma = sigma
+            interned[id(sigma)] = rec
+        events = rec.events
         if events and stage < events[-1].stage:
-            raise GrowOutOfOrder(f"grow of {format_string(sigma)} at stage {stage} "
+            raise GrowOutOfOrder(f"grow of {format_string(rec.sigma)} at stage {stage} "
                                  f"after one at stage {events[-1].stage}")
-        pre = self.top_label(CubeElem(frozenset(), sigma, sort))
-        ev = GrowEvent(stage, -1 if pre is None else pre, sigma, sort)
+        ev = GrowEvent(stage, rec.top, rec.sigma, sort)
+        rec.top += 1
         events.append(ev)
         self._log.setdefault(stage, []).append(ev)
         return ev
@@ -294,6 +332,10 @@ class LabelStore:
             return False
         self._direct.setdefault(e, {})[n] = stage
         self._log.setdefault(stage, []).append((stage, n, e))
+        if not e.fset:
+            rec = self.record(e.sigma, e.sort)
+            if rec is not None and n > rec.top:
+                rec.top = n
         return True
 
     def relabelled(self, stage: int) -> list[StringKey]:
@@ -305,7 +347,8 @@ class LabelStore:
                 if isinstance(ev, GrowEvent) or not ev[2].fset]
 
     def grows(self, sigma: NatString, sort: int | None) -> list[GrowEvent]:
-        return self._grows.get((tuple(sigma), sort), [])
+        rec = self._grows.get((tuple(sigma), sort))
+        return [] if rec is None else rec.events
 
     def _grown(self, e: CubeElem, before: int | None) -> int:
         """How many labels the growth events stamped < before declare on e."""

@@ -625,3 +625,78 @@ def test_stage_loop_work_grows_with_the_trace(monkeypatch):
         events.append(len(result.trace))
     exponent = math.log(work[1] / work[0]) / math.log(events[1] / events[0])
     assert exponent <= 1.15, (work, events, exponent)
+
+
+def test_first_fit_work_grows_with_the_trace():
+    """On DC_MODULUS at h=100 and h=200, the priority-order entries that
+    first_fit examines grow at most as trace^1.15, fitted as in the test
+    above, and number at most one per visit plus one per typing: each entry
+    the path's lead passes is on the path, and no typing there is refused by
+    `allowed`.  A scan from the order's start at every typing examines about
+    one entry per depth instead, 120,844 entries for 21,548 visits and
+    typings at h=200."""
+    import math
+
+    from test_acceptance import DC_MODULUS
+
+    from cubetree.engine import Engine
+
+    class CountedOrder(list):
+        examined = 0
+
+        def __getitem__(self, k):
+            CountedOrder.examined += 1
+            return super().__getitem__(k)
+
+    work, events = [], []
+    for horizon in (100, 200):
+        CountedOrder.examined = 0
+        engine = Engine(config_from_dict(dict(DC_MODULUS, horizon=horizon)))
+        engine.ordering = CountedOrder()
+        result = engine.run()
+        visits = sum(len(node.visits) for node in result.nodes.values())
+        typed = sum(node.req is not None for node in result.nodes.values())
+        assert CountedOrder.examined <= visits + typed, (horizon, CountedOrder.examined, visits, typed)
+        work.append(CountedOrder.examined)
+        events.append(len(result.trace))
+    exponent = math.log(work[1] / work[0]) / math.log(events[1] / events[0])
+    assert exponent <= 1.15, (work, events, exponent)
+
+
+def test_a_grow_finds_its_key_without_a_lookup_by_value(monkeypatch):
+    """On DC_MODULUS at h=150, the label store looks a key up by its
+    string's value (`LabelStore.record` or `LabelStore.grows`) once per
+    distinct key grown or declared on the empty vertex, plus once per
+    `declare` call, whose stamp probe reads the key's growth events: 4,323
+    lookups for 11,775 grows.  A repeated grow finds its key's record by the
+    string object it grew with before.  A store that looked the key up by
+    value at every grow would make at least one lookup per grow."""
+    from test_acceptance import DC_MODULUS
+
+    from cubetree.structure import GrowEvent, LabelStore
+
+    calls = {"lookup": 0, "declare": 0, "grow": 0}
+
+    def counted(name, kind):
+        method = getattr(LabelStore, name, None)
+
+        def wrapper(self, *args):
+            calls[kind] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(LabelStore, name, wrapper, raising=False)
+
+    counted("record", "lookup")
+    counted("grows", "lookup")
+    counted("declare", "declare")
+    counted("grow", "grow")
+    result = run_stages(config_from_dict(dict(DC_MODULUS, horizon=150)))
+    keys = set()
+    for ev in result.store.declaration_events():
+        if isinstance(ev, GrowEvent):
+            keys.add((ev.sigma, ev.sort))
+        elif not ev[2].fset:
+            keys.add((ev[2].sigma, ev[2].sort))
+    bound = len(keys) + calls["declare"]
+    assert calls["grow"] > 2 * bound, (calls, len(keys))
+    assert calls["lookup"] <= bound, (calls, len(keys))

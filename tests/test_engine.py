@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cc_config, faithful
+from test_acceptance import DC_MODULUS
 
 from cubetree import cc, dc
 from cubetree.config import config_from_dict
@@ -213,11 +214,14 @@ DC_DIAGONAL = json.loads((Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("variant, config", [
     ("cc", cc_config(horizon=40, adversaries=[faithful(delay=1), faithful(delay=3)])),
     ("dc", config_from_dict(dict(DC_DIAGONAL, horizon=40))),
+    # Stage paths 150 deep, so the scan starts well past the order's start.
+    ("dc", config_from_dict(dict(DC_MODULUS, horizon=150))),
 ])
 def test_first_fit_matches_on_path_scan(variant, config, monkeypatch):
     """At every typing, the requirement first_fit picks with the stage
-    loop's on-path set is the one picked with the on-path set built from
-    path_nodes, the formula the stage loop's set replaces."""
+    loop's on-path set, starting at the path's lead, is the one a scan from
+    the order's start picks with the on-path set built from path_nodes, the
+    formula the stage loop's set replaces."""
     module = cc if variant == "cc" else dc
     reference_allowed = reference_cc_allowed if variant == "cc" else reference_dc_allowed
     hook = module.assign_type
@@ -232,6 +236,31 @@ def test_first_fit_matches_on_path_scan(variant, config, monkeypatch):
     monkeypatch.setattr(module, "assign_type", checked)
     run_stages(config)
     assert len(typed) > 40
+
+
+def test_first_fit_returns_an_entry_refused_earlier_in_the_stage():
+    """The lead passes only entries on the path.  An entry that `allowed`
+    refused at one typing is still the first fit at a later typing of the
+    same stage path, once `allowed` accepts it."""
+    from cubetree.engine import ReqM, ReqN
+
+    engine = Engine(cc_config(horizon=5, adversaries=[faithful(), faithful(label="b")]))
+    path = []
+
+    def fit(allowed=None):
+        req = engine.first_fit(allowed)
+        on_path = {node.req for node in path}
+        assert req == reference_first_fit(
+            engine, lambda r: r not in on_path and (allowed is None or allowed(r)))
+        node = Node(("o",) * len(path))
+        node.req = req
+        engine.path.push(node, "o")
+        path.append(node)
+        return req
+
+    assert fit() == ReqN(())
+    assert isinstance(fit(lambda req: not isinstance(req, ReqM)), ReqN)
+    assert fit() == ReqM(0)
 
 
 # -- the universe record ---------------------------------------------------------

@@ -177,3 +177,40 @@ def test_grow_at_a_lower_stage_raises():
     store.grow((6,), None, 2)  # another string keeps its own order
     with pytest.raises(ValueError):
         store.grow((5,), None, 3)
+
+
+def as_given(sigma, how):
+    """sigma as a caller may hand it to grow: the same object, an equal
+    new tuple, or a list."""
+    return sigma if how == 0 else tuple(list(sigma)) if how == 1 else list(sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["cc", "dc"]),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2),
+                          st.integers(0, 2), st.booleans()), max_size=30))
+def test_interned_grows_match_scan_whatever_object_is_given(variant, steps):
+    """Grows find a key's record by the id of the string object it last
+    grew with, else by value.  Whatever object a grow is handed, and in
+    either sort of a two-sorted store, every pre-top equals the rescanning
+    reference's, and each grown key is filed once per sort, under an object
+    its record still holds."""
+    sorts = [None] if variant == "cc" else [0, 1]
+    store, ref = LabelStore(variant=variant), ScanStore()
+    stage = 1
+    for idx, sort_idx, how, step, declare in steps:
+        stage += step
+        sigma, sort = STRINGS[idx], sorts[sort_idx % len(sorts)]
+        if declare:
+            e = elem((), sigma, sort)
+            assert store.declare(0, e, stage) == ref.declare(0, e, stage)
+        ev = store.grow(as_given(sigma, how), sort, stage)
+        ref.grow(sigma, sort, stage)
+        assert ev.pre_top == ref.events[(sigma, sort)][-1][2]
+        assert ev.sigma == sigma and ev.sort == sort
+    for sort in sorts:
+        grown = {key for key in ref.events if key[1] == sort}
+        filed = store._interned[sort]
+        assert len(filed) == len(grown)
+        assert all(id(rec.sigma) == x for x, rec in filed.items())
+        assert {(rec.sigma, sort) for rec in filed.values()} == grown
