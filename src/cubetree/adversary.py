@@ -5,17 +5,17 @@ S) about elements of a copy with universe a subset of the naturals.  Each
 fact carries a step stamp; a budget-s query sees exactly the facts stamped
 at most s, and the age of an element is the stamp of its first occurrence.
 
-Faithful copies replay the ground structure through a permutation of the
-element enumeration, with every stamp shifted by a configurable delay; they
-are generated incrementally so the constructions can read copies of the very
-structure they are building.  Defective variants drop designated facts.
+Faithful copies replay one stagewise enumeration of the ground structure per
+run through a permutation, with every stamp shifted by a delay, so the
+constructions can read copies of the very structure they are building.
+Defective variants drop designated facts.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Iterator
-from itertools import takewhile
+from collections.abc import Iterable, Iterator
+from itertools import chain, takewhile
 from typing import NamedTuple
 
 from .structure import (
@@ -103,19 +103,26 @@ class FactStream:
         self._e_index: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     def append(self, step: int, fact: Fact) -> None:
-        if self._first and step < next(reversed(self._first.values())):
+        self.extend(step, (fact,))
+
+    def extend(self, step: int, facts: Iterable[Fact]) -> None:
+        """Append facts stamped step; a fact already in keeps its stamp."""
+        first, age = self._first, self._age
+        if first and step < next(reversed(first.values())):
             raise ValueError("fact steps must be non-decreasing")
-        if fact in self._first:
-            return  # duplicate enumeration keeps the earliest stamp
-        self._first[fact] = step
-        for x in fact[FACT_ARG0[fact[0]]:]:
-            self._age.setdefault(x, step)
-        if fact[0] == "W":
-            # An element's age is set by its first mention, at latest this one.
-            insort(self._w_index.setdefault((fact[1], fact[2]), []), fact[3],
-                   key=lambda x: (self._age[x], x))
-        elif fact[0] == "E":
-            self._e_index.setdefault((fact[1], fact[2]), []).append((step, fact[3]))
+        for fact in facts:
+            if fact in first:
+                continue  # duplicate enumeration keeps the earliest stamp
+            first[fact] = step
+            kind, x = fact[0], fact[-1]
+            age.setdefault(x, step)
+            if kind in ("E", "P"):
+                age.setdefault(fact[-2], step)
+            if kind == "W":
+                # An element's age is set by its first mention, at latest this one.
+                insort(self._w_index.setdefault(fact[1:3], []), x, key=lambda z: (age[z], z))
+            elif kind == "E":
+                self._e_index.setdefault(fact[1:3], []).append((step, x))
 
     def __len__(self) -> int:
         return len(self._first)
@@ -226,177 +233,182 @@ class Adversary:
 
 
 class Incidence:
-    """The E and P relation among the elements added so far.
+    """The E and P relation among the elements of `elems` added so far, each
+    named by its place there (for the ground enumeration, its allocation index).
 
-    Cube elements are filed under their (sigma, sort) key in the order
-    added, each key with the sorted last symbols of its child keys; the u
-    pair, if present, is added before any cube element.  `ids` names the
-    elements and may be shared with a copy's `to_copy`.
+    Cube elements are filed under their (sigma, sort) key in the order added,
+    and each key with the sorted last symbols of its child keys; the u pair,
+    if present, is added before any cube element.
     """
 
-    def __init__(self, ids: dict[Elem, int] | None = None) -> None:
-        self.ids = {} if ids is None else ids
-        self.by_key: dict[StringKey, list[CubeElem]] = {}
+    def __init__(self, elems: list[Elem]) -> None:
+        self.elems = elems
+        self.by_key: dict[StringKey, list[int]] = {}
         self.children: dict[StringKey, list[int]] = {}
-        self.us: list[UElem] = []
+        self.us: list[int] = []
 
-    def add(self, e: Elem, x: int) -> None:
-        self.ids[e] = x
+    def add(self, x: int) -> None:
+        e = self.elems[x]
         if isinstance(e, UElem):
-            self.us.append(e)
+            self.us.append(x)
             return
         group = self.by_key.get((e.sigma, e.sort))
         if group is None:
             group = self.by_key[(e.sigma, e.sort)] = []
             if e.sigma:
                 insort(self.children.setdefault((e.sigma[:-1], e.sort), []), e.sigma[-1])
-        group.append(e)
+        group.append(x)
 
-    def links(self, e: CubeElem) -> Iterator[Fact]:
-        """The facts between cube element e and the elements added so far: E
-        both ways to each neighbour on e's key, P from each parent, P to each
+    def links(self, x: int) -> Iterator[Fact]:
+        """The facts between cube element x and the elements added so far: E
+        both ways to each neighbour on its key, P from each parent, P to each
         child, then P from the u pair."""
-        ids = self.ids
-        x = ids[e]
-        for other in self.by_key[(e.sigma, e.sort)]:
-            diff = other.fset ^ e.fset
+        elems, e = self.elems, self.elems[x]
+        for y in self.by_key[(e.sigma, e.sort)]:
+            diff = elems[y].fset ^ e.fset
             if len(diff) == 1:
                 (i,) = diff
-                y = ids[other]
                 yield ("E", i, x, y)
                 yield ("E", i, y, x)
         if e.sigma:
-            for other in self.by_key.get((e.sigma[:-1], e.sort), ()):
-                if holds_P(other, e):
-                    yield ("P", ids[other], x)
+            for y in self.by_key.get((e.sigma[:-1], e.sort), ()):
+                if holds_P(elems[y], e):
+                    yield ("P", y, x)
         for j in self.children.get((e.sigma, e.sort), ()):
-            for other in self.by_key[(e.sigma + (j,), e.sort)]:
-                if holds_P(e, other):
-                    yield ("P", x, ids[other])
-        for u in self.us:
-            if holds_P(u, e):
-                yield ("P", ids[u], x)
+            for y in self.by_key[(e.sigma + (j,), e.sort)]:
+                if holds_P(e, elems[y]):
+                    yield ("P", x, y)
+        for y in self.us:
+            if holds_P(elems[y], e):
+                yield ("P", y, x)
+
+
+class GroundEnumeration:
+    """The ground structure enumerated once per run for all its faithful copies.
+
+    Elements enter in a canonical ladder: the u pair first (two-sorted
+    variant), then per stage the strings entering the slice crossed with the
+    vertex support window, strings ordered by (birth, length, lex) and
+    vertices by (size, lex).  Each is named by its allocation index, its
+    place in `elems`.  The ground is a running or a finished engine.
+    """
+
+    def __init__(self, variant: str, schedule: UniverseSchedule) -> None:
+        self.variant = variant
+        self.schedule = schedule
+        self.elems: list[Elem] = []
+        self.index = Incidence(self.elems)
+        self._next_label: list[int] = []  # per allocation index
+        self._window = schedule.fsets(0)
+        self.stage = 0
+        self.facts: list[Fact] = []
+
+    def batch(self, stage: int, ground) -> list[Fact]:
+        """The stage's facts over allocation indices, built on the first call
+        for it: its new cube elements' W facts, links and label backlog, then
+        fresh labels on the keys relabelled in it.  Stages come in order, each
+        once final (a chosen string enters at its birth, after the stage that
+        chose it).  On every vertex the labels are a prefix S_0, S_1, ...
+        whose stamps never decrease in n, so one top label per element and
+        relabelling finds those stamped by the stage."""
+        if stage == self.stage:
+            return self.facts
+        store = ground.store
+        sort_values = sorts(self.variant)
+        new: list[Elem] = [UElem(0), UElem(1)] if stage == 1 and self.variant == "dc" else []
+        fsets = self.schedule.fsets(stage)
+        widened = [f for f in fsets if f not in self._window]  # the window only grows
+        self._window = fsets
+        for sigma in ground.universe_strings(stage - 1) if widened else ():
+            new.extend(CubeElem(f, sigma, sort) for f in widened for sort in sort_values)
+        for sigma in ground.entering(stage):
+            new.extend(CubeElem(f, sigma, sort) for f in fsets for sort in sort_values)
+        # The whole batch is filed before any links are read, so a link
+        # inside the batch comes out twice and each stream keeps the first.
+        elems, added = self.elems, list(range(len(self.elems), len(self.elems) + len(new)))
+        elems += new
+        self._next_label += [0] * len(new)
+        for x in added:
+            self.index.add(x)
+        cube = [x for x in added if isinstance(elems[x], CubeElem)]
+        facts: list[Fact] = [("W", elems[x].sigma, elems[x].sort, x) for x in cube]
+        for x in cube:
+            facts.extend(self.index.links(x))
+        # Label backlog for new elements, then fresh labels on relabelled keys
+        # (one relabelled by a direct declaration enters now: it has a backlog).
+        keys = sorted(set(store.relabelled(stage)),
+                      key=lambda k: (ladder_key(k[0]), -1 if k[1] is None else k[1]))
+        for x in chain(cube, *(self.index.by_key.get(key, ()) for key in keys)):
+            top = store.top_label(elems[x], before=stage + 1)
+            end = 0 if top is None else top + 1
+            facts.extend(("S", n, x) for n in range(self._next_label[x], end))
+            self._next_label[x] = end
+        self.stage, self.facts = stage, facts
+        return facts
+
+
+def _renamed(fact: Fact, ids: list[int]) -> Fact:
+    """The fact with each allocation index i replaced by ids[i]."""
+    kind = fact[0]
+    if kind == "W":
+        return ("W", fact[1], fact[2], ids[fact[3]])
+    if kind == "S":
+        return ("S", fact[1], ids[fact[2]])
+    if kind == "E":
+        return ("E", fact[1], ids[fact[2]], ids[fact[3]])
+    return ("P", ids[fact[1]], ids[fact[2]])
 
 
 class FaithfulGenerator:
-    """Incrementally enumerates the ground structure as a fact stream.
+    """A faithful copy of the ground, written from the run's shared enumeration.
 
-    ingest(stage, ground) must be called once per ground stage in order,
-    after the stage's declarations are final; the ground is a running or a
-    finished engine, read up to the stage.  Elements enter in a canonical
-    ladder: the u pair first (two-sorted variant), then per stage the strings
-    entering the slice crossed with the vertex support window, strings
-    ordered by (birth, length, lex) and vertices by (size, lex).  Label facts
-    are emitted with stamp max(declaration stage, visibility stage) plus
-    delay; labels on any one element are emitted in index order, which
-    matches the contiguous way the construction declares them.
+    ingest(stage, ground) is called once per ground stage in order.  The
+    first copy to ingest a stage has the enumeration build its batch; each
+    copy names allocation index i `permutation.apply(i)`, stamps the batch
+    stage plus its delay and drops single facts by its defects.  The batch's
+    order and dedup do not depend on the delay or on the permutation, a
+    bijection, so each stream is the one the copy would enumerate alone.
     """
 
-    def __init__(
-        self,
-        variant: str,
-        schedule: UniverseSchedule,
-        permutation: PermSpec = PermSpec(),
-        delay: int = 1,
-        defects: tuple[Defect, ...] = (),
-        label: str = "faithful",
-    ) -> None:
-        self.variant = variant
-        self.schedule = schedule
+    def __init__(self, enumeration: GroundEnumeration, permutation: PermSpec = PermSpec(),
+                 delay: int = 1, defects: tuple[Defect, ...] = (), label: str = "faithful") -> None:
+        self.enumeration = enumeration
         self.permutation = permutation
-        self.delay = delay
         self.defects = tuple(defects)
         self.adversary = Adversary(FactStream(), label=label, delay=delay)
-        self.index = Incidence(self.adversary.to_copy)
-        self._next_label: dict[CubeElem, int] = {}
-        self._frozen = False
-
-    def _alloc(self, e: Elem) -> None:
-        x = self.permutation.apply(len(self.adversary.to_ground))
-        self.adversary.to_ground[x] = e
-        self.index.add(e, x)
-
-    def _emit(self, step: int, fact: Fact) -> None:
-        if self._frozen:
-            return
-        for d in self.defects:
-            if d.kind == "freeze_after" and step > d.step:
-                self._frozen = True
-                return
-            if d.kind == "omit_label" and fact[0] == "S":
-                ge = self.adversary.to_ground[fact[2]]
-                if (
-                    isinstance(ge, CubeElem)
-                    and fact[1] == d.n
-                    and ge.sigma == d.sigma
-                    and (d.sort is None or ge.sort == d.sort)
-                ):
-                    return
-            if d.kind == "break_p" and fact[0] == "P":
-                ge1 = self.adversary.to_ground[fact[1]]
-                ge2 = self.adversary.to_ground[fact[2]]
-                if (
-                    isinstance(ge1, CubeElem)
-                    and isinstance(ge2, CubeElem)
-                    and ge1.sigma == d.sigma
-                    and ge2.sigma == d.sigma + (d.j,)
-                    and (d.sort is None or ge1.sort == d.sort)
-                ):
-                    return
-        self.adversary.stream.append(step, fact)
-
-    def _emit_labels(self, step: int, e: CubeElem, store, stage: int) -> None:
-        """Emit e's labels stamped by stage that are not out yet.  On every
-        vertex the labels are a prefix S_0, S_1, ... whose stamps never
-        decrease in n, so the top label stamped by stage bounds them."""
-        top = store.top_label(e, before=stage + 1)
-        end = 0 if top is None else top + 1
-        x = self.adversary.to_copy[e]
-        for n in range(self._next_label.get(e, 0), end):
-            self._emit(step, ("S", n, x))
-        self._next_label[e] = end
+        self.ids: list[int] = []  # allocation index -> copy element
 
     def ingest(self, stage: int, ground) -> None:
-        """Reveal the ground's stage: the strings entering its slice (final
-        once the stage ends, since a chosen string enters at its birth, after
-        the stage that chose it) and the labels stamped in it.  Only the keys
-        the store relabelled in the stage get fresh labels on old elements."""
-        step = stage + self.delay
-        store = ground.store
-        sort_values = sorts(self.variant)
-        new_elems: list[Elem] = []
-        if stage == 1 and self.variant == "dc":
-            new_elems.extend(UElem(k) for k in (0, 1))
-        fsets = self.schedule.fsets(stage)
-        before = self.schedule.fsets(stage - 1)  # the vertex window only grows
-        widened = [f for f in fsets if f not in before]
-        for sigma in ground.universe_strings(stage - 1) if widened else ():
-            for f in widened:
-                for sort in sort_values:
-                    new_elems.append(CubeElem(f, sigma, sort))
-        for sigma in ground.entering(stage):
-            for f in fsets:
-                for sort in sort_values:
-                    new_elems.append(CubeElem(f, sigma, sort))
-        # The whole batch is filed before any links are read, so a link
-        # inside the batch comes out twice and the stream keeps the first.
-        for e in new_elems:
-            self._alloc(e)
-        cube = [e for e in new_elems if isinstance(e, CubeElem)]
-        for e in cube:
-            self._emit(step, ("W", e.sigma, e.sort, self.adversary.to_copy[e]))
-        for e in cube:
-            for fact in self.index.links(e):
-                self._emit(step, fact)
-        # Label backlog for new elements, fresh declarations for relabelled
-        # keys.  A key relabelled by a direct declaration is a string entering
-        # this stage, whose backlog already holds it.
-        for e in cube:
-            self._emit_labels(step, e, store, stage)
-        relabelled = set(store.relabelled(stage))
-        for key in sorted(relabelled, key=lambda k: (ladder_key(k[0]), -1 if k[1] is None else k[1])):
-            for e in self.index.by_key.get(key, []):
-                self._emit_labels(step, e, store, stage)
+        enumeration = self.enumeration
+        facts = enumeration.batch(stage, ground)
+        ids, to_ground, to_copy = self.ids, self.adversary.to_ground, self.adversary.to_copy
+        for i in range(len(ids), len(enumeration.elems)):
+            e, x = enumeration.elems[i], self.permutation.apply(i)
+            ids.append(x)
+            to_ground[x], to_copy[e] = e, x
+        step = stage + self.adversary.delay
+        if self.defects:
+            if any(d.kind == "freeze_after" and step > d.step for d in self.defects):
+                return
+            facts = [fact for fact in facts if self._kept(fact)]
+        if self.permutation.kind != "identity":
+            facts = [_renamed(fact, ids) for fact in facts]
+        self.adversary.stream.extend(step, facts)
+
+    def _kept(self, fact: Fact) -> bool:
+        """False when one of the copy's defects drops the fact."""
+        elems = self.enumeration.elems
+        for d in self.defects:
+            if d.kind == "omit_label" and fact[0] == "S" and fact[1] == d.n:
+                ge = elems[fact[2]]
+                if isinstance(ge, CubeElem) and ge.sigma == d.sigma and d.sort in (None, ge.sort):
+                    return False
+            if d.kind == "break_p" and fact[0] == "P":
+                ge1, ge2 = elems[fact[1]], elems[fact[2]]
+                if (isinstance(ge1, CubeElem) and isinstance(ge2, CubeElem) and ge1.sigma == d.sigma
+                        and ge2.sigma == d.sigma + (d.j,) and d.sort in (None, ge1.sort)):
+                    return False
+        return True
 
 
 def make_faithful_copy(
@@ -406,11 +418,10 @@ def make_faithful_copy(
     defects: tuple[Defect, ...] = (),
     label: str = "faithful",
 ) -> Adversary:
-    """Post-hoc faithful copy of a completed run (identical facts to what the
-    live generator produces during the run)."""
-    gen = FaithfulGenerator(
-        ground.variant, ground.schedule, permutation, delay, defects, label
-    )
+    """Post-hoc faithful copy of a completed run: one ground enumeration over
+    its stages, mapped as a live copy maps it (identical facts)."""
+    gen = FaithfulGenerator(GroundEnumeration(ground.variant, ground.schedule),
+                            permutation, delay, defects, label)
     for stage in range(1, ground.horizon + 1):
         gen.ingest(stage, ground)
     return gen.adversary

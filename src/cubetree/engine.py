@@ -14,7 +14,7 @@ from bisect import insort
 from itertools import count, islice
 from typing import Any, NamedTuple
 
-from .adversary import Adversary, FaithfulGenerator, stream_from_lines
+from .adversary import Adversary, FaithfulGenerator, GroundEnumeration, stream_from_lines
 from .structure import (
     CubeElem,
     GrowEvent,
@@ -285,16 +285,11 @@ class Engine:
         self._ordering_rest = strat.ordering_iter(config)
         self.adversaries: list[Adversary] = []
         self._generators: list[FaithfulGenerator] = []
+        enumeration = GroundEnumeration(self.variant, self.schedule)
         for spec in config.adversaries:
             if spec.kind == "faithful":
-                gen = FaithfulGenerator(
-                    self.variant,
-                    self.schedule,
-                    permutation=spec.permutation,
-                    delay=spec.delay,
-                    defects=spec.defects,
-                    label=spec.label,
-                )
+                gen = FaithfulGenerator(enumeration, spec.permutation, spec.delay,
+                                        spec.defects, spec.label)
                 self._generators.append(gen)
                 self.adversaries.append(gen.adversary)
             else:

@@ -266,24 +266,14 @@ def true_facts(elems: list[Elem], labels: Callable[[CubeElem], Iterable[int]]) -
     element named by its index there; the u pair, if present, comes first.
     Per cube element in order: W, then S_n for each n in `labels(e)`, then
     its links to the elements before it (`Incidence.links`)."""
-    index = Incidence()
+    index = Incidence(elems)
     for x, e in enumerate(elems):
-        index.add(e, x)
+        index.add(x)
         if isinstance(e, CubeElem):
             yield ("W", e.sigma, e.sort, x)
             for n in labels(e):
                 yield ("S", n, x)
-            yield from index.links(e)
-
-
-def _map_fact(fact: Fact, m) -> Fact | None:
-    """The fact with each element argument x replaced by m[x]; None when m
-    lacks one."""
-    k = FACT_ARG0[fact[0]]
-    try:
-        return fact[:k] + tuple(m[x] for x in fact[k:])
-    except KeyError:
-        return None
+            yield from index.links(x)
 
 
 def snapshot_view(snap: Snapshot) -> Adversary:
@@ -293,8 +283,7 @@ def snapshot_view(snap: Snapshot) -> Adversary:
     `to_ground`, so a check against it takes its elements from the source."""
     elems = ([UElem(0), UElem(1)] if snap.variant == "dc" else []) + snap.elements()
     view = Adversary(FactStream(), to_copy={e: x for x, e in enumerate(elems)})
-    for fact in true_facts(elems, snap.labels):
-        view.stream.append(0, fact)
+    view.stream.extend(0, true_facts(elems, snap.labels))
     return view
 
 
@@ -330,28 +319,33 @@ def check_isomorphism(g, source: Snapshot, target, horizon: int | None = None) -
     covered = set(images)
     report.add("injective", len(covered) == len(images))
     uncovered = [x for x in enumerated if x not in covered]
-    report.add(
-        "covers-enumerated",
-        not uncovered,
-        f"{len(uncovered)} elements uncovered" if uncovered else "",
-    )
-    # Completeness: each true fact, its labels due by the lag, holds at the images.
-    locus: dict[str, str] = {}
+    report.add("covers-enumerated", not uncovered,
+               f"{len(uncovered)} elements uncovered" if uncovered else "")
+    # One pass over the true facts.  Completeness: each due by the lag holds
+    # at the images.  Soundness: each stream fact among the images is the
+    # image of a true fact on the chosen (last) preimages, the fact pulled back.
     label_bound = max(0, min(source.stage, horizon) - target.delay)
-    due = true_facts(elems, lambda e: source.store.labels(e, upto=label_bound))
-    for fact in due:
-        if fact[0] not in locus and not stream.holds_within(_map_fact(fact, images), horizon):
-            names = [format_elem(elems[x]) for x in fact[FACT_ARG0[fact[0]]:]]
-            head = f"S_{fact[1]} " if fact[0] == "S" else ""
-            locus[fact[0]] = head + ("-" if fact[0] == "E" else "->").join(names)
-    # Soundness: each stream fact among the images pulls back to a true fact.
-    truth = set(true_facts(elems, source.labels))
+    due = [isinstance(e, CubeElem) and set(source.store.labels(e, upto=label_bound))
+           for e in elems]
     back = {x: k for k, x in enumerate(images)}
+    chosen = [back[x] == k for k, x in enumerate(images)]
+    sound: set[Fact] = set()
+    locus: dict[str, str] = {}
+    for fact in true_facts(elems, source.labels):
+        kind, k = fact[0], FACT_ARG0[fact[0]]
+        args = fact[k:]
+        image = fact[:k] + tuple(images[x] for x in args)
+        if all(chosen[x] for x in args):
+            sound.add(image)
+        if (kind not in locus and (kind != "S" or fact[1] in due[fact[2]])
+                and not stream.holds_within(image, horizon)):
+            names = [format_elem(elems[x]) for x in args]
+            head = f"S_{fact[1]} " if kind == "S" else ""
+            locus[kind] = head + ("-" if kind == "E" else "->").join(names)
     for _step, fact in stream.facts_within(horizon):
-        pulled = _map_fact(fact, back)
-        if pulled is not None and pulled not in truth:
+        args = fact[FACT_ARG0[fact[0]]:]
+        if fact not in sound and covered.issuperset(args):
             head = f"S_{fact[1]}" if fact[0] == "S" else fact[0]
-            args = fact[FACT_ARG0[fact[0]]:]
             locus["sound"] = f"{head} at {','.join(map(str, args))}"
             break
     for kind in "WSEP":

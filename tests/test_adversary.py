@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 from cubetree.adversary import (
     HOLE,
+    Adversary,
     Defect,
     FactStream,
     FaithfulGenerator,
+    GroundEnumeration,
     Incidence,
     PermSpec,
     format_fact,
@@ -362,11 +364,13 @@ words = st.lists(st.integers(0, 4), max_size=4).map(tuple)
 
 @given(st.lists(st.sets(words, max_size=12), max_size=6), st.lists(words, max_size=8))
 def test_next_symbol_index_matches_scan(batches, probes):
-    index = Incidence()
+    elems = []
+    index = Incidence(elems)
     visible = set()
     for batch in batches:
         for t in sorted(batch - visible):
-            index.add(elem((), t), len(index.ids))
+            elems.append(elem((), t))
+            index.add(len(elems) - 1)
         visible |= batch
         for sigma in [*visible, *probes]:
             assert index.children.get((sigma, None), []) == scan_next_symbols(visible, sigma)
@@ -375,13 +379,22 @@ def test_next_symbol_index_matches_scan(batches, probes):
 # -- the generator against its plain reference ---------------------------------
 
 
-class ReferenceGenerator(FaithfulGenerator):
-    """The generator before it read the ground's stage record: it diffs the
-    stage's slice against the strings it has seen, is handed the keys grown
-    in the stage, and finds each label's stamp with one probe per label."""
+class ReferenceGenerator:
+    """The generator before it read the ground's stage record or shared an
+    enumeration: each copy diffs the stage's slice against the strings it
+    has seen, is handed the keys grown in the stage, finds each label's
+    stamp with one probe per label, and sends each fact through its own
+    defects and into its stream one at a time."""
 
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
+    def __init__(self, variant, schedule, permutation=PermSpec(), delay=1, defects=(),
+                 label="faithful"):
+        self.variant = variant
+        self.schedule = schedule
+        self.permutation = permutation
+        self.delay = delay
+        self.defects = tuple(defects)
+        self.adversary = Adversary(FactStream(), label=label, delay=delay)
+        self._frozen = False
         self._strings = set()
         self._by_string = {}
         self._next_symbols = {}
@@ -394,6 +407,27 @@ class ReferenceGenerator(FaithfulGenerator):
         self.adversary.to_copy[e] = x
         if isinstance(e, CubeElem):
             self._by_string.setdefault((e.sigma, e.sort), []).append(e)
+
+    def _emit(self, step, fact):
+        if self._frozen:
+            return
+        for d in self.defects:
+            if d.kind == "freeze_after" and step > d.step:
+                self._frozen = True
+                return
+            if d.kind == "omit_label" and fact[0] == "S":
+                ge = self.adversary.to_ground[fact[2]]
+                if (isinstance(ge, CubeElem) and fact[1] == d.n and ge.sigma == d.sigma
+                        and (d.sort is None or ge.sort == d.sort)):
+                    return
+            if d.kind == "break_p" and fact[0] == "P":
+                ge1 = self.adversary.to_ground[fact[1]]
+                ge2 = self.adversary.to_ground[fact[2]]
+                if (isinstance(ge1, CubeElem) and isinstance(ge2, CubeElem)
+                        and ge1.sigma == d.sigma and ge2.sigma == d.sigma + (d.j,)
+                        and (d.sort is None or ge1.sort == d.sort)):
+                    return
+        self.adversary.stream.append(step, fact)
 
     def _emit_labels(self, step, e, store, upto_stage):
         n = self._next_label.get(e, 0)
@@ -474,16 +508,39 @@ class ReferenceGenerator(FaithfulGenerator):
 ENGINE_RUNS = ["cc_faithful@80", "CC_DEFECTIVE@100", "dc_diagonal@50"]
 
 
-@pytest.mark.parametrize("name", ENGINE_RUNS)
+def generator_configs():
+    """The differential runs, and one run whose three copies share a batch: a
+    copy that drops a P link and freezes, at delay 2 and first, so that it
+    filters each batch before the others read it; identity at delay 1; and a
+    block rotation at delay 3."""
+    import json
+    from pathlib import Path
+
+    from test_match import differential_configs
+
+    from cubetree.config import config_from_dict
+
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "cc_faithful.json"
+    copies = [
+        {"label": "broken", "delay": 2,
+         "defects": [{"kind": "break_p", "sigma": [], "j": 1},
+                     {"kind": "freeze_after", "step": 60}]},
+        {"label": "ident", "delay": 1},
+        {"label": "perm", "delay": 3,
+         "permutation": {"kind": "block_rotate", "block": 8, "shift": 3}},
+    ]
+    three = dict(json.loads(shipped.read_text()), horizon=80, adversaries=copies)
+    return dict(differential_configs(), **{"three_copies@80": config_from_dict(three)})
+
+
+@pytest.mark.parametrize("name", [*ENGINE_RUNS, "three_copies@80"])
 def test_live_copies_match_the_reference_generator_at_every_stage(name, monkeypatch):
     """Beside each live copy, the reference generator ingests the same stage
     from the slice and the keys grown in it; after every stage both copies
     hold the same facts in the same order and the same element numbering."""
-    from test_match import differential_configs
-
     from cubetree.engine import Engine
 
-    config = differential_configs()[name]
+    config = generator_configs()[name]
     engine = Engine(config)
     grown: dict[int, set] = {}
     store_grow = engine.store.grow
@@ -536,37 +593,78 @@ def test_labels_on_every_window_element_form_a_prefix_stamped_in_order(name):
         assert stamps == sorted(stamps), e
 
 
+def copy_work_counter(monkeypatch, *methods):
+    """Tally the calls of each (class, name) in methods by whether copy work
+    is running: a copy's ingest or the shared enumeration's batch, wherever
+    either is called from.  Returns name -> {False: calls, True: calls}."""
+    depth = 0
+    tally = {name: {False: 0, True: 0} for _cls, name in methods}
+
+    def region(fn):
+        def wrapped(*args, **kw):
+            nonlocal depth
+            depth += 1
+            try:
+                return fn(*args, **kw)
+            finally:
+                depth -= 1
+        return wrapped
+
+    def counted(name, fn):
+        def wrapped(*args, **kw):
+            tally[name][depth > 0] += 1
+            return fn(*args, **kw)
+        return wrapped
+
+    for cls, name in (FaithfulGenerator, "ingest"), (GroundEnumeration, "batch"):
+        monkeypatch.setattr(cls, name, region(getattr(cls, name)))
+    for cls, name in methods:
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    return tally
+
+
 def test_ingest_never_probes_a_label_stamp(monkeypatch):
-    """Counted work, not time: on CC_FAITHFUL at h=150 the copies read one
-    top label per element and no per-label stamp.  The store itself still
-    probes stamps outside ingest, so the count does reach the store."""
+    """Counted work, not time: on CC_FAITHFUL at h=150 the copies, with the
+    enumeration they share, read one top label per element and no per-label
+    stamp.  A probe made after the run shows that the count reaches the
+    store."""
     from test_acceptance import CC_FAITHFUL
 
     from cubetree.config import config_from_dict
     from cubetree.engine import run_stages
 
-    ingest, label_stamp = FaithfulGenerator.ingest, LabelStore.label_stamp
-    inside = False
-    probes = {False: 0, True: 0}
-
-    def counted_ingest(self, stage, ground):
-        nonlocal inside
-        inside = True
-        try:
-            ingest(self, stage, ground)
-        finally:
-            inside = False
-
-    def counted_stamp(self, *args, **kw):
-        probes[inside] += 1
-        return label_stamp(self, *args, **kw)
-
-    monkeypatch.setattr(FaithfulGenerator, "ingest", counted_ingest)
-    monkeypatch.setattr(LabelStore, "label_stamp", counted_stamp)
+    probes = copy_work_counter(monkeypatch, (LabelStore, "label_stamp"))["label_stamp"]
     result = run_stages(config_from_dict(dict(CC_FAITHFUL, horizon=150)))
     assert all(len(adv.stream) for adv in result.adversaries)
     assert probes[True] == 0, probes
-    assert probes[False] > 0
+    outside = probes[False]
+    assert result.store.label_stamp(0, elem((), ())) is not None
+    assert probes[False] == outside + 1
+
+
+def test_one_enumeration_serves_every_copy(monkeypatch):
+    """Counted work, not time: on configs/cc_faithful.json at h=80, with two
+    copies, the run reads the links of each cube element once, and the
+    copies read at most one top label per element per relabelling: one for
+    the element's backlog and one per stage that relabels its key after it
+    entered."""
+    from test_match import differential_configs
+
+    from cubetree.engine import Engine
+
+    config = differential_configs()["cc_faithful@80"]
+    assert len(config.adversaries) == 2
+    engine = Engine(config)
+    tally = copy_work_counter(monkeypatch, (Incidence, "links"), (LabelStore, "top_label"))
+    engine.run()
+    cube = [e for e in engine.adversaries[0].to_ground.values() if isinstance(e, CubeElem)]
+    links, tops = tally["links"], tally["top_label"]
+    assert links[True] + links[False] == len(cube) > 0
+    relabellings = sum(len(engine.schedule.fsets(s))
+                       for s in range(1, config.horizon + 1)
+                       for sigma, _sort in set(engine.store.relabelled(s))
+                       if engine.entered.get(sigma, s + 1) <= s)
+    assert 0 < tops[True] <= len(cube) + relabellings, (tops, len(cube), relabellings)
 
 
 def test_oldest_satisfying_never_sorts(monkeypatch):

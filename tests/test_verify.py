@@ -675,6 +675,113 @@ def test_one_checker_agrees_with_the_reference_on_stream_targets(horizon):
                     ("one image shared", False)}
 
 
+def two_pass_check_isomorphism(g, source, target, horizon=None):
+    """The checker as it stood before its one pass: the true facts with the
+    labels due by the lag for completeness, all of them again as a set for
+    soundness, and each stream fact pulled back through the inverse map."""
+    from cubetree.adversary import FACT_ARG0
+    from cubetree.verify import snapshot_view, true_facts
+
+    def map_fact(fact, m):
+        k = FACT_ARG0[fact[0]]
+        try:
+            return fact[:k] + tuple(m[x] for x in fact[k:])
+        except KeyError:
+            return None
+
+    if isinstance(target, Snapshot):
+        view = snapshot_view(target)
+        return two_pass_check_isomorphism(
+            lambda e: view.to_copy.get(g(e)), source, view, source.stage)
+    report = Report()
+    stream = target.stream
+    enumerated = stream.elements(horizon)
+    if target.to_ground:
+        cube = [target.to_ground[x] for x in enumerated
+                if isinstance(target.to_ground.get(x), CubeElem)]
+    else:
+        cube = [e for e in source.elements() if stream.witnesses_W(e.sigma, e.sort, horizon)]
+    elems = ([UElem(0), UElem(1)] if source.variant == "dc" else []) + cube
+    images = [g(e) for e in elems]
+    if None in images:
+        report.add("total", False, format_elem(elems[images.index(None)]))
+        return report
+    report.add("total", True)
+    covered = set(images)
+    report.add("injective", len(covered) == len(images))
+    uncovered = [x for x in enumerated if x not in covered]
+    report.add("covers-enumerated", not uncovered,
+               f"{len(uncovered)} elements uncovered" if uncovered else "")
+    locus = {}
+    label_bound = max(0, min(source.stage, horizon) - target.delay)
+    for fact in true_facts(elems, lambda e: source.store.labels(e, upto=label_bound)):
+        if fact[0] not in locus and not stream.holds_within(map_fact(fact, images), horizon):
+            names = [format_elem(elems[x]) for x in fact[FACT_ARG0[fact[0]]:]]
+            head = f"S_{fact[1]} " if fact[0] == "S" else ""
+            locus[fact[0]] = head + ("-" if fact[0] == "E" else "->").join(names)
+    truth = set(true_facts(elems, source.labels))
+    back = {x: k for k, x in enumerate(images)}
+    for _step, fact in stream.facts_within(horizon):
+        pulled = map_fact(fact, back)
+        if pulled is not None and pulled not in truth:
+            head = f"S_{fact[1]}" if fact[0] == "S" else fact[0]
+            args = fact[FACT_ARG0[fact[0]]:]
+            locus["sound"] = f"{head} at {','.join(map(str, args))}"
+            break
+    for kind in "WSEP":
+        report.add(f"respects-{kind}", kind not in locus, locus.get(kind, ""))
+    report.add("sound", "sound" not in locus, locus.get("sound", ""))
+    return report
+
+
+def broken_maps(copy):
+    """The copy's ground truth, that map missing one element, and that map
+    sending two elements to one image (the later one's)."""
+    from cubetree.structure import CubeElem
+
+    table = copy.to_copy
+    a, b = [e for e in table if isinstance(e, CubeElem)][1:3]
+    return [("ground truth", table.get),
+            ("misses an element", lambda e: None if e == b else table.get(e)),
+            ("non-injective", lambda e: table[b] if e == a else table.get(e))]
+
+
+def test_one_pass_checker_writes_the_two_pass_report_lines():
+    """On clean and defective copies of a cc and a dc run, each at two
+    horizons, and on snapshot targets, with broken maps too, every report
+    line equals the two-pass checker's, loci included."""
+    from cubetree.adversary import Defect, PermSpec, make_faithful_copy
+
+    failed = set()
+    for name, horizon in [("cc_faithful.json", 48), ("dc_diagonal.json", 24)]:
+        result = run_stages(shipped_config(name, horizon))
+        snap = result.snapshot()
+        copies = [
+            make_faithful_copy(result, delay=1),
+            make_faithful_copy(result, PermSpec("block_rotate", 8, 3), delay=3),
+            make_faithful_copy(result, delay=2, defects=(Defect("omit_label", n=1, sigma=()),)),
+            make_faithful_copy(result, delay=1, defects=(Defect("break_p", sigma=(), j=1),)),
+            make_faithful_copy(result, delay=1, defects=(Defect("freeze_after", step=horizon // 2),)),
+        ]
+        for k, copy in enumerate(copies):
+            for label, g in broken_maps(copy):
+                for budget in (horizon // 2, horizon + 3):
+                    new = check_isomorphism(g, snap, copy, budget)
+                    old = two_pass_check_isomorphism(g, snap, copy, budget)
+                    assert new.lines() == old.lines(), (name, k, label, budget)
+                    assert new.ok or k > 1 or label != "ground truth", (name, k, budget)
+                    failed.update((k > 1, r.name) for r in new.failures())
+    # Each defect and each broken map shows.
+    assert {(True, "respects-S"), (True, "respects-P"), (False, "total"),
+            (False, "injective"), (False, "covers-enumerated")} <= failed
+    for snap, ((name, g), *_maps) in built_automorphism_cases():
+        cases = [(g, snap)] + [(h, snap) for _m, h in mutations(snap, g)]
+        cases += [(g, target) for _t, target in mutated_targets(snap)]
+        for h, target in cases:
+            assert (check_isomorphism(h, snap, target).lines()
+                    == two_pass_check_isomorphism(h, snap, target).lines()), name
+
+
 # -- top-label definedness, checked once per string ------------------------------
 
 def reference_n_sigma_definedness(result):
