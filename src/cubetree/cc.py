@@ -91,8 +91,8 @@ def act_N(engine: Engine, node: Node, s: int) -> str:
     return "o"
 
 
-def compute_B(engine: Engine, node: Node, t: int, fin_token: str) -> dict[StringKey, tuple]:
-    return match.responsibility_set(engine, node, t, fin_token)
+def compute_B(engine: Engine, node: Node, t: int) -> dict[StringKey, tuple]:
+    return match.responsibility_set(engine, node, t)
 
 
 def _tree_images(engine: Engine, node: Node) -> list[StringKey]:

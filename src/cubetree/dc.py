@@ -400,8 +400,8 @@ def _c_pairs(engine: Engine, node: Node) -> list[tuple[NatString, int]]:
     return sorted(pairs)
 
 
-def compute_B_pairs(engine: Engine, node: Node, t: int, fin_token: str):
-    return match.responsibility_set(engine, node, t, fin_token)
+def compute_B_pairs(engine: Engine, node: Node, t: int):
+    return match.responsibility_set(engine, node, t)
 
 
 def act_M(engine: Engine, node: Node, s: int) -> str:

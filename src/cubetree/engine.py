@@ -262,10 +262,10 @@ class Engine:
         self.watermark = 0
         # Per key, its (chooser, stage) choice records, one per chooser.
         self.chosen: dict[StringKey, list[tuple[Node, int]]] = {}
-        # Matcher outcome prefix addr + (token,) -> the keys chosen at or
-        # below it.  A matcher's choosers are its descendants, which act only
-        # after its first visit, so each choice is filed as it is recorded.
-        self._below: dict[Addr, set[StringKey]] = {}
+        # Matcher node -> the keys chosen below its ii outcome.  A matcher's
+        # choosers are its descendants, which act only after its first visit,
+        # so each choice is filed as it is recorded.
+        self._below: dict[Node, set[StringKey]] = {}
         # Every string that has entered the slice, with its entry stage; and
         # per stage, the strings entering then, in ladder order.
         self.entered: dict[NatString, int] = {}
@@ -327,14 +327,6 @@ class Engine:
             return current[:depth]
         return [self.nodes[addr[:k]] for k in range(depth)]
 
-    def _matchers_above(self, addr: Addr) -> list[Node]:
-        """The matcher nodes among addr's proper ancestors, read off the path
-        index while addr's parent ends the current path."""
-        nodes = self.path.nodes
-        if len(nodes) == len(addr) and (not addr or nodes[-1].addr == addr[:-1]):
-            return self.path.matchers
-        return [anc for anc in self.path_nodes(addr) if isinstance(anc.req, ReqM)]
-
     def grow(self, sigma: NatString, sort: int | None, stage: int,
              chooser: Node | None) -> None:
         ev = self.store.grow(sigma, sort, stage)
@@ -352,9 +344,10 @@ class Engine:
             if not any(c is chooser for c, _ in records):
                 records.append((chooser, stage))
                 self.emit("choose", stage, chooser, sigma, sort)
-                for anc in self._matchers_above(chooser.addr):
-                    prefix = chooser.addr[:len(anc.addr) + 1]
-                    self._below.setdefault(prefix, set()).add((sigma, sort))
+                # The chooser is being visited: its parent ends the path.
+                for anc in self.path.matchers:
+                    if chooser.addr[len(anc.addr)] == "ii":
+                        self._below.setdefault(anc, set()).add((sigma, sort))
                 # Strings are chosen before birth, so this is their entry.
                 self._enter(sigma, birth_stage(sigma))
 
@@ -375,11 +368,11 @@ class Engine:
         """The strings that enter the slice at stage s, in ladder order."""
         return list(self._entering.get(s, ()))
 
-    def keys_chosen_below(self, prefix: Addr) -> set[StringKey]:
-        """The keys chosen at or below prefix, an outcome of a matcher.  The
-        set is the engine's own and grows with later choices, so callers read
-        it and must not change it."""
-        return self._below.get(prefix, set())
+    def keys_chosen_below(self, matcher: Node) -> set[StringKey]:
+        """The keys chosen below a matcher's ii outcome.  The set is the
+        engine's own and grows with later choices, so callers read it and
+        must not change it."""
+        return self._below.get(matcher, set())
 
     def first_fit(self, allowed=None) -> Requirement:
         """The first requirement of the priority order off the current path

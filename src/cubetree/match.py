@@ -29,8 +29,7 @@ class MatcherState:
 
     C, f, k0, k1, t (the stage of the last passing visit) and x_at_t (the
     stability witnesses then) are the strategy's own.  The rest is B as of
-    the stage B_t and the finite outcome fin it was last brought up to, with
-    `excluded`, the keys chosen below fin that it leaves out.
+    the stage B_t it was last brought up to.
     """
 
     def __init__(self, C: list[StringKey]) -> None:
@@ -42,10 +41,8 @@ class MatcherState:
         self.x_at_t: dict[StringKey, int | None] = {}
         # B: each of its keys with the key that sorts B in ladder order.
         self.rank: dict[StringKey, tuple] = {}
-        # Parent key -> its children in B, kept as dict keys: a set that
-        # iterates in admission order, not hash order (which differs between
-        # processes for single-sorted keys), so a visit's queries repeat.
-        self.children: dict[StringKey, dict[StringKey, None]] = {}
+        # Parent key -> its children in B, in admission order.
+        self.children: dict[StringKey, list[StringKey]] = {}
         # The keys of B not known to pass the bullets, and a heap of them by
         # rank (entries of keys no longer pending are dropped when popped).
         self.pending: set[StringKey] = set()
@@ -53,8 +50,6 @@ class MatcherState:
         # The keys of B that f does not map.
         self.unmapped: set[StringKey] = set()
         self.B_t = 0
-        self.fin: str | None = None
-        self.excluded: set[StringKey] = set()
         # Keys the visits enumerated outside the bullet checks: a work count.
         self.scanned = 0
 
@@ -63,19 +58,11 @@ class MatcherState:
         self.rank[key] = (ladder_key(sigma), sort)
         if sigma:
             parent = (sigma[:-1], sort)
-            self.children.setdefault(parent, {})[key] = None
+            self.children.setdefault(parent, []).append(key)
             self.mark(parent)
         self.mark(key)
         if key not in self.f:
             self.unmapped.add(key)
-
-    def evict(self, key: StringKey) -> None:
-        del self.rank[key]
-        sigma, sort = key
-        if sigma:
-            del self.children[(sigma[:-1], sort)][key]
-        self.pending.discard(key)
-        self.unmapped.discard(key)
 
     def mark(self, key: StringKey) -> None:
         """Queue a key of B for a bullet check; keys outside B are skipped."""
@@ -84,37 +71,26 @@ class MatcherState:
             heappush(self.queue, (self.rank[key], key))
 
 
-def responsibility_set(engine: Engine, node: Node, t: int,
-                       fin_token: str) -> dict[StringKey, tuple]:
-    """B: the stage-t universe minus the starting set C and the keys chosen
-    at or below the finite outcome fin_token.  In the single-sorted variant
-    C is every string an ancestor chose: only tree strategies choose, each
-    its own image.
+def responsibility_set(engine: Engine, node: Node, t: int) -> dict[StringKey, tuple]:
+    """B: the stage-t universe minus the starting set C.  In the single-sorted
+    variant C is every string an ancestor chose: only tree strategies choose,
+    each its own image.  The paper also leaves out the keys chosen below the
+    finite outcome str(k0), but none of them has entered by t: k0 changes
+    only with t, so their choosers act after t, and a string (a stolen one
+    too, first chosen in its thief's 0-subtree) is chosen before its birth.
 
-    Brings the node's B up to (t, fin_token) and returns it: the node's own
-    rank map.  t never goes down.  Keys that enter B, and keys of B
+    Brings the node's B up to t and returns it: the node's own rank map.
+    B only grows, as t never goes down.  Keys that enter B, and keys of B
     relabelled in stages B_t+1..t, are queued for a bullet check."""
     st: MatcherState = node.state
-    start = set(st.C)
-    below = engine.keys_chosen_below(node.addr + (fin_token,))
-    if fin_token != st.fin or len(below) != len(st.excluded):
-        # A new finite outcome brings back what the old one left out; more
-        # choices below the same one only leave out more.
-        for key in st.excluded - below:
-            if key not in start and engine.entered[key[0]] <= st.B_t:
-                st.admit(key)
-        for key in below - st.excluded:
-            if key in st.rank:
-                st.evict(key)
-        st.scanned += len(st.excluded) + len(below)
-        st.fin, st.excluded = fin_token, set(below)
     if t != st.B_t:
+        start = set(st.C)
         keys = sorts(engine.variant)
         for stage in range(st.B_t + 1, t + 1):
             for sigma in engine.entering(stage):
                 for sort in keys:
                     key = (sigma, sort)
-                    if key not in start and key not in below:
+                    if key not in start:
                         st.admit(key)
                     st.scanned += 1
             relabelled = engine.store.relabelled(stage)
@@ -132,14 +108,14 @@ def _fields(key: StringKey) -> tuple:
 
 def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
     """One visit.  start(engine, node) gives the sorted starting set C on the
-    first visit; responsibility(engine, node, t, fin_token) gives B."""
+    first visit; responsibility(engine, node, t) gives B."""
     st = node.state
     if st is None:
         st = node.state = MatcherState(start(engine, node))
     stream = engine.adversaries[node.req.index].stream
     f = st.f
     t, k0, k1 = st.t, st.k0, st.k1
-    B = responsibility(engine, node, t, str(k0))
+    B = responsibility(engine, node, t)
     engine.emit("mstat", s, node, t, k0, k1, len(B))
     st.scanned += len(st.unmapped)
     for key in sorted(st.unmapped, key=st.rank.__getitem__):
@@ -161,7 +137,7 @@ def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
             pending.remove(key)
         heappop(queue)
     # Links to children chosen below the infinite outcome are left out.
-    below_inf = engine.keys_chosen_below(node.addr + ("ii",))
+    below_inf = engine.keys_chosen_below(node)
     xs: dict[StringKey, int | None] = {}
     stable = True
     for key in st.C:

@@ -297,11 +297,14 @@ def check_isomorphism(g, source: Snapshot, target, horizon: int | None = None) -
     truth has enumerated by the horizon, else the source elements on strings
     the stream has witnessed; in the two-sorted variant the u pair as well.
     A target snapshot is read through `snapshot_view` at the source's stage,
-    with the map composed with the view's ids.
+    with the map composed with the view's ids; a stream target is read by
+    the horizon, the source's stage when none is given.
     """
     if isinstance(target, Snapshot):
         view = snapshot_view(target)
         return check_isomorphism(lambda e: view.to_copy.get(g(e)), source, view, source.stage)
+    if horizon is None:
+        horizon = source.stage
     report = Report()
     stream = target.stream
     enumerated = stream.elements(horizon)
@@ -576,19 +579,23 @@ def _replay_B(result: RunResult, m: Node, s: int, t: int, k0: int) -> set[String
 
 
 def _check_b_sets(result: RunResult, report: Report) -> None:
-    """At each matcher visit (an `mstat` event) B is replayed: it must
-    contain B at the matcher's previous visit, and equal it unless the
-    matcher took an infinite outcome in between."""
+    """At each matcher visit (an `mstat` event) B is replayed: its size must
+    be the event's |B|, and it must contain B at the matcher's previous
+    visit, and equal it unless the matcher took an infinite outcome in
+    between."""
     last: dict[Node, tuple[int, set[StringKey]]] = {}
     moved: set[Node] = set()
+    bad_size = None
     bad_mono = None
     bad_eq = None
     for ev in result.trace.records:
         if ev[0] == "outcome" and ev[3].startswith("i"):
             moved.add(ev[2])
         elif ev[0] == "mstat":
-            _kind, stage, node, t, k0, _k1, _bsize = ev
+            _kind, stage, node, t, k0, _k1, bsize = ev
             current = _replay_B(result, node, stage, t, k0)
+            if bad_size is None and bsize != len(current):
+                bad_size = f"{node} at {stage}: {bsize} against {len(current)}"
             if node in last:
                 prev_stage, prev = last[node]
                 where = f"{node} between {prev_stage} and {stage}"
@@ -598,6 +605,7 @@ def _check_b_sets(result: RunResult, report: Report) -> None:
                     bad_eq = where
             last[node] = (stage, current)
             moved.discard(node)
+    report.add("responsibility-size", bad_size is None, bad_size or "")
     report.add("responsibility-monotone", bad_mono is None, bad_mono or "")
     report.add("responsibility-stable", bad_eq is None, bad_eq or "")
 

@@ -35,18 +35,17 @@ dc_pools = st.sets(st.tuples(strings, st.integers(0, 1)), max_size=40)
 @given(st.one_of(cc_pools, dc_pools), st.data(),
        st.lists(st.tuples(strings, st.sampled_from([None, 0, 1]))))
 def test_children_index_matches_scan(pool, data, probes):
-    """Keys enter and leave a matcher's B in any order: its children index
-    equals the scan of B, and B holds each key with its ladder key."""
+    """Keys enter a matcher's B in any order: its children index equals the
+    scan of B, each list in admission order, and B holds each key with its
+    ladder key."""
     state = MatcherState(C=[])
-    members = []
-    for key in data.draw(st.permutations(sorted(pool))):
+    members = data.draw(st.permutations(sorted(pool)))
+    for key in members:
         state.admit(key)
-        members.append(key)
-        if data.draw(st.booleans()):
-            gone = members.pop(data.draw(st.integers(0, len(members) - 1)))
-            state.evict(gone)
     for key in list(pool) + probes:
-        assert set(state.children.get(key, {})) == set(scan_children(members, key))
+        kids = state.children.get(key, [])
+        assert sorted(kids) == scan_children(members, key)
+        assert kids == [k for k in members if k in kids]
     assert in_ladder_order(state.rank) == sorted(members, key=lambda k: (ladder_key(k[0]), k[1]))
     assert state.unmapped == set(members)
 
@@ -108,9 +107,9 @@ def test_responsibility_and_stability_pool_match_chosen_scans(variant, config, m
     visit = {}
     counts = {"visits": 0, "links": 0, "skipped": 0}
 
-    def checked_B(engine, node, t, fin_token):
-        B = hook(engine, node, t, fin_token)
-        assert in_ladder_order(B) == reference(engine, node, t, fin_token)
+    def checked_B(engine, node, t):
+        B = hook(engine, node, t)
+        assert in_ladder_order(B) == reference(engine, node, t, str(node.state.k0))
         visit.update(engine=engine, node=node, B=B)
         counts["visits"] += 1
         return B
@@ -238,8 +237,8 @@ def test_matcher_agrees_with_the_plain_matcher_at_every_visit(name, monkeypatch)
     """Beside each real visit, replay the plain matcher on its own state:
     the same B, the same events (so the same first failing key and bullet),
     the same token.  Every keys_chosen_below answer equals the scan of the
-    choice records.  A run of the plain matcher alone gives the same
-    trace."""
+    choice records below the ii outcome.  A run of the plain matcher alone
+    gives the same trace."""
     from cubetree.engine import Engine
 
     config = differential_configs()[name]
@@ -251,19 +250,20 @@ def test_matcher_agrees_with_the_plain_matcher_at_every_visit(name, monkeypatch)
     shadow, seen = {}, {}
     counts = {"visits": 0, "fails": 0, "below": 0, "below_fin": 0}
 
-    def checked_below(engine, prefix):
-        keys = real_below(engine, prefix)
-        assert keys == reference_chosen_below(engine, prefix), prefix
+    def checked_below(engine, node):
+        keys = real_below(engine, node)
+        assert keys == reference_chosen_below(engine, node.addr + ("ii",)), str(node)
         counts["below"] += 1
-        counts["below_fin"] += bool(keys) and prefix[-1] != "ii"
         return keys
 
-    def captured_hook(engine, node, t, fin_token):
-        B = real_hook(engine, node, t, fin_token)
+    def captured_hook(engine, node, t):
+        B = real_hook(engine, node, t)
         seen["B"] = in_ladder_order(B)
         return B
 
     def checked_act(engine, node, s):
+        k0 = shadow.get(node.addr, {}).get("k0", 0)
+        counts["below_fin"] += bool(reference_chosen_below(engine, node.addr + (str(k0),)))
         events = []
         ref_token, ref_B = reference_visit(engine, node, s, start, shadow,
                                            lambda *ev: events.append(ev))
@@ -280,8 +280,8 @@ def test_matcher_agrees_with_the_plain_matcher_at_every_visit(name, monkeypatch)
     monkeypatch.setattr(module, hook_name, captured_hook)
     monkeypatch.setattr(module, "act_M", checked_act)
     real = run_stages(config)
-    # Each case has failing visits, and some B leaves out keys chosen below
-    # the finite outcome.
+    # Each case has failing visits, and at some visits the plain B's
+    # finite-outcome clause has keys in it (none of them in the universe).
     assert counts["visits"] and counts["fails"] and counts["below_fin"], counts
 
     shadow.clear()
@@ -295,19 +295,18 @@ def test_matcher_agrees_with_the_plain_matcher_at_every_visit(name, monkeypatch)
 @pytest.mark.parametrize("name", ["cc_faithful@80", "dc_diagonal@50"])
 def test_chosen_below_index_files_exactly_the_matcher_outcomes(name):
     """After a run the engine's chosen-below index holds one entry per
-    matcher outcome something was chosen below, and each entry equals the
-    scan of the choice records: no prefix of another kind of node is filed,
-    and no choice below a matcher is missed."""
+    matcher that something was chosen below the ii outcome of, and each
+    entry equals the scan of the choice records: no node of another kind is
+    filed, and no choice below a matcher's ii outcome is missed."""
     from cubetree.engine import ReqM
 
     result = run_stages(differential_configs()[name])
     expected = {}
     for node in result.nodes.values():
         if isinstance(node.req, ReqM):
-            for token in {token for _s, token in node.outcomes}:
-                keys = reference_chosen_below(result, node.addr + (token,))
-                if keys:
-                    expected[node.addr + (token,)] = keys
+            keys = reference_chosen_below(result, node.addr + ("ii",))
+            if keys:
+                expected[node] = keys
     assert expected
     assert result._below == expected
 
@@ -346,37 +345,30 @@ def test_matcher_work_grows_with_the_trace(monkeypatch):
     assert exponent <= 1.15, (work, events, exponent)
 
 
-def test_a_key_chosen_below_the_finite_outcome_leaves_B_and_comes_back():
-    """Fresh strings are born after the matcher's t, so in the sample runs
-    no key of B is ever chosen below its finite outcome; only a steal of an
-    older string can do that.  Choose keys of B there by hand: they leave B
-    and the children index, and a new finite outcome brings them back,
-    queued for a bullet check with their parents."""
-    from cubetree.engine import ReqM
+# Slow copies, so the matchers take finite outcomes.
+@pytest.mark.parametrize("config", [
+    cc_config(horizon=30, adversaries=[faithful(delay=2)]),
+    dc_config(horizon=40, mothers=2, adversaries=[faithful(delay=3)]),
+], ids=["cc", "dc"])
+def test_a_key_chosen_below_the_finite_outcome_fails_the_size_check(config):
+    """B only grows, since no run chooses a key of B below a matcher's
+    finite outcome.  A choice record made there by hand, between two visits
+    that share k0, makes the full replay of B smaller than the |B| the live
+    matcher logged at the later visit."""
+    from cubetree.verify import check_trace_invariants
 
-    result = run_stages(cc_config(horizon=40, adversaries=[faithful(delay=1)]))
-    node = next(nd for nd in result.nodes.values() if isinstance(nd.req, ReqM))
-    st = node.state
-    t, fin = st.B_t, st.fin
-    assert in_ladder_order(cc.compute_B(result, node, t, fin)) == reference_B(result, node, t, fin)
-    leaf = max(in_ladder_order(st.rank), key=lambda key: len(key[0]))
-    chosen = [leaf, (leaf[0][:-1], None)]
-    assert all(key in st.rank for key in chosen)
-    chooser = result.node_at(node.addr + (fin,))
-    for sigma, sort in chosen:
-        result.grow(sigma, sort, result.horizon, chooser=result.node_at(chooser.addr + ("o",)))
-    B = cc.compute_B(result, node, t, fin)
-    assert in_ladder_order(B) == reference_B(result, node, t, fin)
-    assert not set(chosen) & set(B) and not set(chosen) & set(st.unmapped)
-    for key in B:
-        assert set(st.children.get(key, {})) == set(scan_children(B, key))
-    st.pending.clear()
-    fin = str(int(fin) + 1)
-    B = cc.compute_B(result, node, t + 1, fin)
-    assert in_ladder_order(B) == reference_B(result, node, t + 1, fin)
-    assert set(chosen) <= set(B)
-    for key in B:
-        assert set(st.children.get(key, {})) == set(scan_children(B, key))
-    assert set(chosen) <= st.pending
-    above = (leaf[0][:-2], None)
-    assert above in st.pending or above not in st.rank
+    result = run_stages(config)
+    assert check_trace_invariants(result).ok
+    visits = [ev for ev in result.trace.records if ev[0] == "mstat"]
+    for _kind, s1, node, t, k0, *_rest in visits:
+        B = reference_B(result, node, t, str(k0)) if config.variant == "cc" \
+            else reference_B_pairs(result, node, t, str(k0))
+        later = [ev for ev in visits if ev[2] is node and ev[1] > s1]
+        if B and later and later[0][4] == k0:
+            break
+    else:
+        raise AssertionError("no two visits share k0")
+    chooser = result.node_at(node.addr + (str(k0), "o"))
+    result.chosen.setdefault(B[0], []).append((chooser, later[0][1] - 1))
+    lines = check_trace_invariants(result).lines()
+    assert any(line.startswith("FAIL responsibility-size (") for line in lines), lines

@@ -290,8 +290,6 @@ class MatcherState:
     queue: list = field(default_factory=list)
     unmapped: set = field(default_factory=set)
     B_t: int = 0
-    fin: str | None = None
-    excluded: set = field(default_factory=set)
     scanned: int = 0
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import cc_config, dc_config, faithful
 
@@ -782,6 +783,19 @@ def test_one_pass_checker_writes_the_two_pass_report_lines():
                     == two_pass_check_isomorphism(h, snap, target).lines()), name
 
 
+def test_a_stream_target_is_checked_by_the_source_stage_by_default():
+    """With no horizon given, a stream target is read by the source's stage,
+    the bound a snapshot target is read at."""
+    from cubetree.adversary import make_faithful_copy
+
+    result = run_stages(cc_config(horizon=12))
+    adv = make_faithful_copy(result)
+    snap = result.snapshot()
+    report = check_isomorphism(adv.to_copy.get, snap, adv)
+    assert report.ok, report.failures()
+    assert report.lines() == check_isomorphism(adv.to_copy.get, snap, adv, snap.stage).lines()
+
+
 # -- top-label definedness, checked once per string ------------------------------
 
 def reference_n_sigma_definedness(result):
@@ -1021,6 +1035,53 @@ def test_trace_invariants_read_no_matcher_state(config):
     assert report.ok, report.failures()
 
 
+@st.composite
+def small_configs(draw):
+    """A small run of either variant against one to three faithful copies,
+    some block-rotated, some omitting a label; a dc run has one to three
+    mothers, an until or periodic predicate and up to two functionals."""
+    copies = []
+    for _ in range(draw(st.integers(1, 3))):
+        spec = faithful(delay=draw(st.integers(0, 3)))
+        if draw(st.booleans()):
+            spec["permutation"] = {"kind": "block_rotate", "block": draw(st.integers(1, 8)),
+                                   "shift": draw(st.integers(0, 7))}
+        if draw(st.booleans()):
+            sigma = draw(st.lists(st.integers(0, 2), max_size=2))
+            spec["defects"] = [{"kind": "omit_label", "n": draw(st.integers(0, 3)), "sigma": sigma}]
+        copies.append(spec)
+    common = {
+        "horizon": draw(st.integers(10, 40)),
+        "universe": {"rate": draw(st.integers(1, 20)), "cap": draw(st.integers(2, 3)),
+                     "f_rate": draw(st.integers(1, 30)), "f_cap": draw(st.integers(1, 2))},
+        "adversaries": copies,
+    }
+    if draw(st.booleans()):
+        return cc_config(**common)
+    mothers = draw(st.integers(1, 3))
+    rule = draw(st.one_of(
+        st.integers(0, 20).map(lambda s0: {"kind": "until", "s0": s0}),
+        st.integers(1, 6).map(lambda period: {"kind": "periodic", "period": period})))
+    functionals = []
+    for _ in range(draw(st.integers(0, 2))):
+        mother = draw(st.integers(0, mothers - 1))
+        functionals.append({"mother": mother, "round": mother + draw(st.integers(1, 3)),
+                            "kind": "length_threshold", "min_len": draw(st.integers(1, 3)),
+                            "value": draw(st.integers(0, 1))})
+    return dc_config(mothers=mothers, phi={"range": draw(st.integers(2, 10)), "default": rule},
+                     functionals=functionals, **common)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_configs())
+def test_trace_invariants_pass_on_small_runs(config):
+    """Every invariant, the live |B| against the full replay included, holds
+    on small generated runs."""
+    report = check_trace_invariants(run_stages(config))
+    assert report.ok, report.failures()
+    assert "pass responsibility-size" in report.lines()
+
+
 # -- negative controls: each corrupts a finished run minimally ---------------------
 
 def mstat_rows(result):
@@ -1058,6 +1119,13 @@ def enter_between_finite_visits(result):
                     != result.universe_strings(then[3]):
                 set_t(result, j, then[1])
                 return
+
+
+def raise_a_b_size(result):
+    """One visit logs a |B| one larger than its B."""
+    i = next(iter(mstat_rows(result).values()))[0]
+    ev = result.trace.records[i]
+    result.trace.records[i] = ev[:6] + (ev[6] + 1,)
 
 
 def older_witness_later(result):
@@ -1099,6 +1167,8 @@ NEGATIVE_RUN = {
 
 
 @pytest.mark.parametrize("variant, corrupt, name", [
+    ("cc", raise_a_b_size, "responsibility-size"),
+    ("dc", raise_a_b_size, "responsibility-size"),
     ("cc", lower_a_later_t, "responsibility-monotone"),
     ("dc", lower_a_later_t, "responsibility-monotone"),
     ("cc", enter_between_finite_visits, "responsibility-stable"),
