@@ -245,6 +245,7 @@ def cmd_replay(args) -> int:
 
 def cmd_gen_adversary(args) -> int:
     delay = at_least(args.delay, 0, "--delay")
+    block = at_least(args.block, 1, "--block")
     defects = ()
     if args.omit_label:
         spec = re.fullmatch(r"(\d+)@((?:\d+(?:,\d+)*)?)", args.omit_label)
@@ -256,8 +257,8 @@ def cmd_gen_adversary(args) -> int:
     config = load_config(args.config)
     result = run_stages(config)
     perm = PermSpec()
-    if args.block > 1:
-        perm = PermSpec("block_rotate", args.block, args.shift)
+    if block > 1:
+        perm = PermSpec("block_rotate", block, args.shift)
     adv = make_faithful_copy(result, permutation=perm, delay=delay,
                              defects=defects)
     lines = adv.stream.to_lines()
@@ -321,6 +322,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:  # a ConfigError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output or replay path that cannot be used
+        print(f"error: cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -196,10 +196,11 @@ TRUE_PATH = {"threshold": (floor(1), 3), "window": (optional(floor(1)), None)}
 PERMUTATIONS = {"identity": {},
                 "block_rotate": {"block": (floor(1), REQUIRED), "shift": (integer, REQUIRED)}}
 DEFECTS = {
-    "omit_label": {"n": (integer, REQUIRED), "sigma": (naturals, REQUIRED),
+    "omit_label": {"n": (floor(0), REQUIRED), "sigma": (naturals, REQUIRED),
                    "sort": (as_given, None)},
-    "break_p": {"sigma": (naturals, REQUIRED), "j": (integer, REQUIRED), "sort": (as_given, None)},
-    "freeze_after": {"step": (integer, REQUIRED)},
+    "break_p": {"sigma": (naturals, REQUIRED), "j": (floor(0), REQUIRED),
+                "sort": (as_given, None)},
+    "freeze_after": {"step": (floor(0), REQUIRED)},
 }
 ADVERSARIES = {
     "faithful": {"label": (string, None),

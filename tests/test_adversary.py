@@ -1,11 +1,8 @@
-from bisect import insort
-
 import pytest
 from hypothesis import given, strategies as st
 
 from cubetree.adversary import (
     HOLE,
-    Adversary,
     Defect,
     FactStream,
     FaithfulGenerator,
@@ -18,16 +15,7 @@ from cubetree.adversary import (
     stream_from_lines,
 )
 from cubetree.config import ConfigError
-from cubetree.structure import (
-    CubeElem,
-    LabelStore,
-    UElem,
-    UniverseSchedule,
-    elem,
-    holds_P,
-    ladder_key,
-    sorts,
-)
+from cubetree.structure import CubeElem, LabelStore, UniverseSchedule, elem, sorts
 
 
 def small_stream():
@@ -376,213 +364,16 @@ def test_next_symbol_index_matches_scan(batches, probes):
             assert index.children.get((sigma, None), []) == scan_next_symbols(visible, sigma)
 
 
-# -- the generator against its plain reference ---------------------------------
-
-
-class ReferenceGenerator:
-    """The generator before it read the ground's stage record or shared an
-    enumeration: each copy diffs the stage's slice against the strings it
-    has seen, is handed the keys grown in the stage, finds each label's
-    stamp with one probe per label, and sends each fact through its own
-    defects and into its stream one at a time."""
-
-    def __init__(self, variant, schedule, permutation=PermSpec(), delay=1, defects=(),
-                 label="faithful"):
-        self.variant = variant
-        self.schedule = schedule
-        self.permutation = permutation
-        self.delay = delay
-        self.defects = tuple(defects)
-        self.adversary = Adversary(FactStream(), label=label, delay=delay)
-        self._frozen = False
-        self._strings = set()
-        self._by_string = {}
-        self._next_symbols = {}
-        self._fsets = []
-        self._next_label = {}
-
-    def _alloc(self, e):
-        x = self.permutation.apply(len(self.adversary.to_ground))
-        self.adversary.to_ground[x] = e
-        self.adversary.to_copy[e] = x
-        if isinstance(e, CubeElem):
-            self._by_string.setdefault((e.sigma, e.sort), []).append(e)
-
-    def _emit(self, step, fact):
-        if self._frozen:
-            return
-        for d in self.defects:
-            if d.kind == "freeze_after" and step > d.step:
-                self._frozen = True
-                return
-            if d.kind == "omit_label" and fact[0] == "S":
-                ge = self.adversary.to_ground[fact[2]]
-                if (isinstance(ge, CubeElem) and fact[1] == d.n and ge.sigma == d.sigma
-                        and (d.sort is None or ge.sort == d.sort)):
-                    return
-            if d.kind == "break_p" and fact[0] == "P":
-                ge1 = self.adversary.to_ground[fact[1]]
-                ge2 = self.adversary.to_ground[fact[2]]
-                if (isinstance(ge1, CubeElem) and isinstance(ge2, CubeElem)
-                        and ge1.sigma == d.sigma and ge2.sigma == d.sigma + (d.j,)
-                        and (d.sort is None or ge1.sort == d.sort)):
-                    return
-        self.adversary.stream.append(step, fact)
-
-    def _emit_labels(self, step, e, store, upto_stage):
-        n = self._next_label.get(e, 0)
-        while True:
-            stamp = store.label_stamp(n, e)
-            if stamp is None or stamp > upto_stage:
-                break
-            self._emit(step, ("S", n, self.adversary.to_copy[e]))
-            n += 1
-        self._next_label[e] = n
-
-    def ingest(self, stage, store, universe, touched):
-        step = stage + self.delay
-        sort_values = sorts(self.variant)
-        to_copy = self.adversary.to_copy
-        new_elems = []
-        if stage == 1 and self.variant == "dc":
-            new_elems.extend(UElem(k) for k in (0, 1))
-        new_strings = [t for t in universe if t not in self._strings]
-        fsets = self.schedule.fsets(stage)
-        new_fsets = [f for f in fsets if f not in self._fsets]
-        for sigma in (t for t in universe if t in self._strings) if new_fsets else ():
-            for f in new_fsets:
-                for sort in sort_values:
-                    new_elems.append(CubeElem(f, sigma, sort))
-        for sigma in new_strings:
-            for f in fsets:
-                for sort in sort_values:
-                    new_elems.append(CubeElem(f, sigma, sort))
-        self._add_strings(new_strings)
-        self._fsets = fsets
-
-        for e in new_elems:
-            self._alloc(e)
-        for e in new_elems:
-            if isinstance(e, CubeElem):
-                self._emit(step, ("W", e.sigma, e.sort, to_copy[e]))
-        for e in new_elems:
-            if not isinstance(e, CubeElem):
-                continue
-            x = to_copy[e]
-            for other in self._by_string.get((e.sigma, e.sort), []):
-                if other == e:
-                    continue
-                diff = other.fset ^ e.fset
-                if len(diff) == 1:
-                    i = next(iter(diff))
-                    y = to_copy[other]
-                    self._emit(step, ("E", i, x, y))
-                    self._emit(step, ("E", i, y, x))
-            for parent_sigma in (e.sigma[:-1],) if e.sigma else ():
-                for other in self._by_string.get((parent_sigma, e.sort), []):
-                    if holds_P(other, e):
-                        self._emit(step, ("P", to_copy[other], x))
-            for j in self._next_symbols.get(e.sigma, ()):
-                for other in self._by_string.get((e.sigma + (j,), e.sort), []):
-                    if holds_P(e, other):
-                        self._emit(step, ("P", x, to_copy[other]))
-            if self.variant == "dc":
-                for k in (0, 1):
-                    u = UElem(k)
-                    if u in to_copy and holds_P(u, e):
-                        self._emit(step, ("P", to_copy[u], x))
-        for e in new_elems:
-            if isinstance(e, CubeElem):
-                self._emit_labels(step, e, store, stage)
-        for key in sorted(touched, key=lambda k: (ladder_key(k[0]), -1 if k[1] is None else k[1])):
-            for e in self._by_string.get(key, []):
-                self._emit_labels(step, e, store, stage)
-
-    def _add_strings(self, strings):
-        self._strings.update(strings)
-        for t in strings:
-            if t:
-                insort(self._next_symbols.setdefault(t[:-1], []), t[-1])
-
-
-ENGINE_RUNS = ["cc_faithful@80", "CC_DEFECTIVE@100", "dc_diagonal@50"]
-
-
-def generator_configs():
-    """The differential runs, and one run whose three copies share a batch: a
-    copy that drops a P link and freezes, at delay 2 and first, so that it
-    filters each batch before the others read it; identity at delay 1; and a
-    block rotation at delay 3."""
-    import json
-    from pathlib import Path
-
-    from test_match import differential_configs
-
-    from cubetree.config import config_from_dict
-
-    shipped = Path(__file__).resolve().parent.parent / "configs" / "cc_faithful.json"
-    copies = [
-        {"label": "broken", "delay": 2,
-         "defects": [{"kind": "break_p", "sigma": [], "j": 1},
-                     {"kind": "freeze_after", "step": 60}]},
-        {"label": "ident", "delay": 1},
-        {"label": "perm", "delay": 3,
-         "permutation": {"kind": "block_rotate", "block": 8, "shift": 3}},
-    ]
-    three = dict(json.loads(shipped.read_text()), horizon=80, adversaries=copies)
-    return dict(differential_configs(), **{"three_copies@80": config_from_dict(three)})
-
-
-@pytest.mark.parametrize("name", [*ENGINE_RUNS, "three_copies@80"])
-def test_live_copies_match_the_reference_generator_at_every_stage(name, monkeypatch):
-    """Beside each live copy, the reference generator ingests the same stage
-    from the slice and the keys grown in it; after every stage both copies
-    hold the same facts in the same order and the same element numbering."""
-    from cubetree.engine import Engine
-
-    config = generator_configs()[name]
-    engine = Engine(config)
-    grown: dict[int, set] = {}
-    store_grow = engine.store.grow
-
-    def recording_grow(sigma, sort, stage):
-        grown.setdefault(stage, set()).add((tuple(sigma), sort))
-        return store_grow(sigma, sort, stage)
-
-    monkeypatch.setattr(engine.store, "grow", recording_grow)
-    refs = {}
-    for spec in config.adversaries:
-        refs[spec.label] = ReferenceGenerator(
-            config.variant, config.universe, spec.permutation, spec.delay,
-            spec.defects, spec.label)
-    live_ingest = FaithfulGenerator.ingest
-    stages = []
-
-    def checked_ingest(self, stage, *args):
-        live_ingest(self, stage, *args)
-        ref = refs[self.adversary.label]
-        ref.ingest(stage, engine.store, engine.universe_strings(stage), grown.get(stage, set()))
-        assert (list(ref.adversary.stream.to_lines())
-                == list(self.adversary.stream.to_lines())), stage
-        assert ref.adversary.to_copy == self.adversary.to_copy, stage
-        stages.append(stage)
-
-    monkeypatch.setattr(FaithfulGenerator, "ingest", checked_ingest)
-    engine.run()
-    assert stages == [s for s in range(1, config.horizon + 1) for _ in refs]
-    assert all(len(ref.adversary.stream) for ref in refs.values())
-
-
-@pytest.mark.parametrize("name", ENGINE_RUNS)
+@pytest.mark.parametrize("name", ["cc_faithful@80", "CC_DEFECTIVE@100", "dc_diagonal@50"])
 def test_labels_on_every_window_element_form_a_prefix_stamped_in_order(name):
     """The generator reads one top label per element: on every element of
     the final window the labels are S_0..S_{k-1}, and their stamps never
     decrease in n."""
-    from test_match import differential_configs
+    from reference_engine import fixed_configs
 
     from cubetree.engine import run_stages
 
-    result = run_stages(differential_configs()[name])
+    result = run_stages(fixed_configs()[name])
     store = result.store
     elements = result.snapshot().elements()
     assert any(len(store.labels(e)) > 1 for e in elements)
@@ -648,11 +439,11 @@ def test_one_enumeration_serves_every_copy(monkeypatch):
     copies read at most one top label per element per relabelling: one for
     the element's backlog and one per stage that relabels its key after it
     entered."""
-    from test_match import differential_configs
+    from reference_engine import fixed_configs
 
     from cubetree.engine import Engine
 
-    config = differential_configs()["cc_faithful@80"]
+    config = fixed_configs()["cc_faithful@80"]
     assert len(config.adversaries) == 2
     engine = Engine(config)
     tally = copy_work_counter(monkeypatch, (Incidence, "links"), (LabelStore, "top_label"))

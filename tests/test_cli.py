@@ -215,6 +215,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for config, path in ((tmp_path, tmp_path), (dir_facts, tmp_path / "copy.facts")):
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "d")]) == 2
         assert capsys.readouterr().err == f"error: cannot read {path}: Is a directory\n"
+    # An output path of the wrong kind, or a replay directory without its artifacts.
+    cfg = write_config(tmp_path, dict(CC_CONFIG, horizon=5), name="small.json")
+    folder = tmp_path / "copy.facts"
+    for argv, path, reason in [
+        (["run", "--out", str(bad)], bad, "File exists"),
+        (["extract", "--target", "q", "--out", str(folder)], folder, "Is a directory"),
+        (["gen-adversary", "--out", str(folder)], folder, "Is a directory"),
+        (["replay", "--trace", str(folder)], folder / "trace.log", "No such file or directory"),
+    ]:
+        assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2, argv
+        assert capsys.readouterr().err == f"error: cannot use {path}: {reason}\n", argv
 
 
 def test_config_that_is_not_json_exits_two_naming_the_file(tmp_path, capsys):
@@ -267,6 +278,10 @@ def _block_rotate(block):
     return [{"kind": "faithful", "label": "perm", "permutation": perm}]
 
 
+def _with_defect(base, **defect):
+    return dict(base, adversaries=[{"kind": "faithful", "defects": [defect]}])
+
+
 @pytest.mark.parametrize("data, key", [
     (dict(CC_CONFIG, universe={"rate": 0}), "universe.rate"),
     (dict(CC_CONFIG, universe={"rate": 1, "f_rate": 0}), "universe.f_rate"),
@@ -285,6 +300,11 @@ def _block_rotate(block):
     (_slot(kind="length_threshold", min_len=-1), "functionals[0].min_len"),
     (_slot(mother=1), "functionals[0].mother"),
     (_slot(round=0), "functionals[0].round"),
+    # A defect's label, colour and step are naturals: a negative one would
+    # drop nothing, yet mark the copy defective and its isomorphism unchecked.
+    (_with_defect(CC_CONFIG, kind="omit_label", n=-1, sigma=[]), "defects[0].n"),
+    (_with_defect(DC_CONFIG, kind="break_p", sigma=[], j=-2), "defects[0].j"),
+    (_with_defect(CC_CONFIG, kind="freeze_after", step=-3), "defects[0].step"),
 ])
 def test_values_below_one_exit_two(tmp_path, capsys, data, key):
     cfg = write_config(tmp_path, data)
@@ -373,14 +393,21 @@ def test_negative_delay_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "adversaries[0].delay" in err
-    good = write_config(tmp_path, dict(CC_CONFIG, horizon=8), name="good.json")
-    facts = tmp_path / "copy.facts"
-    rc = main(["gen-adversary", "--config", str(good), "--out", str(facts), "--delay", "-4"])
-    assert rc == 2 and not facts.exists()
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--delay" in err
     zero = write_config(tmp_path, dict(_with_adversary(delay=0), horizon=8), name="zero.json")
     assert main(["run", "--config", str(zero), "--out", str(tmp_path / "zero")]) == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--delay", "-4"), ("--block", "0"),
+                                         ("--block", "-3")])
+def test_gen_adversary_flags_below_their_floor_exit_two(tmp_path, capsys, flag, value):
+    """A block below 1 would write an identity copy, as a delay below 0 would
+    write facts before their stage: both are refused before the run."""
+    good = write_config(tmp_path, dict(CC_CONFIG, horizon=8), name="good.json")
+    facts = tmp_path / "copy.facts"
+    rc = main(["gen-adversary", "--config", str(good), "--out", str(facts), flag, value])
+    assert rc == 2 and not facts.exists()
+    floor = 0 if flag == "--delay" else 1
+    assert capsys.readouterr().err == f"error: {flag} must be at least {floor}, got {value}\n"
 
 
 @pytest.mark.parametrize("error", [
@@ -550,10 +577,6 @@ def test_bad_true_path_window_exits_two(tmp_path, capsys, window, message):
     cfg = write_config(tmp_path, data)
     assert main(["verify", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def _with_defect(base, **defect):
-    return dict(base, adversaries=[{"kind": "faithful", "defects": [defect]}])
 
 
 @pytest.mark.parametrize("data, expected", [

@@ -440,106 +440,13 @@ def test_every_unblocked_type_reaches_the_true_path():
         assert req in on_path or req in blocked, req
 
 
-def reference_n_along(engine, addr, mother):
-    """Largest n of a daughter of the given mother strictly below addr (0 if
-    none), one path walk per mother."""
-    best = 0
-    want = (mother.req.r, mother.req.a)
-    for nd in engine.path_nodes(addr):
-        if isinstance(nd.req, ReqDaughter) and (nd.req.r, nd.req.a) == want:
-            best = max(best, nd.req.n)
-    return best
-
-
-def test_daughter_coverage_agrees_with_one_walk_per_mother(monkeypatch):
-    """At every typing, the path index's coverage of each mother on the path
-    is the largest n one walk per mother finds."""
-    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
-                       / "dc_diagonal.json").read_text(encoding="utf-8"))
-    typing = dc.assign_type
-    compared = 0
-
-    def checked_typing(engine, node, s):
-        nonlocal compared
-        covered = engine.path.coverage
-        for mother in engine.path_nodes(node.addr):
-            if isinstance(mother.req, ReqMother):
-                assert covered.get((mother.req.r, mother.req.a), 0) \
-                    == reference_n_along(engine, node.addr, mother)
-                compared += 1
-        return typing(engine, node, s)
-
-    monkeypatch.setattr(dc, "assign_type", checked_typing)
-    result = run_stages(config_from_dict(dict(data, horizon=80)))
-    assert any(is_frozen(u) for u in nodes_of(result, ReqU))
-    assert compared > 1000
-
-
 # -- the provider lookups against the path walks they replace --------------------
 #
-# The walks below are the stage loop's former `resolve_gamma`,
-# `daughter_coverage`, `frozen_us_on_path` and `blocking_report`: each one
-# steps through every ancestor of the position it is asked about, where the
-# stage loop now reads the records of its path index.
-
-def walk_daughter_coverage(engine, addr):
-    """Largest n of a daughter strictly below addr, per (slot, sort)."""
-    best = {}
-    for nd in engine.path_nodes(addr):
-        if isinstance(nd.req, ReqDaughter):
-            key = (nd.req.r, nd.req.a)
-            best[key] = max(best.get(key, 0), nd.req.n)
-    return best
-
-
-def walk_frozen_us(engine, addr):
-    return [nd for nd in engine.path_nodes(addr)
-            if isinstance(nd.req, ReqU) and is_frozen(nd)
-            and len(addr) > len(nd.addr) and addr[len(nd.addr)] == "1"]
-
-
-def walk_blocking_report(engine, addr):
-    mothers = [nd for nd in engine.path_nodes(addr) if isinstance(nd.req, ReqMother)]
-    covered = walk_daughter_coverage(engine, addr)
-    coverage = {nd.addr: covered.get((nd.req.r, nd.req.a), 0) for nd in mothers}
-    blocked = set()
-    min_clearance = {}
-    for u in walk_frozen_us(engine, addr):
-        blocked.update(u.state.blocks)
-        for nd in mothers:
-            if len(nd.addr) < len(u.addr):
-                min_clearance[nd.addr] = max(min_clearance.get(nd.addr, 0),
-                                             u.state.ell)
-    return {"coverage": coverage, "blocked": blocked, "u_clearance": min_clearance}
-
-
-def walk_resolve_gamma(engine, node):
-    """(provider, inherited string): the deepest of the daughter's mother, the
-    previous daughter of its family and a qualifying frozen diagonalizer."""
-    req = node.req
-    path = engine.path_nodes(node.addr)
-    theta = next((nd for nd in path if nd.req == ReqMother(req.r, req.a)), None)
-    if theta is None:
-        raise dc.GammaUnresolved(f"daughter {node} has no mother")
-    v_theta = theta.state.v
-    for nd in reversed(path):
-        if nd is theta:
-            return nd, theta.state.sigma
-        if nd.req == ReqDaughter(req.r, req.n - 1, req.a):
-            alpha = node.addr[len(nd.addr)]
-            sig = nd.state.sig
-            if alpha not in sig:
-                raise dc.GammaUnresolved(f"previous daughter {nd} lacks outcome {alpha}")
-            return nd, sig[alpha]
-        if (isinstance(nd.req, ReqU) and is_frozen(nd)
-                and node.addr[len(nd.addr)] == "1"):
-            i = nd.state.i
-            if (req.a == 0 and i == v_theta) or (req.a == 1 and i > v_theta):
-                stolen = nd.state.stolen.get(theta)
-                if stolen is None:
-                    raise dc.GammaUnresolved(f"frozen {nd} holds nothing for this mother")
-                return nd, stolen
-    raise dc.GammaUnresolved(f"no provider for {node}")
+# The walks (tests/reference_engine.py) are the stage loop's former
+# `resolve_gamma`, `daughter_coverage`, `frozen_us_on_path` and
+# `blocking_report`: each one steps through every ancestor of the position it
+# is asked about, where the stage loop now reads the records of its path
+# index.
 
 
 def provider_runs():
@@ -557,12 +464,15 @@ def test_provider_lookups_agree_with_the_path_walks(data, diagonalizes, monkeypa
     """At every typing the blocking report and the daughter coverage, and at
     every daughter visit the inherited string the daughter holds, equal those
     of the walks.  The string is resolved once per daughter."""
+    from reference_engine import walk_blocking_report, walk_daughter_coverage, walk_resolve_gamma
+
     typing, resolve, visit = dc.assign_type, dc.resolve_gamma, dc.act_N_daughter
     typed, providers, resolved = [], [], []
 
     def checked_typing(engine, node, s):
-        assert dc.blocking_report(engine) == walk_blocking_report(engine, node.addr), node
-        assert engine.path.coverage == walk_daughter_coverage(engine, node.addr), node
+        nodes = engine.path_nodes(node.addr)
+        assert dc.blocking_report(engine) == walk_blocking_report(nodes, node.addr), node
+        assert engine.path.coverage == walk_daughter_coverage(nodes), node
         typed.append(node)
         return typing(engine, node, s)
 
@@ -572,7 +482,7 @@ def test_provider_lookups_agree_with_the_path_walks(data, diagonalizes, monkeypa
 
     def checked_visit(engine, node, s):
         token = visit(engine, node, s)
-        provider, expected = walk_resolve_gamma(engine, node)
+        provider, expected = walk_resolve_gamma(engine.path_nodes(node.addr), node)
         assert node.state.gamma == expected, node
         providers.append(type(provider.req))
         return token

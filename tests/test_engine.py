@@ -1,13 +1,10 @@
 import json
-from itertools import islice
-from operator import eq
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cc_config, faithful
-from test_acceptance import DC_MODULUS
 
 from cubetree import cc, dc
 from cubetree.config import config_from_dict
@@ -179,69 +176,16 @@ def test_cc_ordering_constraints():
     assert labels.count("M0") == 1 and labels.count("M1") == 1
 
 
-def reference_first_fit(engine, allowed):
-    """The first requirement of the order drawn so far that `allowed` accepts."""
-    return next((req for req in engine.ordering if allowed(req)), ReqIdle())
-
-
-def reference_cc_allowed(engine, node):
-    on_path = {n.req for n in engine.path_nodes(node.addr)}
-    return lambda req: req not in on_path
-
-
-def reference_dc_allowed(engine, node):
-    from test_dc import walk_blocking_report
-
-    on_path = {nd.req for nd in engine.path_nodes(node.addr)}
-    report = walk_blocking_report(engine, node.addr)
-    u_cleared = all(report["coverage"][maddr] > ell
-                    for maddr, ell in report["u_clearance"].items())
-
-    def allowed(req):
-        if req in on_path:
-            return False
-        if isinstance(req, ReqDaughter):
-            return req not in report["blocked"]
-        return u_cleared or not isinstance(req, ReqU)
-
-    return allowed
-
-
 DC_DIAGONAL = json.loads((Path(__file__).resolve().parent.parent
                           / "configs" / "dc_diagonal.json").read_text(encoding="utf-8"))
-
-
-@pytest.mark.parametrize("variant, config", [
-    ("cc", cc_config(horizon=40, adversaries=[faithful(delay=1), faithful(delay=3)])),
-    ("dc", config_from_dict(dict(DC_DIAGONAL, horizon=40))),
-    # Stage paths 150 deep, so the scan starts well past the order's start.
-    ("dc", config_from_dict(dict(DC_MODULUS, horizon=150))),
-])
-def test_first_fit_matches_on_path_scan(variant, config, monkeypatch):
-    """At every typing, the requirement first_fit picks with the stage
-    loop's on-path set, starting at the path's lead, is the one a scan from
-    the order's start picks with the on-path set built from path_nodes, the
-    formula the stage loop's set replaces."""
-    module = cc if variant == "cc" else dc
-    reference_allowed = reference_cc_allowed if variant == "cc" else reference_dc_allowed
-    hook = module.assign_type
-    typed = []
-
-    def checked(engine, node, s):
-        req = hook(engine, node, s)
-        assert req == reference_first_fit(engine, reference_allowed(engine, node))
-        typed.append(req)
-        return req
-
-    monkeypatch.setattr(module, "assign_type", checked)
-    run_stages(config)
-    assert len(typed) > 40
 
 
 def test_first_fit_returns_an_entry_refused_earlier_in_the_stage():
     """The lead passes only entries on the path.  An entry that `allowed`
     refused at one typing is still the first fit at a later typing of the
     same stage path, once `allowed` accepts it."""
+    from reference_engine import reference_first_fit
+
     from cubetree.engine import ReqM, ReqN
 
     engine = Engine(cc_config(horizon=5, adversaries=[faithful(), faithful(label="b")]))
@@ -348,11 +292,11 @@ def test_every_typed_node_holds_the_record_of_its_kind(data):
     assert held == expected | ({MatcherState} if result.adversaries else set())
 
 
-# -- left-kill against its stage-path forms and requirement labels ---------------
+# -- left-kill against its stage-path form and requirement labels ---------------
 
 def reference_stage_paths(trace):
     """Visited node addresses per stage, in visit order: Engine.stage_paths
-    as it stood beside the address-trie check."""
+    as it stood."""
     paths = []
     for ev in trace:
         if ev[0] == "stage":
@@ -382,39 +326,6 @@ def reference_check_left_kill(stage_paths):
     return True, None
 
 
-def trie_check_left_kill(stage_paths):
-    """check_left_kill as it stood over stage paths, with its address trie."""
-    dead = set()
-    # The visited tree by token: a slot is [the address it was visited as, or
-    # None for a level a path skipped; its children's slots by token].
-    root = {}
-    for stage, path in stage_paths:
-        prev, kids = None, root
-        for addr in path:
-            if addr in dead:
-                return False, f"stage {stage}: visited {format_addr(addr)} after a left neighbor"
-            if not addr:
-                prev, kids = addr, root
-                continue
-            token = addr[-1]
-            if not (prev is not None and len(prev) + 1 == len(addr) and (
-                    (slot := kids.get(token)) is not None and slot[0] is addr
-                    or all(map(eq, prev, addr)))):
-                kids = root
-                for step in islice(addr, len(addr) - 1):
-                    kids = kids.setdefault(step, [None, {}])[1]
-            slot = kids.get(token)
-            if slot is None:
-                slot = kids[token] = [addr, {}]
-            elif slot[0] is None:
-                slot[0] = addr
-            for other, (sibling, _) in kids.items():
-                if sibling is not None and other != token and outcome_key(other) > outcome_key(token):
-                    dead.add(sibling)
-            prev, kids = addr, slot[1]
-    return True, None
-
-
 def sample_runs():
     return [
         ("cc_faithful@80", dict(shipped("cc_faithful.json"), horizon=80)),
@@ -434,8 +345,7 @@ def test_left_kill_matches_the_reference_on_generated_paths(sample_run):
     are built from its consecutive addresses, as the stage loop takes them."""
     trace = list(sample_run.trace)
     paths = reference_stage_paths(trace)
-    assert check_left_kill(trace) == reference_check_left_kill(paths) \
-        == trie_check_left_kill(paths) == (True, None)
+    assert check_left_kill(trace) == reference_check_left_kill(paths) == (True, None)
     stage = sample_run.horizon + 1
     failed = 0
     for _stage, path in paths[::7]:
@@ -443,8 +353,7 @@ def test_left_kill_matches_the_reference_on_generated_paths(sample_run):
                     for addr, child in zip(path, path[1:])]
         verdict = check_left_kill(trace + replayed)
         replayed_paths = paths + [(stage, path)]
-        assert verdict == reference_check_left_kill(replayed_paths) \
-            == trie_check_left_kill(replayed_paths)
+        assert verdict == reference_check_left_kill(replayed_paths)
         failed += not verdict[0]
     assert failed
 
@@ -477,8 +386,7 @@ walks = st.lists(st.tuples(st.integers(1, 6), st.lists(st.sampled_from(TOKENS), 
 def test_left_kill_matches_the_reference_on_arbitrary_paths(stages):
     trace = engine_shaped_trace(stages)
     paths = reference_stage_paths(trace)
-    assert check_left_kill(trace) == reference_check_left_kill(paths) \
-        == trie_check_left_kill(paths)
+    assert check_left_kill(trace) == reference_check_left_kill(paths)
 
 
 def test_typed_and_visit_events_carry_the_requirement_label(sample_run):
@@ -503,43 +411,6 @@ def test_typed_and_visit_events_carry_the_requirement_label(sample_run):
 
 # -- Idle tails against the stage loop that visited every depth ---------------------
 
-def reference_run(engine):
-    """Engine.run as it stood before Idle tails: every depth of every stage
-    path is typed through assign_type, acted on and pushed, one record per
-    event."""
-    from cubetree.engine import PathIndex
-
-    for s in range(1, engine.horizon + 1):
-        engine.mention(s)
-        engine.emit("stage", s)
-        engine.emit("window", s, engine.schedule.width(s), engine.schedule.f_width(s))
-        for sigma in engine.schedule.base_strings(s):
-            engine._enter(sigma, s)
-        addr = ()
-        engine.path = PathIndex()
-        for _depth in range(s + 1):
-            node = engine.node_at(addr)
-            if node.req is None:
-                node.req = engine.strat.assign_type(engine, node, s)
-                node.label = req_label(node.req)
-                engine.emit("typed", s, node, node.label)
-            engine.emit("visit", s, node, node.label)
-            token = engine.strat.act(engine, node, s)
-            node.outcomes.append((s, token))
-            engine.emit("outcome", s, node, token)
-            engine.path.push(node, token)
-            addr = addr + (token,)
-        engine.path = PathIndex()
-        engine.strat.act_G(engine, s)
-        for gen in engine._generators:
-            gen.ingest(s, engine)
-    return engine
-
-
-def by_address(ev):
-    return tuple(p.addr if isinstance(p, Node) else p for p in ev)
-
-
 def tail_runs():
     from test_acceptance import CC_DEFECTIVE
 
@@ -554,21 +425,23 @@ def tail_runs():
 @pytest.mark.parametrize("data", [d for _n, d in tail_runs()],
                          ids=[n for n, _d in tail_runs()])
 def test_idle_tails_expand_to_the_reference_trace(data):
-    """A tail record expands to the events the per-depth loop emitted, the
-    lines written from it equal theirs over any bounds, and every node holds
-    the same requirement, label and outcomes.  Left-kill gives one verdict on
-    the records and on the expanded events."""
+    """The lines written from the tail records are those of the reference
+    engine, whose loop visits every depth with one record per event, and the
+    lines over any bounds are that slice of them.  len counts the expanded
+    events, each tail record expands to one run of Idle events after its
+    parent's outcome, and left-kill gives one verdict on the records and on
+    the expanded events."""
+    from reference_engine import ReferenceEngine
+
     config = config_from_dict(data)
     result = run_stages(config)
-    ref = reference_run(Engine(config))
     events = list(result.trace)
-    assert len(result.trace) == len(events) == len(ref.trace.records)
-    assert [by_address(ev) for ev in events] == [by_address(ev) for ev in ref.trace.records]
+    assert len(result.trace) == len(events)
     lines = result.trace_lines()
-    assert lines == ref.trace_lines()
+    assert lines == ReferenceEngine(config).run().trace_lines()
+    assert len(lines) == len(events)
     tails = [i for i, rec in enumerate(result.trace.records) if rec[0] == "tail"]
     assert bool(tails) == (config.variant == "cc")
-    # Each tail's events are one run of Idle events after its parent's outcome.
     idle = [len(ev) > 2 and isinstance(ev[2], Node) and isinstance(ev[2].req, ReqIdle)
             for ev in events]
     starts = [i for i in range(1, len(events)) if idle[i] and not idle[i - 1]]
@@ -585,12 +458,7 @@ def test_idle_tails_expand_to_the_reference_trace(data):
     assert result.trace_lines(len(events) - 3) == lines[-3:]
     assert result.trace_lines(5, 5) == []
     assert result.trace_lines(9, 4) == []
-    assert result.nodes.keys() == ref.nodes.keys()
-    for addr, node in ref.nodes.items():
-        ours = result.nodes[addr]
-        assert (ours.req, ours.label, ours.outcomes) == (node.req, node.label, node.outcomes), addr
-    assert check_left_kill(result.trace.records) == check_left_kill(events) \
-        == check_left_kill(ref.trace.records) == (True, None)
+    assert check_left_kill(result.trace.records) == check_left_kill(events) == (True, None)
 
 
 def test_stage_loop_records_grow_slower_than_the_trace():

@@ -1,120 +1,13 @@
 """Differential test of the bisecting label store against the event scans
-it replaced, on random interleavings of grows and direct declarations."""
+it replaced (`ScanStore`), on random interleavings of grows and direct
+declarations."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubetree.structure import CubeElem, GrowEvent, LabelStore, Snapshot, elem
+from reference_engine import ScanStore, scan_declarations
 
-
-class ScanStore:
-    """Reference: every query rescans the string's whole event list."""
-
-    def __init__(self):
-        self.events = {}  # (sigma, sort) -> [(stage, seq, pre_top)]
-        self.direct = {}  # element -> {n: stage}
-        self.direct_order = []  # (stage, seq, n, element)
-        self.seq = 0
-
-    def grows(self, sigma, sort):
-        return [GrowEvent(stage, pre_top, sigma, sort)
-                for stage, _seq, pre_top in self.events.get((sigma, sort), [])]
-
-    def grow(self, sigma, sort, stage):
-        pre = self.top_label(CubeElem(frozenset(), sigma, sort))
-        self.seq += 1
-        self.events.setdefault((sigma, sort), []).append(
-            (stage, self.seq, -1 if pre is None else pre))
-
-    def declare(self, n, e, stage):
-        if self.label_stamp(n, e) is not None:
-            return False
-        self.seq += 1
-        self.direct.setdefault(e, {})[n] = stage
-        self.direct_order.append((stage, self.seq, n, e))
-        return True
-
-    def label_stamp(self, n, e, before=None):
-        best = self.direct.get(e, {}).get(n)
-        events = self.grows(e.sigma, e.sort)
-        if not e.fset:
-            for ev in events:
-                if n < ev.pre_top + 2:
-                    if best is None or ev.stage < best:
-                        best = ev.stage
-                    break
-        else:
-            top = max(e.fset)
-            for ev in events:
-                if n < ev.pre_top and top < ev.stage:
-                    if best is None or ev.stage < best:
-                        best = ev.stage
-                    break
-        if best is not None and before is not None and best >= before:
-            return None
-        return best
-
-    def has_label(self, n, e, upto=None):
-        before = None if upto is None else upto + 1
-        return self.label_stamp(n, e, before=before) is not None
-
-    def top_label(self, e, before=None):
-        best = None
-        live = [ev for ev in self.grows(e.sigma, e.sort)
-                if before is None or ev.stage < before]
-        if not e.fset:
-            if live:
-                best = max(ev.pre_top + 1 for ev in live)
-        else:
-            top = max(e.fset)
-            tops = [ev.pre_top - 1 for ev in live if top < ev.stage]
-            if tops and max(tops) >= 0:
-                best = max(tops)
-        for n, stamp in self.direct.get(e, {}).items():
-            if (before is None or stamp < before) and (best is None or n > best):
-                best = n
-        return best
-
-    def labels(self, e, upto=None):
-        top = self.top_label(e, before=None if upto is None else upto + 1)
-        if top is None:
-            return []
-        return [n for n in range(top + 1) if self.has_label(n, e, upto)]
-
-    def declarations(self, stage_bound, fsets):
-        """The snapshot expansion, driven by (stage, seq)-sorted events."""
-        events = [(stage, seq, "grow", (key, pre_top))
-                  for key, evs in self.events.items() for stage, seq, pre_top in evs]
-        events += [(stage, seq, "decl", (n, e)) for stage, seq, n, e in self.direct_order]
-        events.sort(key=lambda t: (t[0], t[1]))
-        rows, cursor, sparse = [], {}, set()
-        window_f = sorted(fsets, key=lambda f: (len(f), tuple(sorted(f))))
-
-        def extend(e, upto, stage):
-            start = cursor.get(e, 0)
-            for n in range(start, upto):
-                if (n, e) not in sparse:
-                    rows.append((stage, n, e))
-            if upto > start:
-                cursor[e] = upto
-
-        for stage, _seq, kind, payload in events:
-            if stage > stage_bound:
-                continue
-            if kind == "decl":
-                n, e = payload
-                if n >= cursor.get(e, 0) and (n, e) not in sparse:
-                    sparse.add((n, e))
-                    rows.append((stage, n, e))
-                continue
-            (sigma, sort), pre_top = payload
-            extend(CubeElem(frozenset(), sigma, sort), pre_top + 2, stage)
-            if pre_top > 0:
-                for f in window_f:
-                    if not f or max(f) >= stage:
-                        continue
-                    extend(CubeElem(f, sigma, sort), pre_top, stage)
-        return rows
+from cubetree.structure import LabelStore, Snapshot, UndefinedLabel, elem
 
 
 STRINGS = [(), (0,), (1, 0)]
@@ -142,9 +35,7 @@ def build(variant, n_strings, steps):
         stage += step
         sigma = STRINGS[idx % n_strings]
         if kind == "grow":
-            ev = store.grow(sigma, sort, stage)
-            ref.grow(sigma, sort, stage)
-            assert ev.pre_top == ref.events[(sigma, sort)][-1][2]
+            assert store.grow(sigma, sort, stage).pre_top == ref.grow(sigma, sort, stage).pre_top
         else:
             e = elem(fset, sigma, sort)
             assert store.declare(n, e, stage) == ref.declare(n, e, stage)
@@ -164,10 +55,22 @@ def test_label_queries_match_scan(variant, n_strings, steps):
                 assert store.labels(e, upto=b) == ref.labels(e, upto=b)
                 for n in range(10):
                     assert store.label_stamp(n, e, before=b) == ref.label_stamp(n, e, before=b)
+        for b in range(0, last + 3):
+            assert n_sigma(store, sigma, sort, b) == n_sigma(ref, sigma, sort, b)
     for b in range(0, last + 2):
+        assert store.relabelled(b) == ref.relabelled(b)
         strings = tuple((sigma, sort) for sigma in STRINGS[:n_strings])
         snap = Snapshot(variant, b, store, strings, tuple(FSETS))
-        assert list(snap.declarations()) == ref.declarations(b, FSETS)
+        assert list(snap.declarations()) == scan_declarations(ref, b, FSETS)
+    assert list(store.declaration_events()) == ref.declaration_events()
+
+
+def n_sigma(store, sigma, sort, s):
+    """store.n_sigma, or None where it raises UndefinedLabel."""
+    try:
+        return store.n_sigma(sigma, sort, s)
+    except UndefinedLabel:
+        return None
 
 
 def test_grow_at_a_lower_stage_raises():
@@ -205,8 +108,7 @@ def test_interned_grows_match_scan_whatever_object_is_given(variant, steps):
             e = elem((), sigma, sort)
             assert store.declare(0, e, stage) == ref.declare(0, e, stage)
         ev = store.grow(as_given(sigma, how), sort, stage)
-        ref.grow(sigma, sort, stage)
-        assert ev.pre_top == ref.events[(sigma, sort)][-1][2]
+        assert ev.pre_top == ref.grow(sigma, sort, stage).pre_top
         assert ev.sigma == sigma and ev.sort == sort
     for sort in sorts:
         grown = {key for key in ref.events if key[1] == sort}

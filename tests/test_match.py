@@ -2,22 +2,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cc_config, dc_config, faithful
+from reference_engine import (
+    fixed_configs,
+    reference_B,
+    reference_chosen_below,
+    reference_children_index,
+)
 
 from cubetree import cc, dc
 from cubetree.adversary import HOLE, FactStream
 from cubetree.engine import run_stages
 from cubetree.match import MatcherState
 from cubetree.structure import ladder_key
-
-
-def scan_children(pool, key):
-    """The pool scan the index replaces: keys one symbol longer than key,
-    extending it, with the same sort."""
-    sigma, sort = key
-    return sorted(
-        k for k in pool
-        if len(k[0]) == len(sigma) + 1 and k[0][: len(sigma)] == sigma and k[1] == sort
-    )
 
 
 def in_ladder_order(B):
@@ -42,50 +38,13 @@ def test_children_index_matches_scan(pool, data, probes):
     members = data.draw(st.permutations(sorted(pool)))
     for key in members:
         state.admit(key)
+    index = reference_children_index(members)
     for key in list(pool) + probes:
         kids = state.children.get(key, [])
-        assert sorted(kids) == scan_children(members, key)
+        assert sorted(kids) == index.get(key, [])
         assert kids == [k for k in members if k in kids]
     assert in_ladder_order(state.rank) == sorted(members, key=lambda k: (ladder_key(k[0]), k[1]))
     assert state.unmapped == set(members)
-
-
-# The plain responsibility formulas, one scan of each string's choosers, that
-# Engine.keys_chosen_below and match.responsibility_set replace.
-
-def chosen_by_extension_of(engine, sigma, sort, prefix):
-    return any(c.addr[: len(prefix)] == prefix for c, _ in engine.chosen.get((sigma, sort), []))
-
-
-def chosen_by_ancestor_of(engine, sigma, sort, addr):
-    return any(len(c.addr) < len(addr) and addr[: len(c.addr)] == c.addr
-               for c, _ in engine.chosen.get((sigma, sort), []))
-
-
-def reference_B(engine, node, t, fin_token):
-    out = []
-    below_fin = node.addr + (fin_token,)
-    for sigma in engine.universe_strings(t):
-        if chosen_by_ancestor_of(engine, sigma, None, node.addr):
-            continue
-        if chosen_by_extension_of(engine, sigma, None, below_fin):
-            continue
-        out.append((sigma, None))
-    return out
-
-
-def reference_B_pairs(engine, node, t, fin_token):
-    below_fin = node.addr + (fin_token,)
-    cpairs = set(node.state.C)
-    out = []
-    for sigma in engine.universe_strings(t):
-        for a in (0, 1):
-            if (sigma, a) in cpairs:
-                continue
-            if chosen_by_extension_of(engine, sigma, a, below_fin):
-                continue
-            out.append((sigma, a))
-    return out
 
 
 BROKEN_ROOT_LINK = {"kind": "break_p", "sigma": [], "j": 3}
@@ -103,13 +62,12 @@ def test_responsibility_and_stability_pool_match_chosen_scans(variant, config, m
     module = cc if variant == "cc" else dc
     hook_name = "compute_B" if variant == "cc" else "compute_B_pairs"
     hook = getattr(module, hook_name)
-    reference = reference_B if variant == "cc" else reference_B_pairs
     visit = {}
     counts = {"visits": 0, "links": 0, "skipped": 0}
 
     def checked_B(engine, node, t):
         B = hook(engine, node, t)
-        assert in_ladder_order(B) == reference(engine, node, t, str(node.state.k0))
+        assert in_ladder_order(B) == reference_B(engine, node, node.state.C, t, node.state.k0)
         visit.update(engine=engine, node=node, B=B)
         counts["visits"] += 1
         return B
@@ -119,9 +77,8 @@ def test_responsibility_and_stability_pool_match_chosen_scans(variant, config, m
     def checked_query(stream, conjuncts, budget):
         if all(c[0] == "P" for c in conjuncts[1:]):  # a stability witness query
             engine, node, B = visit["engine"], visit["node"], visit["B"]
-            below_inf = node.addr + ("ii",)
-            D = {key for key in B if not chosen_by_extension_of(engine, *key, below_inf)}
-            kids = scan_children(B, conjuncts[0][1:3])
+            D = set(B) - reference_chosen_below(engine, node.addr + ("ii",))
+            kids = reference_children_index(B).get(conjuncts[0][1:3], [])
             f = node.state.f
             assert all(c[:2] == ("P", HOLE) for c in conjuncts[1:])
             assert sorted(c[2] for c in conjuncts[1:]) == sorted(f[k] for k in kids if k in D)
@@ -136,162 +93,6 @@ def test_responsibility_and_stability_pool_match_chosen_scans(variant, config, m
     assert counts["visits"] and counts["links"] and counts["skipped"]
 
 
-# The copy matcher as it stood before it kept its state across visits: B
-# rebuilt from the universe by a scan of the choice records, the children
-# index rebuilt from B, and every bullet checked on every key of B.  The
-# state of each node lives in `shadow`, a dict per node address.
-
-def reference_children_index(pool):
-    index = {}
-    for key in pool:
-        sigma, sort = key
-        if sigma:
-            index.setdefault((sigma[:-1], sort), []).append(key)
-    for kids in index.values():
-        kids.sort()
-    return index
-
-
-def reference_chosen_below(engine, prefix):
-    return {key for key in engine.chosen if chosen_by_extension_of(engine, *key, prefix)}
-
-
-def reference_visit(engine, node, s, start, shadow, emit):
-    """One visit of the plain matcher; returns its token and its B."""
-    from cubetree.match import _fields
-    from cubetree.structure import sorts
-
-    st = shadow.setdefault(node.addr, {})
-    if "C" not in st:
-        st.update(C=start(engine, node), f={}, k0=0, k1=0, t=0, x_at_t={})
-    stream = engine.adversaries[node.req.index].stream
-    f = st["f"]
-    t, k0, k1 = st["t"], st["k0"], st["k1"]
-    excluded = reference_chosen_below(engine, node.addr + (str(k0),)) | set(st["C"])
-    B = [(sigma, sort) for sigma in engine.universe_strings(t)
-         for sort in sorts(engine.variant) if (sigma, sort) not in excluded]
-    emit("mstat", s, node, t, k0, k1, len(B))
-    for key in B:
-        if key not in f:
-            sigma, sort = key
-            n = engine.store.n_sigma(sigma, sort, t + 1)
-            x = stream.oldest_satisfying([("W", sigma, sort, HOLE), ("S", n, HOLE)], s)
-            if x is not None:
-                f[key] = x
-                emit("ftau", s, node, *_fields(key), x)
-    children = reference_children_index(B)
-    for key in B:
-        bullet = None
-        if key not in f:
-            bullet = 1
-        elif not stream.holds_within(("S", engine.store.n_sigma(*key, t + 1), f[key]), s):
-            bullet = 2
-        elif any(child not in f or not stream.holds_within(("P", f[key], f[child]), s)
-                 for child in children.get(key, ())):
-            bullet = 3
-        if bullet:
-            emit("mfail", s, node, *_fields(key), bullet)
-            return str(k0), B
-    D = set(B) - reference_chosen_below(engine, node.addr + ("ii",))
-    xs = {}
-    stable = True
-    for key in st["C"]:
-        sigma, sort = key
-        conjuncts = [("W", sigma, sort, HOLE)]
-        conjuncts += [("P", HOLE, f[child]) for child in children.get(key, ()) if child in D]
-        x = stream.oldest_satisfying(conjuncts, s)
-        xs[key] = x
-        emit("xtau", s, node, *_fields(key), x)
-        if x is None or x != st["x_at_t"].get(key):
-            stable = False
-    token = f"i{k1}" if stable else "ii"
-    st.update(x_at_t=xs, t=s, k0=k0 + 1)
-    if token == "ii":
-        st["k1"] = k1 + 1
-    return token, B
-
-
-def differential_configs():
-    import json
-    from pathlib import Path
-
-    from test_acceptance import CC_DEFECTIVE
-
-    from cubetree.config import config_from_dict
-
-    shipped = Path(__file__).resolve().parent.parent / "configs"
-
-    def load(name):
-        return json.loads((shipped / name).read_text())
-
-    return {
-        "cc_faithful@80": config_from_dict(dict(load("cc_faithful.json"), horizon=80)),
-        # The omitted label shows from stage 81 on.
-        "CC_DEFECTIVE@100": config_from_dict(dict(CC_DEFECTIVE, horizon=100)),
-        "dc_diagonal@50": config_from_dict(dict(load("dc_diagonal.json"), horizon=50)),
-    }
-
-
-@pytest.mark.parametrize("name", ["cc_faithful@80", "CC_DEFECTIVE@100", "dc_diagonal@50"])
-def test_matcher_agrees_with_the_plain_matcher_at_every_visit(name, monkeypatch):
-    """Beside each real visit, replay the plain matcher on its own state:
-    the same B, the same events (so the same first failing key and bullet),
-    the same token.  Every keys_chosen_below answer equals the scan of the
-    choice records below the ii outcome.  A run of the plain matcher alone
-    gives the same trace."""
-    from cubetree.engine import Engine
-
-    config = differential_configs()[name]
-    module = cc if config.variant == "cc" else dc
-    hook_name = "compute_B" if config.variant == "cc" else "compute_B_pairs"
-    start = cc._tree_images if config.variant == "cc" else dc._c_pairs
-    real_act, real_hook = module.act_M, getattr(module, hook_name)
-    real_below = Engine.keys_chosen_below
-    shadow, seen = {}, {}
-    counts = {"visits": 0, "fails": 0, "below": 0, "below_fin": 0}
-
-    def checked_below(engine, node):
-        keys = real_below(engine, node)
-        assert keys == reference_chosen_below(engine, node.addr + ("ii",)), str(node)
-        counts["below"] += 1
-        return keys
-
-    def captured_hook(engine, node, t):
-        B = real_hook(engine, node, t)
-        seen["B"] = in_ladder_order(B)
-        return B
-
-    def checked_act(engine, node, s):
-        k0 = shadow.get(node.addr, {}).get("k0", 0)
-        counts["below_fin"] += bool(reference_chosen_below(engine, node.addr + (str(k0),)))
-        events = []
-        ref_token, ref_B = reference_visit(engine, node, s, start, shadow,
-                                           lambda *ev: events.append(ev))
-        mark = len(engine.trace.records)
-        token = real_act(engine, node, s)
-        assert seen.pop("B") == ref_B, (s, str(node))
-        assert engine.trace.records[mark:] == events, (s, str(node))
-        assert token == ref_token, (s, str(node))
-        counts["visits"] += 1
-        counts["fails"] += events[-1][0] == "mfail"
-        return token
-
-    monkeypatch.setattr(Engine, "keys_chosen_below", checked_below)
-    monkeypatch.setattr(module, hook_name, captured_hook)
-    monkeypatch.setattr(module, "act_M", checked_act)
-    real = run_stages(config)
-    # Each case has failing visits, and at some visits the plain B's
-    # finite-outcome clause has keys in it (none of them in the universe).
-    assert counts["visits"] and counts["fails"] and counts["below_fin"], counts
-
-    shadow.clear()
-    monkeypatch.setattr(
-        module, "act_M",
-        lambda engine, node, s: reference_visit(engine, node, s, start, shadow, engine.emit)[0])
-    plain = run_stages(config)
-    assert real.trace_lines() == plain.trace_lines()
-
-
 @pytest.mark.parametrize("name", ["cc_faithful@80", "dc_diagonal@50"])
 def test_chosen_below_index_files_exactly_the_matcher_outcomes(name):
     """After a run the engine's chosen-below index holds one entry per
@@ -300,7 +101,7 @@ def test_chosen_below_index_files_exactly_the_matcher_outcomes(name):
     filed, and no choice below a matcher's ii outcome is missed."""
     from cubetree.engine import ReqM
 
-    result = run_stages(differential_configs()[name])
+    result = run_stages(fixed_configs()[name])
     expected = {}
     for node in result.nodes.values():
         if isinstance(node.req, ReqM):
@@ -361,8 +162,7 @@ def test_a_key_chosen_below_the_finite_outcome_fails_the_size_check(config):
     assert check_trace_invariants(result).ok
     visits = [ev for ev in result.trace.records if ev[0] == "mstat"]
     for _kind, s1, node, t, k0, *_rest in visits:
-        B = reference_B(result, node, t, str(k0)) if config.variant == "cc" \
-            else reference_B_pairs(result, node, t, str(k0))
+        B = reference_B(result, node, node.state.C, t, k0)
         later = [ev for ev in visits if ev[2] is node and ev[1] > s1]
         if B and later and later[0][4] == k0:
             break

@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import cc_config, dc_config, faithful
 
@@ -1033,53 +1032,6 @@ def test_trace_invariants_read_no_matcher_state(config):
         node.state = None
     report = check_trace_invariants(result)
     assert report.ok, report.failures()
-
-
-@st.composite
-def small_configs(draw):
-    """A small run of either variant against one to three faithful copies,
-    some block-rotated, some omitting a label; a dc run has one to three
-    mothers, an until or periodic predicate and up to two functionals."""
-    copies = []
-    for _ in range(draw(st.integers(1, 3))):
-        spec = faithful(delay=draw(st.integers(0, 3)))
-        if draw(st.booleans()):
-            spec["permutation"] = {"kind": "block_rotate", "block": draw(st.integers(1, 8)),
-                                   "shift": draw(st.integers(0, 7))}
-        if draw(st.booleans()):
-            sigma = draw(st.lists(st.integers(0, 2), max_size=2))
-            spec["defects"] = [{"kind": "omit_label", "n": draw(st.integers(0, 3)), "sigma": sigma}]
-        copies.append(spec)
-    common = {
-        "horizon": draw(st.integers(10, 40)),
-        "universe": {"rate": draw(st.integers(1, 20)), "cap": draw(st.integers(2, 3)),
-                     "f_rate": draw(st.integers(1, 30)), "f_cap": draw(st.integers(1, 2))},
-        "adversaries": copies,
-    }
-    if draw(st.booleans()):
-        return cc_config(**common)
-    mothers = draw(st.integers(1, 3))
-    rule = draw(st.one_of(
-        st.integers(0, 20).map(lambda s0: {"kind": "until", "s0": s0}),
-        st.integers(1, 6).map(lambda period: {"kind": "periodic", "period": period})))
-    functionals = []
-    for _ in range(draw(st.integers(0, 2))):
-        mother = draw(st.integers(0, mothers - 1))
-        functionals.append({"mother": mother, "round": mother + draw(st.integers(1, 3)),
-                            "kind": "length_threshold", "min_len": draw(st.integers(1, 3)),
-                            "value": draw(st.integers(0, 1))})
-    return dc_config(mothers=mothers, phi={"range": draw(st.integers(2, 10)), "default": rule},
-                     functionals=functionals, **common)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(small_configs())
-def test_trace_invariants_pass_on_small_runs(config):
-    """Every invariant, the live |B| against the full replay included, holds
-    on small generated runs."""
-    report = check_trace_invariants(run_stages(config))
-    assert report.ok, report.failures()
-    assert "pass responsibility-size" in report.lines()
 
 
 # -- negative controls: each corrupts a finished run minimally ---------------------
