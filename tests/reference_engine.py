@@ -329,24 +329,28 @@ def reference_children_index(pool):
     return index
 
 
-def reference_visit(engine, node, s):
-    """One visit of the plain matcher; its state is a dict in node.state."""
-    st = node.state
+def reference_visit(engine, node, s, st=None, emit=None):
+    """One visit of the plain matcher.  Its state is the dict st, by default
+    one kept in node.state; its events go to emit, by default engine.emit."""
     if st is None:
+        if node.state is None:
+            node.state = {}
+        st = node.state
+    emit = emit or engine.emit
+    if "C" not in st:
         start = cc._tree_images if engine.variant == "cc" else dc._c_pairs
-        st = node.state = {"C": start(engine, node), "f": {}, "k0": 0, "k1": 0, "t": 0,
-                           "x_at_t": {}}
+        st.update(C=start(engine, node), f={}, k0=0, k1=0, t=0, x_at_t={})
     stream = engine.adversaries[node.req.index].stream
     f = st["f"]
     t, k0, k1 = st["t"], st["k0"], st["k1"]
     B = reference_B(engine, node, st["C"], t, k0)
-    engine.emit("mstat", s, node, t, k0, k1, len(B))
+    emit("mstat", s, node, t, k0, k1, len(B))
     for key in B:
         if key not in f:
             x = oldest_witness(engine.store, stream, key, t + 1, s)
             if x is not None:
                 f[key] = x
-                engine.emit("ftau", s, node, *_fields(key), x)
+                emit("ftau", s, node, *_fields(key), x)
     children = reference_children_index(B)
     for key in B:
         bullet = None
@@ -358,7 +362,7 @@ def reference_visit(engine, node, s):
                  for child in children.get(key, ())):
             bullet = 3
         if bullet:
-            engine.emit("mfail", s, node, *_fields(key), bullet)
+            emit("mfail", s, node, *_fields(key), bullet)
             return str(k0)
     D = set(B) - reference_chosen_below(engine, node.addr + ("ii",))
     xs = {}
@@ -369,7 +373,7 @@ def reference_visit(engine, node, s):
         conjuncts += [("P", HOLE, f[child]) for child in children.get(key, ()) if child in D]
         x = stream.oldest_satisfying(conjuncts, s)
         xs[key] = x
-        engine.emit("xtau", s, node, *_fields(key), x)
+        emit("xtau", s, node, *_fields(key), x)
         if x is None or x != st["x_at_t"].get(key):
             stable = False
     token = f"i{k1}" if stable else "ii"

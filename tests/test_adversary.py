@@ -364,6 +364,39 @@ def test_next_symbol_index_matches_scan(batches, probes):
             assert index.children.get((sigma, None), []) == scan_next_symbols(visible, sigma)
 
 
+@pytest.mark.parametrize(
+    "name", ["cc_faithful@80", "CC_DEFECTIVE@100", "dc_diagonal@50", "three_copies@80"])
+def test_live_copies_match_the_reference_generator_at_every_stage(name, monkeypatch):
+    """Beside each live copy, the reference generator ingests the same stage
+    from the ground; after every stage both copies hold the same facts in the
+    same order and the same element numbering."""
+    from reference_engine import ReferenceGenerator, fixed_configs
+
+    from cubetree.engine import Engine
+
+    config = fixed_configs()[name]
+    engine = Engine(config)
+    refs = {spec.label: ReferenceGenerator(config.variant, engine.schedule, spec.permutation,
+                                           spec.delay, spec.defects, spec.label)
+            for spec in config.adversaries}
+    live_ingest = FaithfulGenerator.ingest
+    stages = []
+
+    def checked_ingest(self, stage, ground):
+        live_ingest(self, stage, ground)
+        ref = refs[self.adversary.label]
+        ref.ingest(stage, ground)
+        assert (list(ref.adversary.stream.to_lines())
+                == list(self.adversary.stream.to_lines())), stage
+        assert ref.adversary.to_copy == self.adversary.to_copy, stage
+        stages.append(stage)
+
+    monkeypatch.setattr(FaithfulGenerator, "ingest", checked_ingest)
+    engine.run()
+    assert stages == [s for s in range(1, config.horizon + 1) for _ in refs]
+    assert all(len(ref.adversary.stream) for ref in refs.values())
+
+
 @pytest.mark.parametrize("name", ["cc_faithful@80", "CC_DEFECTIVE@100", "dc_diagonal@50"])
 def test_labels_on_every_window_element_form_a_prefix_stamped_in_order(name):
     """The generator reads one top label per element: on every element of

@@ -7,6 +7,7 @@ from reference_engine import (
     reference_B,
     reference_chosen_below,
     reference_children_index,
+    reference_visit,
 )
 
 from cubetree import cc, dc
@@ -91,6 +92,66 @@ def test_responsibility_and_stability_pool_match_chosen_scans(variant, config, m
     run_stages(config)
     # Every case asks for links and leaves out some child chosen below ii.
     assert counts["visits"] and counts["links"] and counts["skipped"]
+
+
+@pytest.mark.parametrize("name", ["cc_faithful@80", "CC_DEFECTIVE@100", "dc_diagonal@50"])
+def test_matcher_agrees_with_the_plain_matcher_at_every_visit(name, monkeypatch):
+    """Beside each real visit, replay the plain matcher on its own state:
+    the same B, the same events (so the same first failing key and bullet),
+    the same token.  Every keys_chosen_below answer equals the scan of the
+    choice records below the ii outcome.  A run of the plain matcher alone
+    gives the same trace."""
+    from cubetree.engine import Engine
+
+    config = fixed_configs()[name]
+    module = cc if config.variant == "cc" else dc
+    hook_name = "compute_B" if config.variant == "cc" else "compute_B_pairs"
+    real_act, real_hook = module.act_M, getattr(module, hook_name)
+    real_below = Engine.keys_chosen_below
+    shadow, seen = {}, {}
+    counts = {"visits": 0, "fails": 0, "below": 0, "below_fin": 0}
+
+    def checked_below(engine, node):
+        keys = real_below(engine, node)
+        assert keys == reference_chosen_below(engine, node.addr + ("ii",)), str(node)
+        counts["below"] += 1
+        return keys
+
+    def captured_hook(engine, node, t):
+        B = real_hook(engine, node, t)
+        seen["B"] = in_ladder_order(B)
+        return B
+
+    def checked_act(engine, node, s):
+        st = shadow.setdefault(node.addr, {})
+        t, k0 = st.get("t", 0), st.get("k0", 0)
+        counts["below_fin"] += bool(reference_chosen_below(engine, node.addr + (str(k0),)))
+        events = []
+        ref_token = reference_visit(engine, node, s, st, lambda *ev: events.append(ev))
+        ref_B = reference_B(engine, node, st["C"], t, k0)
+        mark = len(engine.trace.records)
+        token = real_act(engine, node, s)
+        assert seen.pop("B") == ref_B, (s, str(node))
+        assert engine.trace.records[mark:] == events, (s, str(node))
+        assert token == ref_token, (s, str(node))
+        counts["visits"] += 1
+        counts["fails"] += events[-1][0] == "mfail"
+        return token
+
+    monkeypatch.setattr(Engine, "keys_chosen_below", checked_below)
+    monkeypatch.setattr(module, hook_name, captured_hook)
+    monkeypatch.setattr(module, "act_M", checked_act)
+    real = run_stages(config)
+    # Each case has failing visits, and at some visits the plain B's
+    # finite-outcome clause has keys in it (none of them in the universe).
+    assert counts["visits"] and counts["fails"] and counts["below_fin"], counts
+
+    shadow.clear()
+    monkeypatch.setattr(
+        module, "act_M",
+        lambda engine, node, s: reference_visit(engine, node, s, shadow.setdefault(node.addr, {})))
+    plain = run_stages(config)
+    assert real.trace_lines() == plain.trace_lines()
 
 
 @pytest.mark.parametrize("name", ["cc_faithful@80", "dc_diagonal@50"])
