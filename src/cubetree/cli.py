@@ -323,7 +323,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # an output or replay path that cannot be used
+    except OSError as exc:
+        if exc.filename is None:  # not a path refused on opening, e.g. a full disk
+            raise
         print(f"error: cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 

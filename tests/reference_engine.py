@@ -94,21 +94,6 @@ def walk_frozen_us(nodes, addr):
             and len(addr) > len(nd.addr) and addr[len(nd.addr)] == "1"]
 
 
-def walk_blocking_report(nodes, addr):
-    mothers = [nd for nd in nodes if isinstance(nd.req, ReqMother)]
-    covered = walk_daughter_coverage(nodes)
-    coverage = {nd.addr: covered.get((nd.req.r, nd.req.a), 0) for nd in mothers}
-    blocked = set()
-    min_clearance = {}
-    for u in walk_frozen_us(nodes, addr):
-        blocked.update(u.state.blocks)
-        for nd in mothers:
-            if len(nd.addr) < len(u.addr):
-                min_clearance[nd.addr] = max(min_clearance.get(nd.addr, 0),
-                                             u.state.ell)
-    return {"coverage": coverage, "blocked": blocked, "u_clearance": min_clearance}
-
-
 def walk_resolve_gamma(nodes, node):
     """(provider, inherited string) of a daughter below the path nodes: the
     deepest of her mother, the previous daughter of her family and a
@@ -143,9 +128,9 @@ class WalkedPath:
     each lookup a walk of the path's nodes.  addr is the address below the
     last node pushed: the node the loop visits next."""
 
-    def __init__(self):
-        self.nodes = []
-        self.addr = ()
+    def __init__(self, nodes=(), addr=()):
+        self.nodes = list(nodes)
+        self.addr = addr
 
     def push(self, node, token):
         self.nodes.append(node)
@@ -568,8 +553,9 @@ class ReferenceEngine(Engine):
 
 def fixed_configs():
     """Named configs: two copies, one permuted; a copy whose omitted label
-    shows from stage 81 on; a diagonalizing run against a copy; three copies
-    sharing each batch, the first (at delay 2) dropping a P link and
+    shows from stage 81 on; the same construction against no copy, where
+    Idle tails come soonest; a diagonalizing run against a copy; three
+    copies sharing each batch, the first (at delay 2) dropping a P link and
     freezing; and stage paths 150 deep."""
     import json
     from pathlib import Path
@@ -589,6 +575,7 @@ def fixed_configs():
                "permutation": {"kind": "block_rotate", "block": 8, "shift": 3}}]
     runs = {"cc_faithful@80": dict(cc_faithful, horizon=80),
             "CC_DEFECTIVE@100": dict(CC_DEFECTIVE, horizon=100),
+            "cc_no_copy@60": dict(cc_faithful, horizon=60, adversaries=[]),
             "dc_diagonal@50": dict(dc_diagonal, horizon=50),
             "three_copies@80": dict(cc_faithful, horizon=80, adversaries=copies),
             "DC_MODULUS@150": dict(DC_MODULUS, horizon=150)}

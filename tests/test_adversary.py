@@ -368,22 +368,33 @@ def test_next_symbol_index_matches_scan(batches, probes):
     "name", ["cc_faithful@80", "CC_DEFECTIVE@100", "dc_diagonal@50", "three_copies@80"])
 def test_live_copies_match_the_reference_generator_at_every_stage(name, monkeypatch):
     """Beside each live copy, the reference generator ingests the same stage
-    from the ground; after every stage both copies hold the same facts in the
-    same order and the same element numbering."""
-    from reference_engine import ReferenceGenerator, fixed_configs
+    from the same slice and a plain store fed the live store's grows and
+    declarations, so that it reads neither label stamps nor relabelled keys
+    off the live store; after every stage both copies hold the same facts in
+    the same order and the same element numbering."""
+    from types import SimpleNamespace
+
+    from reference_engine import ReferenceGenerator, ScanStore, fixed_configs
 
     from cubetree.engine import Engine
 
     config = fixed_configs()[name]
     engine = Engine(config)
+    plain = ScanStore(config.variant)
+    for method in ("grow", "declare"):
+        def both(*args, live=getattr(engine.store, method), mirror=getattr(plain, method)):
+            mirror(*args)
+            return live(*args)
+        monkeypatch.setattr(engine.store, method, both)
+    ground = SimpleNamespace(store=plain, universe_strings=engine.universe_strings)
     refs = {spec.label: ReferenceGenerator(config.variant, engine.schedule, spec.permutation,
                                            spec.delay, spec.defects, spec.label)
             for spec in config.adversaries}
     live_ingest = FaithfulGenerator.ingest
     stages = []
 
-    def checked_ingest(self, stage, ground):
-        live_ingest(self, stage, ground)
+    def checked_ingest(self, stage, live_ground):
+        live_ingest(self, stage, live_ground)
         ref = refs[self.adversary.label]
         ref.ingest(stage, ground)
         assert (list(ref.adversary.stream.to_lines())

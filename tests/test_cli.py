@@ -228,6 +228,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: cannot use {path}: {reason}\n", argv
 
 
+def test_an_os_error_naming_no_path_is_not_a_usage_error(tmp_path, monkeypatch):
+    """A write that fails on a path already opened, such as a full disk,
+    names no file: it propagates as before instead of exiting 2."""
+    def full_disk(config):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "run_stages", full_disk)
+    cfg = write_config(tmp_path, CC_CONFIG)
+    with pytest.raises(OSError, match="No space left on device"):
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
 def test_config_that_is_not_json_exits_two_naming_the_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

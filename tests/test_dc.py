@@ -442,11 +442,10 @@ def test_every_unblocked_type_reaches_the_true_path():
 
 # -- the provider lookups against the path walks they replace --------------------
 #
-# The walks (tests/reference_engine.py) are the stage loop's former
-# `resolve_gamma`, `daughter_coverage`, `frozen_us_on_path` and
-# `blocking_report`: each one steps through every ancestor of the position it
-# is asked about, where the stage loop now reads the records of its path
-# index.
+# `WalkedPath` and `walk_resolve_gamma` (tests/reference_engine.py) are the
+# stage loop's former path lookups and `resolve_gamma`: each one steps through
+# every ancestor of the position it is asked about, where the stage loop now
+# reads the records of its path index.
 
 
 def provider_runs():
@@ -464,15 +463,17 @@ def test_provider_lookups_agree_with_the_path_walks(data, diagonalizes, monkeypa
     """At every typing the blocking report and the daughter coverage, and at
     every daughter visit the inherited string the daughter holds, equal those
     of the walks.  The string is resolved once per daughter."""
-    from reference_engine import walk_blocking_report, walk_daughter_coverage, walk_resolve_gamma
+    from types import SimpleNamespace
+
+    from reference_engine import WalkedPath, walk_resolve_gamma
 
     typing, resolve, visit = dc.assign_type, dc.resolve_gamma, dc.act_N_daughter
     typed, providers, resolved = [], [], []
 
     def checked_typing(engine, node, s):
-        nodes = engine.path_nodes(node.addr)
-        assert dc.blocking_report(engine) == walk_blocking_report(nodes, node.addr), node
-        assert engine.path.coverage == walk_daughter_coverage(nodes), node
+        walked = WalkedPath(engine.path_nodes(node.addr), node.addr)
+        assert dc.blocking_report(engine) == dc.blocking_report(SimpleNamespace(path=walked)), node
+        assert engine.path.coverage == walked.coverage, node
         typed.append(node)
         return typing(engine, node, s)
 

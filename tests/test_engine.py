@@ -409,7 +409,7 @@ def test_typed_and_visit_events_carry_the_requirement_label(sample_run):
         assert entry.label is result.nodes[entry.addr].label
 
 
-# -- Idle tails against the stage loop that visited every depth ---------------------
+# -- Idle tails: the lines over any bounds ----------------------------------------
 
 def tail_runs():
     from test_acceptance import CC_DEFECTIVE
@@ -425,20 +425,18 @@ def tail_runs():
 @pytest.mark.parametrize("data", [d for _n, d in tail_runs()],
                          ids=[n for n, _d in tail_runs()])
 def test_idle_tails_expand_to_the_reference_trace(data):
-    """The lines written from the tail records are those of the reference
-    engine, whose loop visits every depth with one record per event, and the
-    lines over any bounds are that slice of them.  len counts the expanded
+    """The lines written from the tail records over any bounds are that slice
+    of all of them; `test_fixed_runs_match_the_reference` compares all of
+    them, and the nodes the tails build, with the reference engine's, which
+    visits every depth with one record per event.  len counts the expanded
     events, each tail record expands to one run of Idle events after its
     parent's outcome, and left-kill gives one verdict on the records and on
     the expanded events."""
-    from reference_engine import ReferenceEngine
-
     config = config_from_dict(data)
     result = run_stages(config)
     events = list(result.trace)
     assert len(result.trace) == len(events)
     lines = result.trace_lines()
-    assert lines == ReferenceEngine(config).run().trace_lines()
     assert len(lines) == len(events)
     tails = [i for i, rec in enumerate(result.trace.records) if rec[0] == "tail"]
     assert bool(tails) == (config.variant == "cc")

@@ -26,10 +26,14 @@ from cubetree.verify import check_trace_invariants
 
 
 def artifacts(engine):
-    """A finished run's trace lines, snapshot lines, and each copy's fact
-    lines and element numbering."""
+    """A finished run's trace lines, snapshot lines, each copy's fact lines
+    and element numbering, and each node's requirement, label and outcomes:
+    true paths and the checks read the outcomes off the nodes, not off the
+    trace."""
     return {
         "trace.log": list(engine.trace.lines()),
+        "nodes": [(addr, node.req, node.label, node.outcomes)
+                  for addr, node in sorted(engine.nodes.items())],
         "snapshot.log": engine.snapshot().dump_lines(),
         **{f"copy {i} facts": list(adv.stream.to_lines())
            for i, adv in enumerate(engine.adversaries)},
