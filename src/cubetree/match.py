@@ -13,6 +13,15 @@ changed since the last one.  f only grows and a fact's stamp is its first
 occurrence, so a key that passed the bullets keeps passing until
 n_sigma(key, t+1) changes, which needs a label on its empty-set vertex
 stamped in the stages t moved over, or a child of it enters B.
+
+For the same reasons a P link that held at one visit holds at every later
+one: the budget s rises, f never remaps a key, each key's children are
+appended in admission order, and the keys chosen below the ii outcome (left
+out of the stability witnesses) only grow.  So the node keeps link cursors:
+per key of B, how many of its children are known to be linked to its image
+(bullet 3), and per key of C and W witness x, how many of its children are
+linked to x or left out.  A visit resumes each cursor, so each P link that
+holds is tested once.
 """
 
 from __future__ import annotations
@@ -50,6 +59,11 @@ class MatcherState:
         # The keys of B that f does not map.
         self.unmapped: set[StringKey] = set()
         self.B_t = 0
+        # Link cursors: (parent key, element x) -> how many of the key's
+        # children, in admission order, x is known to be P-linked to (or
+        # leaves out).  x is f[key] for a key of B (bullet 3) and each W
+        # witness for a key of C (the stability witnesses).
+        self.linked: dict[tuple[StringKey, int], int] = {}
         # Keys the visits enumerated outside the bullet checks: a work count.
         self.scanned = 0
 
@@ -69,6 +83,21 @@ class MatcherState:
         if key in self.rank and key not in self.pending:
             self.pending.add(key)
             heappush(self.queue, (self.rank[key], key))
+
+    def links_hold(self, stream, key: StringKey, x: int, s: int, skip=()) -> bool:
+        """Whether x is P-linked within s to the image of each child of key
+        not in skip.  Resumes the (key, x) cursor, so each link that holds
+        is tested once."""
+        f, kids = self.f, self.children.get(key, ())
+        done = self.linked.get((key, x), 0)
+        while done < len(kids):
+            child = kids[done]
+            if child not in skip and (child not in f or
+                                      not stream.holds_within(("P", x, f[child]), s)):
+                break
+            done += 1
+        self.linked[key, x] = done
+        return done == len(kids)
 
 
 def responsibility_set(engine: Engine, node: Node, t: int) -> dict[StringKey, tuple]:
@@ -130,22 +159,20 @@ def act_M(engine: Engine, node: Node, s: int, start, responsibility) -> str:
     while queue:
         key = queue[0][1]
         if key in pending:
-            bullet = _failing_bullet(engine, f, stream, st.children.get(key, ()), key, t, s)
+            bullet = _failing_bullet(engine, st, stream, key, t, s)
             if bullet:
                 engine.emit("mfail", s, node, *_fields(key), bullet)
                 return str(k0)
             pending.remove(key)
         heappop(queue)
-    # Links to children chosen below the infinite outcome are left out.
+    # The stability witness of a key of C: its oldest W witness linked to
+    # every child, leaving out the children chosen below the ii outcome.
     below_inf = engine.keys_chosen_below(node)
     xs: dict[StringKey, int | None] = {}
     stable = True
     for key in st.C:
-        sigma, sort = key
-        conjuncts = [("W", sigma, sort, HOLE)]
-        conjuncts += [("P", HOLE, f[child]) for child in st.children.get(key, ())
-                      if child not in below_inf]
-        x = stream.oldest_satisfying(conjuncts, s)
+        x = next((w for w in stream.witnesses_W(*key, s)
+                  if st.links_hold(stream, key, w, s, below_inf)), None)
         xs[key] = x
         engine.emit("xtau", s, node, *_fields(key), x)
         if x is None or x != st.x_at_t.get(key):
@@ -167,15 +194,15 @@ def oldest_witness(store, stream, key: StringKey, stage: int, budget: int) -> in
     return stream.oldest_satisfying([("W", sigma, sort, HOLE), ("S", n, HOLE)], budget)
 
 
-def _failing_bullet(engine, f, stream, children, key, t, s) -> int | None:
+def _failing_bullet(engine, st: MatcherState, stream, key, t, s) -> int | None:
     """The first bullet condition key fails: 1 unmapped, 2 top label
     missing on its image, 3 a child unmapped or not linked to it."""
+    f = st.f
     if key not in f:
         return 1
     n = engine.store.n_sigma(*key, t + 1)
     if not stream.holds_within(("S", n, f[key]), s):
         return 2
-    for child in children:
-        if child not in f or not stream.holds_within(("P", f[key], f[child]), s):
-            return 3
+    if not st.links_hold(stream, key, f[key], s):
+        return 3
     return None

@@ -556,7 +556,10 @@ def fixed_configs():
     shows from stage 81 on; the same construction against no copy, where
     Idle tails come soonest; a diagonalizing run against a copy; three
     copies sharing each batch, the first (at delay 2) dropping a P link and
-    freezing; and stage paths 150 deep."""
+    freezing; the two copies of the first run, the identity one dropping
+    the P link from the root to (3,), a string chosen below a matcher's ii
+    outcome, so leaving that link out of the root's stability witness
+    changes its xtau answers; and stage paths 150 deep."""
     import json
     from pathlib import Path
 
@@ -578,5 +581,9 @@ def fixed_configs():
             "cc_no_copy@60": dict(cc_faithful, horizon=60, adversaries=[]),
             "dc_diagonal@50": dict(dc_diagonal, horizon=50),
             "three_copies@80": dict(cc_faithful, horizon=80, adversaries=copies),
+            "broken_root_link@60": dict(cc_faithful, horizon=60, adversaries=[
+                dict(cc_faithful["adversaries"][0], label="broken",
+                     defects=[{"kind": "break_p", "sigma": [], "j": 3}]),
+                cc_faithful["adversaries"][1]]),
             "DC_MODULUS@150": dict(DC_MODULUS, horizon=150)}
     return {name: config_from_dict(data) for name, data in runs.items()}
