@@ -14,7 +14,7 @@ Defective variants drop designated facts.
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain, takewhile
 from typing import NamedTuple
 
@@ -127,6 +127,11 @@ class FactStream:
     def __len__(self) -> int:
         return len(self._first)
 
+    @property
+    def first_stamps(self) -> Mapping[Fact, int]:
+        """Each fact's first stamp, in stamp order; read it, never write it."""
+        return self._first
+
     def holds_within(self, fact: Fact, budget: int) -> bool:
         step = self._first.get(fact)
         return step is not None and step <= budget
@@ -140,9 +145,11 @@ class FactStream:
             key=lambda x: (self._age[x], x),
         )
 
-    def facts_within(self, budget: int) -> list[tuple[int, Fact]]:
+    def facts_within(self, budget: int) -> Iterator[tuple[int, Fact]]:
+        """(step, fact) of each fact stamped by the budget, in order, read
+        lazily: the stream must not grow while it is read."""
         rows = ((step, fact) for fact, step in self._first.items())
-        return list(takewhile(lambda row: row[0] <= budget, rows))
+        return takewhile(lambda row: row[0] <= budget, rows)
 
     def witnesses_W(self, sigma: NatString, sort: int | None, budget: int) -> list[int]:
         xs = self._w_index.get((tuple(sigma), sort), [])

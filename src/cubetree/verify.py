@@ -10,8 +10,9 @@ approximation, and the trace invariant suite.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator
+from operator import itemgetter
 from typing import NamedTuple
 
 from .adversary import FACT_ARG0, Adversary, Fact, FactStream, Incidence
@@ -320,31 +321,53 @@ def check_isomorphism(g, source: Snapshot, target, horizon: int | None = None) -
         return report
     report.add("total", True)
     covered = set(images)
-    report.add("injective", len(covered) == len(images))
+    injective = len(covered) == len(images)
+    report.add("injective", injective)
     uncovered = [x for x in enumerated if x not in covered]
     report.add("covers-enumerated", not uncovered,
                f"{len(uncovered)} elements uncovered" if uncovered else "")
-    # One pass over the true facts.  Completeness: each due by the lag holds
-    # at the images.  Soundness: each stream fact among the images is the
-    # image of a true fact on the chosen (last) preimages, the fact pulled back.
+    # One pass over the true facts, each renamed by its kind.  Completeness:
+    # each due by the lag holds at the images.  Soundness: each stream fact
+    # among the images is the image of a true fact on the chosen (last)
+    # preimages; an injective map chooses every element.
+    chosen = None
+    if not injective:
+        back = {x: k for k, x in enumerate(images)}
+        chosen = [back[x] == k for k, x in enumerate(images)]
+    first = stream.first_stamps
     label_bound = max(0, min(source.stage, horizon) - target.delay)
-    due = [isinstance(e, CubeElem) and set(source.store.labels(e, upto=label_bound))
-           for e in elems]
-    back = {x: k for k, x in enumerate(images)}
-    chosen = [back[x] == k for k, x in enumerate(images)]
+    due: dict[int, set[int]] = {}  # element -> its labels due, built at a missing S fact
     sound: set[Fact] = set()
     locus: dict[str, str] = {}
     for fact in true_facts(elems, source.labels):
-        kind, k = fact[0], FACT_ARG0[fact[0]]
-        args = fact[k:]
-        image = fact[:k] + tuple(images[x] for x in args)
-        if all(chosen[x] for x in args):
+        # x and y are the fact's element arguments, at FACT_ARG0 and after
+        # in the layout of `adversary.FACT_FIELDS`.
+        kind = fact[0]
+        if kind == "W":
+            x = y = fact[3]
+            image = ("W", fact[1], fact[2], images[x])
+        elif kind == "S":
+            x = y = fact[2]
+            image = ("S", fact[1], images[x])
+        elif kind == "E":
+            x, y = fact[2], fact[3]
+            image = ("E", fact[1], images[x], images[y])
+        else:
+            x, y = fact[1], fact[2]
+            image = ("P", images[x], images[y])
+        if chosen is None or chosen[x] and chosen[y]:
             sound.add(image)
-        if (kind not in locus and (kind != "S" or fact[1] in due[fact[2]])
-                and not stream.holds_within(image, horizon)):
-            names = [format_elem(elems[x]) for x in args]
-            head = f"S_{fact[1]} " if kind == "S" else ""
-            locus[kind] = head + ("-" if kind == "E" else "->").join(names)
+        if kind in locus or first.get(image, horizon + 1) <= horizon:
+            continue
+        if kind == "S":
+            if x not in due:
+                due[x] = set(source.store.labels(elems[x], upto=label_bound))
+            if fact[1] not in due[x]:
+                continue
+        names = format_elem(elems[x])
+        if kind in "EP":
+            names += ("-" if kind == "E" else "->") + format_elem(elems[y])
+        locus[kind] = f"S_{fact[1]} {names}" if kind == "S" else names
     for _step, fact in stream.facts_within(horizon):
         args = fact[FACT_ARG0[fact[0]]:]
         if fact not in sound and covered.issuperset(args):
@@ -476,7 +499,9 @@ def check_trace_invariants(result: RunResult) -> Report:
     """The trace checks scan `result.trace.records`, each Idle tail one
     record, which is exact: an Idle node holds no state and takes "o", so a
     tail holds no mstat, xtau or gamma event and no infinite outcome, and
-    left-kill (`check_left_kill`) needs none of its events."""
+    left-kill (`check_left_kill`) needs none of its events.  The
+    responsibility checks keep each matcher's B from one visit to the next
+    (`ReplayedB`), so a visit costs what changed since the matcher's last."""
     report = Report()
     ok, locus = check_left_kill(result.trace.records)
     report.add("left-kill", ok, locus or "")
@@ -555,35 +580,101 @@ def _token_at(node: Node, stage: int) -> str | None:
     return None
 
 
-def _replay_B(result: RunResult, m: Node, s: int, t: int, k0: int) -> set[StringKey]:
-    """B of matcher m at its stage-s visit, from m's t and k0 and the choice
-    records alone: every key whose string entered by stage t, less the keys
-    that a counting record leaves out.  A record (c, st) counts when st < s,
-    or st = s and c is shallower than m, since a stage path acts ancestors
-    first.  It leaves its key out when c is at or below m's finite outcome,
-    or when c is an ancestor that took the outcome towards m at st."""
-    addr = m.addr
-    fin = addr + (str(k0),)
-    left_out = set()
-    for key, records in result.chosen.items():
-        for c, st in records:
-            above = len(c.addr) < len(addr)
-            counts = st < s or st == s and above
-            if counts and (c.addr[:len(fin)] == fin or above and
-                           addr[:len(c.addr) + 1] == c.addr + (_token_at(c, st),)):
-                left_out.add(key)
-                break
-    keys = sorts(result.variant)
-    return {(sigma, sort) for sigma, e in result.entered.items() if e <= t
-            for sort in keys} - left_out
+class _MatcherReplay:
+    """One matcher's replayed B and what it was built from: the records
+    classified so far, the strings entered by t, and k0's outcome token."""
+
+    __slots__ = ("cursor", "n", "tok", "B", "above", "below")
+
+    def __init__(self) -> None:
+        self.cursor = self.n = 0
+        self.tok: str | None = None
+        self.B: set[StringKey] = set()
+        # Keys an ancestor chose at the outcome towards the matcher; per
+        # outcome token, the keys chosen at or below it.
+        self.above: set[StringKey] = set()
+        self.below: dict[str, set[StringKey]] = {}
+
+
+class ReplayedB:
+    """Each matcher's B, replayed from its mstat events and the choice
+    records alone, and updated in place from one visit to the next.
+
+    At m's stage-s visit B is every key whose string entered by stage t,
+    less the keys that a counting record leaves out.  A record (c, st)
+    counts when (st, depth of c) sorts before (s, depth of m), since a stage
+    path acts ancestors first.  It leaves its key out when c is an ancestor
+    that took the outcome towards m at st, or when c is at or below m's
+    finite outcome k0.  The records are sorted once by (stage, depth), so a
+    matcher classifies each record once, at the visit it starts counting:
+    its key goes to `above` or to the group of m's outcome that c is below.
+    The strings entered by t are a prefix of the strings in entry order.  A
+    visit drops the keys newly left out (those of strings entered after t,
+    if t fell), swaps the k0 group when k0 changes and adds the keys newly
+    entered; no visit rebuilds B."""
+
+    def __init__(self, result: RunResult) -> None:
+        self.records = sorted(((st, len(c.addr), c, key)
+                               for key, records in result.chosen.items()
+                               for c, st in records), key=itemgetter(0, 1))
+        self.bounds = [r[:2] for r in self.records]
+        self.entered = result.entered
+        self.strings = sorted(self.entered, key=self.entered.__getitem__)
+        self.entry = [self.entered[sigma] for sigma in self.strings]
+        self.sorts = sorts(result.variant)
+        self.matchers: dict[Node, _MatcherReplay] = {}
+
+    def visit(self, m: Node, s: int, t: int, k0: int) -> tuple[set[StringKey], int, int]:
+        """B at m's stage-s visit, and how many keys it dropped and added
+        since m's previous visit.  The set is m's own and changes at its
+        next visit."""
+        rep = self.matchers.get(m)
+        if rep is None:
+            rep = self.matchers[m] = _MatcherReplay()
+        addr, depth, tok = m.addr, len(m.addr), str(k0)
+        B, above, below = rep.B, rep.above, rep.below
+        end = bisect_left(self.bounds, (s, depth), rep.cursor)
+        out = []
+        for i in range(rep.cursor, end):
+            st, d, c, key = self.records[i]
+            if d < depth:
+                if c.addr == addr[:d] and _token_at(c, st) == addr[d]:
+                    above.add(key)
+                    out.append(key)
+            elif d > depth and c.addr[:depth] == addr:
+                below.setdefault(c.addr[depth], set()).add(key)
+                if c.addr[depth] == tok:
+                    out.append(key)
+        rep.cursor = end
+        group = below.get(tok, set())
+        n = bisect_right(self.entry, t)
+        # A falling t leaves out the strings entered after it; a rising t
+        # brings in the strings entered up to it.  One of the slices is empty.
+        out += [(sigma, sort) for sigma in self.strings[n:rep.n] for sort in self.sorts]
+        entering = [(sigma, sort) for sigma in self.strings[rep.n:n] for sort in self.sorts]
+        if tok != rep.tok:
+            out += group
+            entering += [key for key in below.get(rep.tok, ()) if self.entered[key[0]] <= t]
+        dropped = added = 0
+        for key in out:
+            if key in B:
+                B.remove(key)
+                dropped += 1
+        for key in entering:
+            if key not in B and key not in above and key not in group:
+                B.add(key)
+                added += 1
+        rep.n, rep.tok = n, tok
+        return B, dropped, added
 
 
 def _check_b_sets(result: RunResult, report: Report) -> None:
-    """At each matcher visit (an `mstat` event) B is replayed: its size must
-    be the event's |B|, and it must contain B at the matcher's previous
-    visit, and equal it unless the matcher took an infinite outcome in
-    between."""
-    last: dict[Node, tuple[int, set[StringKey]]] = {}
+    """At each matcher visit (an `mstat` event) B is replayed by `ReplayedB`:
+    its size must be the event's |B|, and it must contain B at the matcher's
+    previous visit, and equal it unless the matcher took an infinite outcome
+    in between.  Both follow from the keys the visit dropped and added."""
+    replay = ReplayedB(result)
+    last: dict[Node, int] = {}
     moved: set[Node] = set()
     bad_size = None
     bad_mono = None
@@ -593,17 +684,16 @@ def _check_b_sets(result: RunResult, report: Report) -> None:
             moved.add(ev[2])
         elif ev[0] == "mstat":
             _kind, stage, node, t, k0, _k1, bsize = ev
-            current = _replay_B(result, node, stage, t, k0)
+            current, dropped, added = replay.visit(node, stage, t, k0)
             if bad_size is None and bsize != len(current):
                 bad_size = f"{node} at {stage}: {bsize} against {len(current)}"
-            if node in last:
-                prev_stage, prev = last[node]
-                where = f"{node} between {prev_stage} and {stage}"
-                if bad_mono is None and not prev <= current:
+            if node in last and (dropped or added and node not in moved):
+                where = f"{node} between {last[node]} and {stage}"
+                if bad_mono is None and dropped:
                     bad_mono = where
-                if bad_eq is None and node not in moved and prev != current:
+                if bad_eq is None and node not in moved:
                     bad_eq = where
-            last[node] = (stage, current)
+            last[node] = stage
             moved.discard(node)
     report.add("responsibility-size", bad_size is None, bad_size or "")
     report.add("responsibility-monotone", bad_mono is None, bad_mono or "")

@@ -13,6 +13,10 @@ once; the tests of a single fast path import it from here.
   and the keys chosen below from scratch and checks every key of B.
 - The shared `GroundEnumeration`: `ReferenceGenerator` builds each copy on
   its own.
+- The claim checks: `replay_B` rebuilds a matcher's B at each visit from
+  every entered string and every choice record, where `verify.ReplayedB`
+  updates it by deltas; `reference_check_isomorphism` is the ordered loop
+  the streamed `check_isomorphism` replaced.
 
 `tests/test_reference_engine.py` checks that both engines write the same
 artifacts.  `REPLACED` names what the reference stands in for, so that a
@@ -25,24 +29,28 @@ from itertools import count
 from conftest import is_frozen
 
 from cubetree import cc, dc
-from cubetree.adversary import HOLE, Adversary, FactStream
+from cubetree.adversary import FACT_ARG0, HOLE, Adversary, FactStream
 from cubetree.engine import Engine, ReqDaughter, ReqIdle, ReqM, ReqMother, ReqU, req_label
 from cubetree.match import _fields, oldest_witness
 from cubetree.structure import (
     CubeElem,
     GrowEvent,
+    Snapshot,
     UElem,
     UndefinedLabel,
     birth_stage,
+    format_elem,
     format_string,
     holds_P,
     ladder_key,
     sorts,
 )
+from cubetree.verify import Report, snapshot_view, true_facts
 
 # What the reference stands in for, as (module, attribute path) under
 # `cubetree`: Engine methods it overrides or never calls, hooks it does not
-# call, and the classes of the objects it replaces.
+# call, the classes of the objects it replaces, and the claim checks it
+# has plain formulas of.
 REPLACED = [
     ("engine", "Engine.run"), ("engine", "Engine.first_fit"), ("engine", "Engine.grow"),
     ("engine", "Engine._child"), ("engine", "Engine._visit_tail"),
@@ -52,6 +60,7 @@ REPLACED = [
     ("match", "act_M"), ("match", "responsibility_set"), ("match", "MatcherState"),
     ("structure", "LabelStore"), ("structure", "KeyRecord"),
     ("adversary", "FaithfulGenerator.ingest"), ("adversary", "GroundEnumeration.batch"),
+    ("verify", "ReplayedB"), ("verify", "check_isomorphism"),
 ]
 
 
@@ -369,6 +378,93 @@ def reference_visit(engine, node, s, st=None, emit=None):
 
 
 # ---------------------------------------------------------------------------
+# The claim checks as plain formulas: B rebuilt at each matcher visit, and the
+# isomorphism check as one ordered loop over the true facts.
+
+def replay_B(result, m, s, t, k0):
+    """B of matcher m at its stage-s visit, from m's t and k0 and the choice
+    records alone: every key whose string entered by stage t, less the keys
+    that a counting record leaves out.  A record (c, st) counts when st < s,
+    or st = s and c is shallower than m, since a stage path acts ancestors
+    first.  It leaves its key out when c is at or below m's finite outcome,
+    or when c is an ancestor that took the outcome towards m at st."""
+    addr = m.addr
+    fin = addr + (str(k0),)
+    left_out = set()
+    for key, records in result.chosen.items():
+        for c, st in records:
+            above = len(c.addr) < len(addr)
+            counts = st < s or st == s and above
+            if counts and (c.addr[:len(fin)] == fin or above and
+                           addr[:len(c.addr) + 1] == c.addr + (dict(c.outcomes).get(st),)):
+                left_out.add(key)
+                break
+    keys = sorts(result.variant)
+    return {(sigma, sort) for sigma, e in result.entered.items() if e <= t
+            for sort in keys} - left_out
+
+
+def reference_check_isomorphism(g, source, target, horizon=None):
+    """`check_isomorphism` as one ordered loop: each true fact and its image
+    as a tuple, the per-argument chosen test on every fact, the label sets
+    due by the lag built up front, and the stream probed through
+    `holds_within`."""
+    if isinstance(target, Snapshot):
+        view = snapshot_view(target)
+        return reference_check_isomorphism(lambda e: view.to_copy.get(g(e)), source, view,
+                                           source.stage)
+    if horizon is None:
+        horizon = source.stage
+    report = Report()
+    stream = target.stream
+    enumerated = stream.elements(horizon)
+    if target.to_ground:
+        cube = [target.to_ground[x] for x in enumerated
+                if isinstance(target.to_ground.get(x), CubeElem)]
+    else:
+        cube = [e for e in source.elements() if stream.witnesses_W(e.sigma, e.sort, horizon)]
+    elems = ([UElem(0), UElem(1)] if source.variant == "dc" else []) + cube
+    images = [g(e) for e in elems]
+    if None in images:
+        report.add("total", False, format_elem(elems[images.index(None)]))
+        return report
+    report.add("total", True)
+    covered = set(images)
+    report.add("injective", len(covered) == len(images))
+    uncovered = [x for x in enumerated if x not in covered]
+    report.add("covers-enumerated", not uncovered,
+               f"{len(uncovered)} elements uncovered" if uncovered else "")
+    label_bound = max(0, min(source.stage, horizon) - target.delay)
+    due = [isinstance(e, CubeElem) and set(source.store.labels(e, upto=label_bound))
+           for e in elems]
+    back = {x: k for k, x in enumerate(images)}
+    chosen = [back[x] == k for k, x in enumerate(images)]
+    sound = set()
+    locus = {}
+    for fact in true_facts(elems, source.labels):
+        kind, k = fact[0], FACT_ARG0[fact[0]]
+        args = fact[k:]
+        image = fact[:k] + tuple(images[x] for x in args)
+        if all(chosen[x] for x in args):
+            sound.add(image)
+        if (kind not in locus and (kind != "S" or fact[1] in due[fact[2]])
+                and not stream.holds_within(image, horizon)):
+            names = [format_elem(elems[x]) for x in args]
+            head = f"S_{fact[1]} " if kind == "S" else ""
+            locus[kind] = head + ("-" if kind == "E" else "->").join(names)
+    for _step, fact in stream.facts_within(horizon):
+        args = fact[FACT_ARG0[fact[0]]:]
+        if fact not in sound and covered.issuperset(args):
+            head = f"S_{fact[1]}" if fact[0] == "S" else fact[0]
+            locus["sound"] = f"{head} at {','.join(map(str, args))}"
+            break
+    for kind in "WSEP":
+        report.add(f"respects-{kind}", kind not in locus, locus.get(kind, ""))
+    report.add("sound", "sound" not in locus, locus.get("sound", ""))
+    return report
+
+
+# ---------------------------------------------------------------------------
 # Faithful copies, each generated on its own.
 
 class ReferenceGenerator:
@@ -559,7 +655,10 @@ def fixed_configs():
     freezing; the two copies of the first run, the identity one dropping
     the P link from the root to (3,), a string chosen below a matcher's ii
     outcome, so leaving that link out of the root's stability witness
-    changes its xtau answers; and stage paths 150 deep."""
+    changes its xtau answers; a copy whose numbering makes a non-empty
+    vertex the root's oldest W witness, so from stage 42 on the root's
+    stability witness is its second one, found while the first one's link
+    cursor stops short of the last child; and stage paths 150 deep."""
     import json
     from pathlib import Path
 
@@ -585,5 +684,9 @@ def fixed_configs():
                 dict(cc_faithful["adversaries"][0], label="broken",
                      defects=[{"kind": "break_p", "sigma": [], "j": 3}]),
                 cc_faithful["adversaries"][1]]),
+            "late_witness@50": dict(cc_faithful, horizon=50, universe={
+                "rate": 20, "cap": 3, "f_rate": 1, "f_cap": 2}, adversaries=[
+                {"kind": "faithful", "label": "perm", "delay": 2,
+                 "permutation": {"kind": "block_rotate", "block": 4, "shift": 3}}]),
             "DC_MODULUS@150": dict(DC_MODULUS, horizon=150)}
     return {name: config_from_dict(data) for name, data in runs.items()}

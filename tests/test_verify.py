@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import cc_config, dc_config, faithful
 
@@ -351,12 +352,12 @@ def reference_snapshot_view(snap):
     return view
 
 
-def reference_check_isomorphism(g, source, target, horizon=None):
+def per_kind_check_isomorphism(g, source, target, horizon=None):
     """The checker with a completeness loop per fact kind and a soundness
     test per kind, kept as the reference the shared enumeration replaced."""
     if isinstance(target, Snapshot):
         view = reference_snapshot_view(target)
-        return reference_check_isomorphism(
+        return per_kind_check_isomorphism(
             lambda e: view.to_copy.get(g(e)), source, view, source.stage)
     report = Report()
     stream = target.stream
@@ -546,7 +547,7 @@ def test_one_checker_agrees_with_the_snapshot_reference():
                 old = reference_check_iso_snapshot(h, snap, target)
                 assert old.ok is expected, (snap.variant, label, old.failures())
                 assert new.ok is old.ok, (snap.variant, label, new.failures())
-                ref = reference_check_isomorphism(h, snap, target)
+                ref = per_kind_check_isomorphism(h, snap, target)
                 assert verdicts(new) == verdicts(ref), (snap.variant, label)
 
 
@@ -668,7 +669,7 @@ def test_one_checker_agrees_with_the_reference_on_stream_targets(horizon):
     for idx, adv in enumerate(result.adversaries):
         for label, g in stream_mutations(cc.extract_isomorphism(result, entries, idx)):
             new = check_isomorphism(g, snap, adv, horizon)
-            ref = reference_check_isomorphism(g, snap, adv, horizon)
+            ref = per_kind_check_isomorphism(g, snap, adv, horizon)
             assert verdicts(new) == verdicts(ref), (idx, label)
             seen.add((label, ref.ok))
     assert seen == {("extracted", True), ("two images swapped", False),
@@ -793,6 +794,76 @@ def test_a_stream_target_is_checked_by_the_source_stage_by_default():
     report = check_isomorphism(adv.to_copy.get, snap, adv)
     assert report.ok, report.failures()
     assert report.lines() == check_isomorphism(adv.to_copy.get, snap, adv, snap.stage).lines()
+
+
+# -- the streamed isomorphism check, against the ordered loop -------------------------
+
+def hand_broken(table):
+    """The map table with the images of two cube elements swapped, with one
+    image None, and with two cube elements sent to one image."""
+    a, b = [e for e in table if isinstance(e, CubeElem)][1:3]
+    return [("two images swapped", (table | {a: table[b], b: table[a]}).get),
+            ("one image None", lambda e: None if e == b else table.get(e)),
+            ("one image shared", (table | {a: table[b]}).get)]
+
+
+def streamed_check_cases():
+    """(name, map, source, target, horizon): each copy of the cc fixed runs
+    with its ground map, the map extracted from the run and the ground map
+    broken by hand; a run snapshot against itself under the identity and
+    broken by hand; a fact-file copy, which has no `to_ground`; and the
+    copies of CC_DEFECTIVE@100 with each defect, with their ground maps."""
+    from reference_engine import fixed_configs
+
+    from cubetree import cc
+    from cubetree.adversary import Defect, make_faithful_copy, stream_from_lines
+    from cubetree.structure import sorts
+
+    runs = {name: run_stages(config) for name, config in fixed_configs().items()
+            if config.variant == "cc"}
+    for name, result in runs.items():
+        snap = result.snapshot()
+        entries = true_path_approx(result, threshold=3)
+        for idx, copy in enumerate(result.adversaries):
+            maps = [("ground", copy.to_copy.get), *hand_broken(copy.to_copy)]
+            try:
+                maps.append(("extracted", cc.extract_isomorphism(result, entries, idx)))
+            except cc.ExtractionStalled:
+                pass
+            for label, g in maps:
+                for horizon in (result.horizon // 2, result.horizon):
+                    yield f"{name} copy {idx} {label} @{horizon}", g, snap, copy, horizon
+    result = runs["cc_faithful@80"]
+    snap = result.snapshot()
+    for label, g in [("identity", lambda e: e),
+                     *hand_broken({e: e for e in snap.elements()})]:
+        yield f"snapshot {label}", g, snap, snap, None
+    copy = result.adversaries[0]
+    facts = Adversary(stream_from_lines(list(copy.stream.to_lines()), sorts("cc")),
+                      delay=copy.delay)
+    for label, g in [("ground", copy.to_copy.get), *hand_broken(copy.to_copy)]:
+        yield f"fact file {label}", g, snap, facts, result.horizon
+    result = runs["CC_DEFECTIVE@100"]
+    snap = result.snapshot()
+    for defect in (Defect("omit_label", n=1, sigma=()), Defect("break_p", sigma=(), j=1),
+                   Defect("freeze_after", step=50)):
+        copy = make_faithful_copy(result, delay=2, defects=(defect,))
+        yield f"{defect.kind}", copy.to_copy.get, snap, copy, result.horizon
+
+
+def test_the_streamed_check_writes_the_ordered_loop_report_lines():
+    """Every report line of `check_isomorphism` equals the ordered loop's,
+    loci included, and between them the cases fail every check."""
+    from reference_engine import reference_check_isomorphism
+
+    failed = set()
+    for name, g, source, target, horizon in streamed_check_cases():
+        new = check_isomorphism(g, source, target, horizon)
+        old = reference_check_isomorphism(g, source, target, horizon)
+        assert new.lines() == old.lines(), name
+        failed.update(r.name for r in new.failures())
+    assert failed == {"total", "injective", "covers-enumerated", "respects-W",
+                      "respects-S", "respects-E", "respects-P", "sound"}, failed
 
 
 # -- top-label definedness, checked once per string ------------------------------
@@ -971,14 +1042,15 @@ def replay_run(name):
     "cc_faithful@80", "CC_DEFECTIVE@100", "dc_diagonal@60", "dc_under_frozen@60",
 ])
 def test_replayed_B_equals_the_two_branch_replay_at_every_visit(name):
+    from reference_engine import replay_B
+
     from cubetree.engine import ReqU
-    from cubetree.verify import _replay_B
 
     result = run_stages(replay_run(name))
     visits = 0
     for node, rows in reference_mnode_visit_data(result).items():
         for stage, t, k0 in rows:
-            assert _replay_B(result, node, stage, t, k0) \
+            assert replay_B(result, node, stage, t, k0) \
                 == reference_recompute_B(result, node, stage, t, k0), (node, stage)
             visits += 1
     assert visits
@@ -998,8 +1070,11 @@ def test_replay_leaves_out_keys_chosen_below_the_finite_outcome(config):
     """Fresh strings are born after a matcher's t, so in the sample runs no
     key of B is chosen below its finite outcome.  Two keys of B are chosen
     there by hand, one the stage before a later visit and one at it: only
-    the first counts, since the chooser acts after the matcher."""
-    from cubetree.verify import _replay_B
+    the first counts, since the chooser acts after the matcher.  The delta
+    replay, brought through the matcher's visits, agrees at a visit then."""
+    from reference_engine import replay_B
+
+    from cubetree.verify import ReplayedB
 
     result = run_stages(config)
     node, rows = next(iter(reference_mnode_visit_data(result).items()))
@@ -1009,9 +1084,138 @@ def test_replay_leaves_out_keys_chosen_below_the_finite_outcome(config):
     chooser = result.node_at(node.addr + (str(k0), "o"))
     result.chosen.setdefault(early, []).append((chooser, s - 1))
     result.chosen.setdefault(late, []).append((chooser, s))
-    B = _replay_B(result, node, s, t, k0)
+    B = replay_B(result, node, s, t, k0)
     assert B == reference_recompute_B(result, node, s, t, k0)
     assert early not in B and late in B
+    replay = ReplayedB(result)
+    for stage, t_then, k0_then in rows:
+        replay.visit(node, stage, t_then, k0_then)
+    assert replay.visit(node, s, t, k0)[0] == B
+
+
+# -- the delta replay of B, against the plain formula -------------------------------
+
+REPLAY_RUNS = ["cc_faithful@80", "CC_DEFECTIVE@100", "dc_diagonal@60", "dc_under_frozen@60"]
+
+
+def replay_configs():
+    """The fixed runs of the reference engine's differential and the four
+    replay runs, by name."""
+    from reference_engine import fixed_configs
+
+    return fixed_configs() | {name: replay_run(name) for name in REPLAY_RUNS}
+
+
+@pytest.mark.parametrize("name", list(replay_configs()))
+def test_the_delta_replay_is_the_plain_replay_at_every_visit(name):
+    """At every matcher visit `ReplayedB` holds the B that `replay_B`
+    rebuilds, of the size the visit logged, and the keys it dropped and
+    added since the matcher's previous visit are the plain sets' difference."""
+    from reference_engine import replay_B
+
+    from cubetree.verify import ReplayedB
+
+    result = run_stages(replay_configs()[name])
+    replay = ReplayedB(result)
+    last = {}
+    for ev in result.trace.records:
+        if ev[0] != "mstat":
+            continue
+        _kind, s, node, t, k0, _k1, bsize = ev
+        B, dropped, added = replay.visit(node, s, t, k0)
+        plain = replay_B(result, node, s, t, k0)
+        assert B == plain and len(B) == bsize, (node, s)
+        prev = last.get(node, set())
+        assert (dropped, added) == (len(prev - plain), len(plain - prev)), (node, s)
+        last[node] = plain
+    assert last or not result.adversaries
+
+
+@st.composite
+def replay_histories(draw):
+    """A run reduced to what the replay reads: a matcher m at depth 2; its
+    ancestors' outcomes, each stage towards m, away from it or no visit;
+    choosers above m (its ancestors and a node beside its path), beside it
+    and below each of its outcomes, one and two steps down; strings entering
+    over 12 stages; choice records on their keys; and m's visits as
+    (stage, t, k0), stages rising.  Unlike a real run, t may fall and keys
+    of B may be chosen below m's finite outcome, also at a visit's stage."""
+    from types import SimpleNamespace
+
+    from cubetree.engine import Node
+    from cubetree.structure import sorts
+
+    variant = draw(st.sampled_from(["cc", "dc"]))
+    m = Node(("0", "ii"))
+    ancestors = [Node(()), Node(("0",))]
+    for a in ancestors:
+        towards = m.addr[len(a.addr)]
+        tokens = draw(st.lists(st.sampled_from([towards, "1", None]), min_size=12, max_size=12))
+        a.outcomes = [(s, tok) for s, tok in enumerate(tokens, 1) if tok is not None]
+    choosers = ancestors + [Node(("1",)), Node(("0", "i0"))]
+    choosers += [Node(m.addr + (tok,)) for tok in ("0", "1", "2", "ii")]
+    choosers += [Node(m.addr + (tok, "o")) for tok in ("0", "1")]
+    strings = [(i,) for i in range(draw(st.integers(1, 6)))]
+    entered = {sigma: draw(st.integers(0, 12)) for sigma in strings}
+    keys = [(sigma, sort) for sigma in strings for sort in sorts(variant)]
+    chosen = {}
+    records = st.tuples(st.sampled_from(keys), st.sampled_from(choosers), st.integers(1, 12))
+    for key, c, stage in draw(st.lists(records, max_size=14)):
+        chosen.setdefault(key, []).append((c, stage))
+    stages = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=8)))
+    visits = [(s, draw(st.integers(0, 12)), draw(st.integers(0, 2))) for s in stages]
+    return SimpleNamespace(variant=variant, chosen=chosen, entered=entered), m, visits
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(replay_histories())
+def test_the_delta_replay_answers_the_plain_formula(history):
+    """At each visit the replayed B has the plain formula's size, and the
+    keys it dropped and added give the plain sets' monotone and stable
+    verdicts."""
+    from reference_engine import replay_B
+
+    from cubetree.verify import ReplayedB
+
+    result, m, visits = history
+    replay = ReplayedB(result)
+    prev = None
+    for s, t, k0 in visits:
+        B, dropped, added = replay.visit(m, s, t, k0)
+        plain = replay_B(result, m, s, t, k0)
+        assert len(B) == len(plain), (s, t, k0)
+        if prev is not None:
+            assert (dropped == 0) == (prev <= plain), (s, t, k0)
+            assert (dropped == added == 0) == (prev == plain), (s, t, k0)
+        prev = plain
+
+
+def test_the_replay_classifies_each_record_once_per_matcher(monkeypatch):
+    """On CC_FAITHFUL at h=150 the replay reads a chooser's outcome
+    (`_token_at`) at most once per choice record and matcher.  Rebuilding
+    B at each visit reads it again at every visit, for the counting records
+    shallower than the matcher: 594 reads there, against a bound of 312."""
+    from test_acceptance import CC_FAITHFUL
+
+    from cubetree import verify
+    from cubetree.config import config_from_dict
+
+    result = run_stages(config_from_dict(dict(CC_FAITHFUL, horizon=150)))
+    token_at = verify._token_at
+    reads = 0
+
+    def counted(*args):
+        nonlocal reads
+        reads += 1
+        return token_at(*args)
+
+    monkeypatch.setattr(verify, "_token_at", counted)
+    report = Report()
+    verify._check_b_sets(result, report)
+    assert report.ok, report.failures()
+    records = sum(map(len, result.chosen.values()))
+    matchers = {ev[2] for ev in result.trace.records if ev[0] == "mstat"}
+    assert 0 < reads <= records * len(matchers), (reads, records, len(matchers))
 
 
 @pytest.mark.parametrize("config", [
